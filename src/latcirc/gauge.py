@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import BruteForceCap, DimensionCap, OddLattice
 from .quadrature import fsum_complex
+from .statevector import _apply_site_kernel
 
 __all__ = [
     "GaugeGroupZN",
@@ -158,13 +159,7 @@ class GaugeOperator:
             out[self.perm] = vec
             return out
         if self.link_matrix is not None:
-            n = self.group.N
-            tensor = vec.reshape((n,) * self.lat.n_links)
-            for axis in range(self.lat.n_links):
-                tensor = np.moveaxis(
-                    np.tensordot(self.link_matrix, tensor, axes=([1], [axis])), 0, axis
-                )
-            return tensor.ravel()
+            return _apply_site_kernel(self.link_matrix, vec, self.lat.n_links)
         return self.matrix @ vec
 
     def dense(self) -> np.ndarray:

@@ -12,11 +12,16 @@ kappa = dt/a and
 The Shift circuit's X-layer is exp(+i[(M/2) sum x_n x_{n+1} +
 (lambda a^2/24) sum x_n^4]) and its momentum layer the quarter rotation
 exp(-i pi (X^2 + P^2)/4), built by dense per-site diagonalization.
+
+A step is built once (``CircuitStep``): the X layer as a product of one n x n
+bond table over neighbours, and the per-site momentum kernel, cached on
+(grid, kind, kappa) and applied by one batched matmul per site axis.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -133,58 +138,13 @@ class TruncatedLattice:
         return int(np.ravel_multi_index(tuple(config), (self.grid.n_points,) * self.L))
 
 
-def _site_fields(lat: TruncatedLattice) -> list[np.ndarray]:
-    """x_n broadcast over the configuration hypercube, one array per site."""
-    n, L = lat.grid.n_points, lat.L
-    vals = lat.grid.values
-    out = []
-    for site in range(L):
-        shape = [1] * L
-        shape[site] = n
-        out.append(vals.reshape(shape))
-    return out
-
-
-def _quadratic_potential(lat: TruncatedLattice) -> np.ndarray:
-    """sum_n [(x_{n+1}-x_n)^2/2 + (m a)^2 x_n^2/2] over configs (flattened)."""
-    xs = _site_fields(lat)
-    L = lat.L
-    msq = (lat.params.m * lat.params.a) ** 2
-    total = np.zeros((lat.grid.n_points,) * L)
-    for n in range(L):
-        total = total + 0.5 * (xs[(n + 1) % L] - xs[n]) ** 2 + 0.5 * msq * xs[n] ** 2
-    return total.ravel()
-
-
-def _neighbor_coupling(lat: TruncatedLattice) -> np.ndarray:
-    """sum_n x_n x_{n+1} over configs (flattened)."""
-    xs = _site_fields(lat)
-    total = np.zeros((lat.grid.n_points,) * lat.L)
-    for n in range(lat.L):
-        total = total + xs[n] * xs[(n + 1) % lat.L]
-    return total.ravel()
-
-
 def _quartic_sum(lat: TruncatedLattice) -> np.ndarray:
-    xs = _site_fields(lat)
-    total = np.zeros((lat.grid.n_points,) * lat.L)
-    for n in range(lat.L):
-        total = total + xs[n] ** 4
+    """sum_n x_n^4 over configs (flattened)."""
+    n, L = lat.grid.n_points, lat.L
+    total = np.zeros((n,) * L)
+    for site in range(L):  # trailing unit axes place x_site on axis `site`
+        total = total + (lat.grid.values**4).reshape((n,) + (1,) * (L - site - 1))
     return total.ravel()
-
-
-def _x_layer_phase(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """Phase angle of one X-layer (the half layer for Strang/Shift)."""
-    kappa = lat.params.kappa
-    lam_eff = lam * lat.params.a**2
-    if kind == "Strang":
-        return -0.5 * kappa * (_quadratic_potential(lat) + lam_eff / 24.0 * _quartic_sum(lat))
-    if kind == "Trotter":
-        return -kappa * (_quadratic_potential(lat) + lam_eff / 24.0 * _quartic_sum(lat))
-    if kind == "Shift":
-        m_par = lat.params.M
-        return 0.5 * m_par * _neighbor_coupling(lat) + lam_eff / 24.0 * _quartic_sum(lat)
-    raise ValueError(f"unknown circuit kind {kind!r}")
 
 
 def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
@@ -202,52 +162,90 @@ def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> n
     raise ValueError(f"unknown circuit kind {kind!r}")
 
 
-def _momentum_kernel(lat: TruncatedLattice, kind: str) -> np.ndarray:
-    """One-site momentum-layer matrix."""
-    grid = lat.grid
+def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
+    """Diagonal of one X layer (the half layer for Strang and Shift), flattened.
+
+    Every term of the phase couples only x_n and x_{n+1} (on-site terms ride
+    on x_n), so the layer is the product over bonds of one n x n table
+    exp(i angle(x_n, x_{n+1})) broadcast into the configuration hypercube.
+    """
+    x, y = lat.grid.values[:, None], lat.grid.values[None, :]
+    quartic = lam * lat.params.a**2 / 24.0 * x**4
+    if kind in ("Strang", "Trotter"):
+        weight = 0.5 * lat.params.kappa if kind == "Strang" else lat.params.kappa
+        msq = (lat.params.m * lat.params.a) ** 2
+        angle = -weight * (0.5 * (y - x) ** 2 + 0.5 * msq * x**2 + quartic)
+    elif kind == "Shift":
+        angle = 0.5 * lat.params.M * x * y + quartic
+    else:
+        raise ValueError(f"unknown circuit kind {kind!r}")
+    table = np.exp(1j * angle)
+    n, L = lat.grid.n_points, lat.L
+    layer = np.ones((1,) * L, dtype=complex)
+    for site in range(L):
+        shape = [1] * L
+        shape[site] = shape[(site + 1) % L] = n
+        # the wrap-around bond (x_{L-1}, x_0) puts its first index on the last axis
+        layer = layer * (table if site + 1 < L else table.T).reshape(shape)
+    return layer.ravel()
+
+
+@functools.lru_cache(maxsize=8)
+def _momentum_kernel(grid: FieldGrid, kind: str, kappa: float) -> np.ndarray:
+    """One-site momentum-layer matrix, read-only and cached on its only inputs."""
     f = _dft(grid)
     if kind in ("Strang", "Trotter"):
-        phases = np.exp(-0.5j * lat.params.kappa * grid.momenta**2)
-        return f.conj().T @ (phases[:, None] * f)
-    if kind == "Shift":
+        phases = np.exp(-0.5j * kappa * grid.momenta**2)
+        kernel = f.conj().T @ (phases[:, None] * f)
+    elif kind == "Shift":
         x, p = build_site_operators(grid)
         h = (x @ x + p @ p).astype(complex)
         w, v = np.linalg.eigh(h)
-        return (v * np.exp(-0.25j * math.pi * w)) @ v.conj().T
-    raise ValueError(f"unknown circuit kind {kind!r}")
+        kernel = (v * np.exp(-0.25j * math.pi * w)) @ v.conj().T
+    else:
+        raise ValueError(f"unknown circuit kind {kind!r}")
+    kernel.setflags(write=False)
+    return kernel
 
 
-def _apply_site_kernel(psi: np.ndarray, kernel: np.ndarray, lat: TruncatedLattice) -> np.ndarray:
-    n, L = lat.grid.n_points, lat.L
-    tensor = psi.reshape((n,) * L)
-    for axis in range(L):
-        tensor = np.moveaxis(np.tensordot(kernel, tensor, axes=([1], [axis])), 0, axis)
-    return tensor.ravel()
+def _apply_site_kernel(kernel: np.ndarray, vec: np.ndarray, sites: int) -> np.ndarray:
+    """Apply ``kernel`` to every one of ``sites`` tensor axes of a flat vector."""
+    n = kernel.shape[0]
+    for axis in range(sites):
+        vec = np.matmul(kernel, vec.reshape(n**axis, n, n ** (sites - axis - 1)))
+    return vec.ravel()
+
+
+class CircuitStep:
+    """One circuit step, built once: layer * K * layer for Strang and Shift,
+    K * layer for Trotter, with K the momentum kernel on every site."""
+
+    def __init__(self, lat: TruncatedLattice, kind: str, lam: float):
+        self.lat, self.kind = lat, kind
+        self.layer = _x_layer(lat, kind, lam)
+        self.kernel = _momentum_kernel(lat.grid, kind, lat.params.kappa)
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        out = _apply_site_kernel(self.kernel, self.layer * psi, self.lat.L)
+        return out if self.kind == "Trotter" else self.layer * out
+
+    def dense(self) -> np.ndarray:
+        full_kernel = functools.reduce(np.kron, [self.kernel] * self.lat.L)
+        if self.kind == "Trotter":
+            return full_kernel * self.layer[None, :]
+        return self.layer[:, None] * full_kernel * self.layer[None, :]
 
 
 def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) -> np.ndarray:
     """Apply one circuit step to a state vector without storing the operator."""
-    phase = _x_layer_phase(lat, kind, lam)
-    kernel = _momentum_kernel(lat, kind)
-    if kind == "Trotter":  # U = W_P W_X
-        return _apply_site_kernel(np.exp(1j * phase) * psi, kernel, lat)
-    layer = np.exp(1j * phase)
-    return layer * _apply_site_kernel(layer * psi, kernel, lat)
+    return CircuitStep(lat, kind, lam).apply(psi)
 
 
 def build_step(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
     """Dense one-step operator (DimensionCap above 4096 states)."""
     if lat.dim > DENSE_CAP:
         raise DimensionCap(f"dense operator of dimension {lat.dim} exceeds {DENSE_CAP}")
-    phase = _x_layer_phase(lat, kind, lam)
-    kernel = _momentum_kernel(lat, kind)
-    full_kernel = np.array([[1.0 + 0.0j]])
-    for _ in range(lat.L):
-        full_kernel = np.kron(full_kernel, kernel)
-    if kind == "Trotter":
-        return full_kernel * np.exp(1j * phase)[None, :]
-    layer = np.exp(1j * phase)
-    return layer[:, None] * full_kernel * layer[None, :]
+    return CircuitStep(lat, kind, lam).dense()
 
 
 def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
@@ -256,8 +254,9 @@ def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> com
         raise ValueError("tau must be nonnegative")
     psi = np.zeros(lat.dim, dtype=complex)
     psi[lat.config_index(phi_i)] = 1.0
+    step = CircuitStep(lat, kind, lam)
     for _ in range(tau):
-        psi = apply_step(lat, kind, lam, psi)
+        psi = step.apply(psi)
     return complex(psi[lat.config_index(phi_f)])
 
 

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc.errors import BruteForceCap, DimensionCap
 from latcirc.kinematics import LatticeParams
 from latcirc.statevector import (
     KINDS,
+    CircuitStep,
     FieldGrid,
     TruncatedLattice,
     amplitude_action_form,
@@ -135,10 +138,10 @@ def test_strang_rearrangement_identity():
     lam, tau = 0.3, 3
     strang = build_step(lat, "Strang", lam)
     trott = build_step(lat, "Trotter", lam)
-    from latcirc.statevector import _momentum_kernel, _x_layer_phase
+    from latcirc.statevector import _momentum_kernel, _x_layer
 
-    half = np.exp(1j * _x_layer_phase(lat, "Strang", lam))
-    kernel = _momentum_kernel(lat, "Strang")
+    half = _x_layer(lat, "Strang", lam)
+    kernel = _momentum_kernel(lat.grid, "Strang", lat.params.kappa)
     full_kernel = np.kron(kernel, kernel)
     lhs = np.linalg.matrix_power(strang, tau)
     rhs = (
@@ -219,9 +222,63 @@ def test_shift_quarter_rotation_quality():
     from latcirc.statevector import _momentum_kernel
 
     lat = TruncatedLattice(2, grid, PARAMS)
-    kq = _momentum_kernel(lat, "Shift")
+    kq = _momentum_kernel(lat.grid, "Shift", lat.params.kappa)
     assert np.max(np.abs(kq.conj().T @ kq - np.eye(64))) < 1e-12
     psi = np.exp(-0.5 * grid.values**2)
     psi = psi / np.linalg.norm(psi)
     swap_residual = np.linalg.norm((kq.conj().T @ x @ kq - p) @ psi)
     assert swap_residual < 1e-6
+
+
+def test_momentum_kernel_cache():
+    # the kernel reads only (grid, kind, kappa): dt away from a moves the
+    # Strang kernel, never the Shift quarter rotation
+    grid = FieldGrid.dual(16)
+    at_a = TruncatedLattice(2, grid, LatticeParams(a=0.5, m=1.0))
+    off_a = TruncatedLattice(2, grid, LatticeParams(a=0.5, dt=0.3, m=1.0))
+    kernel = CircuitStep(at_a, "Strang", 0.1).kernel
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+    assert CircuitStep(at_a, "Strang", 0.4).kernel is kernel
+    assert not np.allclose(CircuitStep(off_a, "Strang", 0.1).kernel, kernel)
+    assert np.array_equal(CircuitStep(off_a, "Shift", 0.1).kernel,
+                          CircuitStep(at_a, "Shift", 0.1).kernel)
+
+
+random_lattices = st.builds(
+    lambda a, m, n, L: TruncatedLattice(L, FieldGrid.dual(n), LatticeParams(a=a, m=m)),
+    a=st.floats(0.1, 1.5),
+    m=st.floats(0.0, 2.0),
+    n=st.sampled_from((8, 10, 12)),
+    L=st.sampled_from((2, 3)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lat=random_lattices, kind=st.sampled_from(KINDS), lam=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_matrix_free_equals_dense_and_unitary(lat, kind, lam, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(lat.dim) + 1j * rng.standard_normal(lat.dim)
+    psi /= np.linalg.norm(psi)
+    out = apply_step(lat, kind, lam, psi)
+    assert np.max(np.abs(out - build_step(lat, kind, lam) @ psi)) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(lat=random_lattices, kind=st.sampled_from(KINDS), lam=st.floats(0.0, 2.0),
+       tau=st.sampled_from((2, 3)), data=st.data())
+def test_amplitude_circuit_equals_dense_power(lat, kind, lam, tau, data):
+    n = lat.grid.n_points
+    config = st.tuples(*[st.integers(0, n - 1)] * lat.L)
+    phi_i, phi_f = data.draw(config), data.draw(config)
+    # column i of step^tau by repeated dense products; equal to
+    # matrix_power(step, tau)[:, i] without the dim^3 cost at dim 1728
+    step = build_step(lat, kind, lam)
+    column = step[:, lat.config_index(phi_i)]
+    for _ in range(tau - 1):
+        column = step @ column
+    amp = amplitude_circuit(lat, kind, lam, phi_i, phi_f, tau)
+    assert abs(amp - column[lat.config_index(phi_f)]) < 1e-12
