@@ -51,14 +51,10 @@ SUBCOMMANDS = (
     "renorm",
 )
 
-VALIDATION_ERRORS = (ValueError, DegenerateDispersion, DomainError, UnknownDiagram,
+VALIDATION_ERRORS = (ValueError, OSError, DegenerateDispersion, DomainError, UnknownDiagram,
                      ObservableFailure, OddLattice, IllConditionedFit)
 CONVERGENCE_ERRORS = (QuadratureNotConverged, Diverged, NonFinite)
 RESOURCE_ERRORS = (DimensionCap, BruteForceCap, LatticeTooSmall)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _config_hash(config: dict) -> str:
@@ -66,10 +62,12 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_csv(path: str, config: dict, header: list[str], rows) -> None:
+def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
+    """One row per entry of the equal-size ``columns``, which are flattened."""
+    rows = np.column_stack([np.ravel(c) for c in columns]).tolist()
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [f"# config_hash={_config_hash(config)}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(row_format % tuple(row) for row in rows)
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -173,6 +171,11 @@ DEFAULTS = {
 }
 
 
+# a config-file value must have its default's type, except that an int may stand for
+# a float and a key without default takes a number or a string; a bool is never a number
+_CONFIG_TYPES = {float: (int, float), type(None): (int, float, str, type(None))}
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     sub = args.subcommand
     resolved = dict(DEFAULTS[sub])
@@ -182,6 +185,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(file_values) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys for {sub}: {sorted(unknown)}")
+        for key, value in file_values.items():
+            allowed = _CONFIG_TYPES.get(type(resolved[key]), type(resolved[key]))
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config value {key}={value!r} has the wrong type")
         resolved.update(file_values)
     for key in resolved:
         flag_value = getattr(args, key, None)
@@ -199,15 +206,10 @@ def _params_from_config(cfg: dict, d: int = 1) -> LatticeParams:
 
 def _run_dispersion(cfg: dict, out: str) -> None:
     params = _params_from_config(cfg)
-    grid = kinematics.MomentumGrid(params, cfg["L"])
-    rows = []
-    for p in grid.points[:, 0]:
-        e_cont, e_latt = kinematics.reference_energies(params, p)
-        rows.append(
-            (p, kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
-             e_cont, e_latt)
-        )
-    _write_csv(out, cfg, ["p", "theta", "omega", "E", "E_latt"], rows)
+    p = kinematics.MomentumGrid(params, cfg["L"]).points
+    columns = (p[:, 0], kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
+               *kinematics.reference_energies(params, p))
+    _write_csv(out, cfg, ["p", "theta", "omega", "E", "E_latt"], columns)
 
 
 def _run_movers(cfg: dict, out: str) -> None:
@@ -228,39 +230,29 @@ def _run_lightcone(cfg: dict, out: str) -> None:
 
 def _run_propagator(cfg: dict, out: str) -> None:
     params = _params_from_config(cfg)
-    p0s = midpoint_nodes(cfg["L"], math.pi / params.dt)
-    p1s = midpoint_nodes(cfg["L"], math.pi / params.a)
-    rows = []
-    for p0 in p0s:
-        for p1 in p1s:
-            query = propagator.PropagatorQuery(params, float(p0), float(p1), cfg["epsilon"])
-            value = propagator.feynman_momentum(query)
-            rows.append((p0, p1, value.real, value.imag))
-    _write_csv(out, cfg, ["p0", "p1", "re", "im"], rows)
+    p0, p1 = np.meshgrid(midpoint_nodes(cfg["L"], math.pi / params.dt),
+                         midpoint_nodes(cfg["L"], math.pi / params.a), indexing="ij")
+    value = propagator.feynman_momentum(
+        propagator.PropagatorQuery(params, p0, p1[..., None], cfg["epsilon"]))
+    _write_csv(out, cfg, ["p0", "p1", "re", "im"], (p0, p1, value.real, value.imag))
 
 
 def _run_oneloop(cfg: dict, out: str) -> None:
     spacings = [float(tok) for tok in str(cfg["a_series"]).split(",") if tok]
     if not spacings:
         raise ValueError("a-series must contain at least one lattice spacing")
-    table = {}
-    for a in spacings:
-        params = LatticeParams(a=a, m=cfg["m"], lam=cfg["lam"])
-        table[a] = tuple(
-            perturbation.one_loop_mass(reg, params, p_in=cfg["p_in"],
-                                       resolution=cfg["resolution"])
-            for reg in perturbation.REGULATORS
-        )
-    ref = table[max(spacings)]  # normalization point: all columns agree at largest a
-    rows = [
-        (a, *table[a], *(table[a][i] - ref[i] for i in range(3)))
+    table = np.array([
+        [perturbation.one_loop_mass(reg, LatticeParams(a=a, m=cfg["m"], lam=cfg["lam"]),
+                                    p_in=cfg["p_in"], resolution=cfg["resolution"])
+         for reg in perturbation.REGULATORS]
         for a in spacings
-    ]
+    ])
+    norm = table - table[spacings.index(max(spacings))]  # all columns agree at largest a
     _write_csv(
         out, cfg,
         ["a", "pi_cont", "pi_shift_plain", "pi_shift_smeared",
          "pi_cont_norm", "pi_shift_plain_norm", "pi_shift_smeared_norm"],
-        rows,
+        (spacings, *table.T, *norm.T),
     )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BruteForceCap, DimensionCap, OddLattice
 from .quadrature import fsum_complex
-from .statevector import _apply_site_kernel
+from .statevector import DENSE_CAP, _apply_site_kernel
 
 __all__ = [
     "GaugeGroupZN",
@@ -48,7 +48,6 @@ __all__ = [
     "unitarity_report",
 ]
 
-DENSE_CAP = 4096
 STATE_CAP = 2**22  # #links * log2(N) <= 22
 BRUTE_TERM_CAP = 10**8
 

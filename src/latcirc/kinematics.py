@@ -3,6 +3,11 @@
 All functions here are pure and total over validated inputs: parameter
 validation happens once, at :class:`LatticeParams` construction, and momenta
 are checked against the Brillouin zone by the operations that consume them.
+
+Momenta are arrays of shape (..., d): the last axis holds the components and
+the leading axes index points, so one call evaluates a whole grid. A bare
+scalar counts as one d=1 momentum. Each function checks the zone once per
+array and returns values of shape (...), a plain float for a single momentum.
 Conventions: the zone is the half-open box (-pi/a, pi/a]^d (the edge +pi/a is
 included, -pi/a excluded), and arccos is taken on the principal branch [0, pi]
 so the one-step phase theta is positive.
@@ -65,6 +70,8 @@ class LatticeParams:
     def __post_init__(self):
         if self.dt is None:
             object.__setattr__(self, "dt", self.a)
+        if not all(math.isfinite(v) for v in (self.a, self.dt, self.m, self.lam, self.g)):
+            raise ValueError("a, dt, m, lambda and g must be finite")
         if not (self.a > 0 and self.dt > 0):
             raise ValueError("lattice spacing and timestep must be positive")
         if self.m < 0 or self.lam < 0:
@@ -86,23 +93,34 @@ class LatticeParams:
         return self.d + 1
 
 
+def _require_zone(x: np.ndarray, spacing: float, what: str) -> None:
+    """Raise ValueError unless every entry of ``x`` lies in (-pi/spacing, pi/spacing]."""
+    edge = math.pi / spacing
+    if x.size and not (x.min() > -edge and x.max() <= edge):  # NaN fails too
+        raise ValueError(f"{what} = (-{edge:g}, {edge:g}]")
+
+
 def validate_momentum(params: LatticeParams, p) -> np.ndarray:
-    """Return ``p`` as a float array of shape (d,), checked against the zone."""
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.shape != (params.d,):
+    """Return ``p`` as a float array of shape (..., d) (a scalar gives (1,)), checked in the zone."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.shape[-1] != params.d:
         raise ValueError(f"momentum must have {params.d} component(s), got shape {arr.shape}")
-    edge = math.pi / params.a
-    if np.any(arr <= -edge) or np.any(arr > edge):
-        raise ValueError(f"momentum components must lie in (-pi/a, pi/a] = (-{edge:g}, {edge:g}]")
+    _require_zone(arr, params.a, "momentum components must lie in (-pi/a, pi/a]")
     return arr
 
 
+def _unwrap(x):
+    """A plain Python number for a single point, else the array itself."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 def _fold_to_zone(p: np.ndarray, a: float) -> np.ndarray:
-    """Map momenta into (-pi/a, pi/a] by 2*pi/a shifts."""
-    period = 2.0 * math.pi / a
+    """Map momenta into (-pi/a, pi/a] by 2*pi/a shifts; roundoff above pi/a lands on it."""
+    period, edge = 2.0 * math.pi / a, math.pi / a
     folded = np.mod(p, period)
-    folded = np.where(folded > math.pi / a + 1e-15 * period, folded - period, folded)
-    return folded
+    return np.where(folded > edge + 1e-15 * period, folded - period, np.minimum(folded, edge))
 
 
 @dataclass(frozen=True)
@@ -127,43 +145,46 @@ class MomentumGrid:
         object.__setattr__(self, "points", pts.reshape(self.L**self.params.d, self.params.d))
 
 
-def cosine_symbol(params: LatticeParams, p) -> float:
+def cosine_symbol(params: LatticeParams, p):
     """c(p) = M * prod_i cos(p_i a); even in every momentum component."""
     arr = validate_momentum(params, p)
-    return params.M * float(np.prod(np.cos(arr * params.a)))
+    return _unwrap(params.M * np.cos(arr * params.a).prod(axis=-1))
 
 
-def dispersion_theta(params: LatticeParams, p) -> float:
+def _nondegenerate_symbol(params: LatticeParams, p):
+    c = cosine_symbol(params, p)
+    worst = np.abs(c).max()
+    if worst >= 1.0:
+        raise DegenerateDispersion(f"|c(p)| = {worst} >= 1; real theta requires m > 0")
+    return c
+
+
+def dispersion_theta(params: LatticeParams, p):
     """One-step phase theta(p) = arccos(c(p)) / dt, in (0, pi/dt).
 
     Raises
     ------
     DegenerateDispersion
-        If |c(p)| >= 1, which happens at m = 0 where theta touches zero.
+        If any |c(p)| >= 1, which happens at m = 0 where theta touches zero.
     """
-    c = cosine_symbol(params, p)
-    if abs(c) >= 1.0:
-        raise DegenerateDispersion(f"|c(p)| = {abs(c)} >= 1; real theta requires m > 0")
-    return math.acos(c) / params.dt
+    return _unwrap(np.arccos(_nondegenerate_symbol(params, p)) / params.dt)
 
 
-def omega(params: LatticeParams, p) -> float:
+def omega(params: LatticeParams, p):
     """Equal-time energy factor omega(p) = sin(theta dt)/dt = sqrt(1-c^2)/dt."""
-    c = cosine_symbol(params, p)
-    if abs(c) >= 1.0:
-        raise DegenerateDispersion(f"|c(p)| = {abs(c)} >= 1; real theta requires m > 0")
-    return math.sqrt(1.0 - c * c) / params.dt
+    c = _nondegenerate_symbol(params, p)
+    return _unwrap(np.sqrt(1.0 - c * c) / params.dt)
 
 
-def reference_energies(params: LatticeParams, p) -> tuple[float, float]:
+def reference_energies(params: LatticeParams, p) -> tuple:
     """Continuum and lattice-Hamiltonian dispersions (E, E_latt).
 
     E = sqrt(|p|^2 + m^2); E_latt = sqrt(m^2 + sum_i 4 sin^2(p_i a/2)/a^2).
     """
     arr = validate_momentum(params, p)
-    e_cont = math.sqrt(float(arr @ arr) + params.m**2)
-    lap = float(np.sum(4.0 * np.sin(arr * params.a / 2.0) ** 2)) / params.a**2
-    return e_cont, math.sqrt(params.m**2 + lap)
+    e_cont = np.sqrt((arr * arr).sum(axis=-1) + params.m**2)
+    lap = (4.0 * np.sin(arr * params.a / 2.0) ** 2).sum(axis=-1) / params.a**2
+    return _unwrap(e_cont), _unwrap(np.sqrt(params.m**2 + lap))
 
 
 def smear_weights(d: int) -> dict[tuple[int, ...], float]:
@@ -175,10 +196,10 @@ def smear_weights(d: int) -> dict[tuple[int, ...], float]:
     }
 
 
-def smear_form_factor(params: LatticeParams, p) -> float:
+def smear_form_factor(params: LatticeParams, p):
     """Vertex form factor prod_i (1 + cos(p_i a))/2, in [0, 1] on the zone."""
     arr = validate_momentum(params, p)
-    return float(np.prod((1.0 + np.cos(arr * params.a)) / 2.0))
+    return _unwrap(((1.0 + np.cos(arr * params.a)) / 2.0).prod(axis=-1))
 
 
 def smear_form_factor_sum(params: LatticeParams, p) -> complex:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IllConditionedFit, QuadratureNotConverged, UnknownDiagram
-from .kinematics import LatticeParams, cosine_symbol, smear_form_factor
+from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
+from .propagator import PropagatorQuery, feynman_momentum
 from .quadrature import fsum_complex, fsum_real, gauss_legendre_panels, midpoint_nodes
 
 __all__ = [
@@ -38,7 +39,8 @@ __all__ = [
 ]
 
 REGULATORS = ("ContinuumCutoff", "ShiftPlain", "ShiftSmeared")
-_DIAGRAMS = ("Tree2to2", "TadpoleMass", "BubbleSChannel")
+_INCOMING = {"Tree2to2": 2, "TadpoleMass": 1, "BubbleSChannel": 2}  # kind -> incoming momenta
+_ROWS = 32  # q0 rows summed per chunk by numpy; fsum adds the chunk totals
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class DiagramSpec:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in _DIAGRAMS:
-            raise UnknownDiagram(f"kind must be one of {_DIAGRAMS}, got {self.kind!r}")
+        if self.kind not in _INCOMING:
+            raise UnknownDiagram(f"kind must be one of {tuple(_INCOMING)}, got {self.kind!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         object.__setattr__(
@@ -73,13 +75,12 @@ def vertex_factor(params: LatticeParams, line_momenta, smeared: bool = False) ->
     Plain: the constant -i*lambda. Smeared: -i*lambda times one form factor
     per line, evaluated on the spatial components.
     """
-    lines = list(line_momenta)
+    lines = np.asarray(list(line_momenta), dtype=float)
     if len(lines) != 4:
         raise ValueError("a quartic vertex joins exactly four lines")
     value = -1j * params.lam
     if smeared:
-        for momentum in lines:
-            value *= smear_form_factor(params, np.asarray(momentum, dtype=float)[1:])
+        value *= float(np.prod(smear_form_factor(params, lines[:, 1:])))
     return value
 
 
@@ -156,18 +157,6 @@ def one_loop_mass(
     return fine
 
 
-def _df_grid(params: LatticeParams, p0, p1, epsilon: float) -> np.ndarray:
-    """Vectorized momentum-space propagator on (p0, p1) arrays (dimensionless eps)."""
-    c = params.M * np.cos(p1 * params.a)
-    return (params.dt**2 / 2.0) * 1j / (c - np.cos(p0 * params.dt) + 1j * epsilon)
-
-
-def _fold(vals: np.ndarray, halfwidth: float) -> np.ndarray:
-    period = 2.0 * halfwidth
-    folded = np.mod(vals + halfwidth, period) - halfwidth
-    return np.where(folded == -halfwidth, halfwidth, folded)
-
-
 def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
     """Value of one catalog diagram under the discrete Feynman rules.
 
@@ -175,54 +164,44 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
     TadpoleMass and BubbleSChannel integrate over the undetermined loop
     momentum with the zone measure d^D q / (2 pi)^D on a trapezoid grid.
     """
-    lam = params.lam
+    lam, n_in = params.lam, _INCOMING[spec.kind]
+    if len(spec.incoming) != n_in:
+        raise ValueError(f"{spec.kind} takes {n_in} incoming momentum(s)")
     if spec.kind == "Tree2to2":
-        if len(spec.incoming) != 2:
-            raise ValueError("Tree2to2 takes two incoming momenta")
         return vertex_factor(params, _external_legs(spec), spec.smeared)
 
     _require_two_dimensional(params)
-    n = spec.resolution
-    q0 = midpoint_nodes(n, math.pi / params.dt)
-    q1 = midpoint_nodes(n, math.pi / params.a)
+    n, eps = spec.resolution, spec.epsilon
+    q0 = midpoint_nodes(n, math.pi / params.dt)[:, None]  # one row per loop energy
+    q1 = midpoint_nodes(n, math.pi / params.a)[:, None]  # n one-component momenta
     measure = 1.0 / (n * params.dt) / (n * params.a)
 
-    # One q0 row at a time: numpy's pairwise sum per row, fsum over the row
-    # totals. Deterministic and O(n) memory.
+    def form(p):
+        return smear_form_factor(params, p) if spec.smeared else 1.0
+
+    external = float(np.prod(form(np.asarray(_external_legs(spec))[:, 1:])))
     if spec.kind == "TadpoleMass":
-        if len(spec.incoming) != 1:
-            raise ValueError("TadpoleMass takes one incoming momentum")
-        factor = -1j * lam / 2.0
-        loop_weight = 1.0
-        if spec.smeared:
-            loop_weight = ((1.0 + np.cos(q1 * params.a)) / 2.0) ** 2
-            factor *= smear_form_factor(params, spec.incoming[0][1]) ** 2
-        rows = [np.sum(_df_grid(params, v0, q1, spec.epsilon) * loop_weight) for v0 in q0]
-        return factor * fsum_complex(rows) * measure
+        factor = -1j * lam / 2.0 * external
+        weight = form(q1) ** 2
 
-    if spec.kind == "BubbleSChannel":
-        if len(spec.incoming) != 2:
-            raise ValueError("BubbleSChannel takes two incoming momenta")
-        total0 = spec.incoming[0][0] + spec.incoming[1][0]
-        total1 = spec.incoming[0][1] + spec.incoming[1][1]
-        back1 = _fold(total1 - q1, math.pi / params.a)
-        loop_weight = 1.0
-        factor = (-1j * lam) ** 2 / 2.0
-        if spec.smeared:
-            loop_weight = (
-                ((1.0 + np.cos(q1 * params.a)) / 2.0) * ((1.0 + np.cos(back1 * params.a)) / 2.0)
-            ) ** 2
-            for p in _external_legs(spec):
-                factor *= smear_form_factor(params, p[1:])
-        rows = []
-        for v0 in q0:
-            b0 = _fold(np.array(total0 - v0), math.pi / params.dt)
-            fwd = _df_grid(params, v0, q1, spec.epsilon)
-            back = _df_grid(params, b0, back1, spec.epsilon)
-            rows.append(np.sum(fwd * back * loop_weight))
-        return factor * fsum_complex(rows) * measure
+        def chunk(rows):
+            return feynman_momentum(PropagatorQuery(params, q0[rows], q1, eps)) * weight
 
-    raise UnknownDiagram(spec.kind)
+    else:  # BubbleSChannel
+        factor = (-1j * lam) ** 2 / 2.0 * external
+        back0 = _fold_to_zone(spec.incoming[0][0] + spec.incoming[1][0] - q0, params.dt)
+        back1 = _fold_to_zone(spec.incoming[0][1] + spec.incoming[1][1] - q1, params.a)
+        weight = (form(q1) * form(back1)) ** 2
+
+        def chunk(rows):
+            fwd = feynman_momentum(PropagatorQuery(params, q0[rows], q1, eps))
+            back = feynman_momentum(PropagatorQuery(params, back0[rows], back1, eps))
+            return fwd * back * weight
+
+    # numpy's pairwise sum within a fixed chunk of rows, fsum over the chunk
+    # totals: deterministic, and memory bounded by _ROWS * n
+    totals = [np.sum(chunk(slice(start, start + _ROWS))) for start in range(0, n, _ROWS)]
+    return factor * fsum_complex(totals) * measure
 
 
 def _external_legs(spec: DiagramSpec):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureNotConverged
-from .kinematics import LatticeParams, cosine_symbol, dispersion_theta, validate_momentum
+from .kinematics import (LatticeParams, _require_zone, _unwrap, cosine_symbol, dispersion_theta,
+                         omega, validate_momentum)
 from .quadrature import fsum_complex, midpoint_nodes
 
 __all__ = [
@@ -28,32 +29,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatorQuery:
-    """Momentum-space evaluation point (p0, p) with an i*epsilon regulator."""
+    """Momentum-space evaluation points (p0, p) with an i*epsilon regulator.
+
+    ``p0`` has shape (...) and ``p`` shape (..., d) (a bare scalar is one d=1
+    momentum); the two broadcast against each other.
+    """
 
     params: LatticeParams
-    p0: float
+    p0: np.ndarray
     p: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN fails too
             raise ValueError("epsilon must be positive")
-        edge0 = math.pi / self.params.dt
-        if not -edge0 < self.p0 <= edge0:
-            raise ValueError(f"p0 must lie in (-pi/dt, pi/dt] = (-{edge0:g}, {edge0:g}]")
-        object.__setattr__(self, "p", validate_momentum(self.params, self.p))
+        p0 = np.asarray(self.p0, dtype=float)
+        _require_zone(p0, self.params.dt, "p0 must lie in (-pi/dt, pi/dt]")
+        p = validate_momentum(self.params, self.p)
+        np.broadcast_shapes(p0.shape, p.shape[:-1])  # ValueError if they do not broadcast
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p", p)
 
 
-def feynman_momentum(query: PropagatorQuery) -> complex:
+def feynman_momentum(query: PropagatorQuery):
     """D_F(p) = (dt^2/2) * i / (cos(theta dt) - cos(p0 dt) + i eps).
 
     cos(theta(p) dt) is exactly the cosine symbol c(p), so the denominator is
-    evaluated without any inverse trigonometry. Even under p -> -p.
+    evaluated without any inverse trigonometry. Even under p -> -p. Returns a
+    complex for a single point, else an array of the broadcast shape.
     """
-    params = query.params
-    c = cosine_symbol(params, query.p)
-    dt = params.dt
-    return (dt * dt / 2.0) * 1j / (c - math.cos(query.p0 * dt) + 1j * query.epsilon)
+    c = cosine_symbol(query.params, query.p)
+    dt = query.params.dt
+    return _unwrap((dt * dt / 2.0) * 1j / (c - np.cos(query.p0 * dt) + 1j * query.epsilon))
 
 
 def _contour_rhs(params: LatticeParams, ctheta_eps: complex, t: float, n: int) -> complex:
@@ -103,17 +110,10 @@ def contour_identity_residual(
 
 
 def _equal_time_sum(params: LatticeParams, offset: np.ndarray, n: int) -> complex:
-    d, a, dt = params.d, params.a, params.dt
+    d, a = params.d, params.a
     line = midpoint_nodes(n, math.pi / a)
-    grids = np.meshgrid(*([line] * d), indexing="ij")
-    # cosine symbol squared and plane-wave phase, accumulated per dimension
-    csq = params.M**2 * np.ones_like(grids[0])
-    phase = np.zeros_like(grids[0])
-    for i in range(d):
-        csq *= np.cos(grids[i] * a) ** 2
-        phase += grids[i] * (offset[i] * a)
-    omega_grid = np.sqrt(1.0 - csq) / dt
-    terms = np.exp(1j * phase) / (2.0 * omega_grid)
+    points = np.stack(np.meshgrid(*([line] * d), indexing="ij"), axis=-1)
+    terms = np.exp(1j * (points * (offset * a)).sum(axis=-1)) / (2.0 * omega(params, points))
     return fsum_complex(terms) / (n * a) ** d
 
 

@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc.cli import run
 
@@ -139,6 +143,13 @@ def test_exit_codes(tmp_path):
     assert run(["dispersion"]) == 1  # missing --out
     # m = 0 makes the dispersion table degenerate at p = 0: validation error
     assert run(["dispersion", "--m", "0", "--out", str(tmp_path / "x.csv")]) == 1
+    # non-finite parameters are a validation error, not an all-NaN table
+    assert run(["dispersion", "--m", "nan", "--out", str(tmp_path / "nan.csv")]) == 1
+    assert not (tmp_path / "nan.csv").exists()
+    assert run(["propagator", "--epsilon", "nan", "--out", str(tmp_path / "eps.csv")]) == 1
+    # missing input files end in a message too
+    assert run(["renorm", "--problem", str(tmp_path / "none.json"),
+                "--out", str(tmp_path / "r.json")]) == 1
     # resource cap: cone wrap-around
     assert run(["lightcone", "--tau", "5", "--L", "8", "--out", str(tmp_path / "y.json")]) == 3
 
@@ -159,3 +170,47 @@ def test_byte_identical_reruns(tmp_path):
         assert run(argv + ["--out", str(first)]) == 0
         assert run(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes(), argv[0]
+
+
+@pytest.mark.parametrize("values", [
+    {"L": "abc"}, {"L": 8.0}, {"L": True}, {"a": "0.1"}, {"m": False}, {"dt": [0.1]},
+])
+def test_config_value_types_checked(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # an int where a float is expected, and a number for a key without default
+    cfg.write_text(json.dumps({"a": 1, "m": 1, "dt": 0.5, "L": 4}))
+    assert run(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "y.csv")]) == 0
+
+
+def _cli_bytes(workdir: Path, argv: list[str], name: str) -> bytes:
+    out = workdir / name
+    assert run(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    sub=st.sampled_from(["propagator", "dispersion"]),
+    a=st.floats(0.05, 0.5),
+    m=st.floats(0.1, 3.0),
+    L=st.integers(1, 12),
+    eps=st.floats(1e-4, 1e-1),
+)
+def test_cli_bytes_independent_of_rerun_and_config_route(sub, a, m, L, eps):
+    values = {"a": a, "m": m, "L": L}
+    if sub == "propagator":
+        values["epsilon"] = eps
+    flags = [sub]
+    for key, value in values.items():
+        flags += [f"--{key}", repr(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        first = _cli_bytes(workdir, flags, "first")
+        assert _cli_bytes(workdir, flags, "second") == first
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert _cli_bytes(workdir, [sub, "--config", str(cfg)], "config") == first

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc.errors import DegenerateDispersion
 from latcirc.kinematics import (
@@ -14,6 +16,7 @@ from latcirc.kinematics import (
     smear_form_factor,
     smear_form_factor_sum,
     smear_weights,
+    validate_momentum,
 )
 
 P1 = LatticeParams(a=0.1, m=1.0)
@@ -27,6 +30,13 @@ def test_params_validation():
     with pytest.raises(ValueError):
         LatticeParams(a=0.1, d=0)
     assert LatticeParams(a=0.1).dt == 0.1  # dt defaults to a
+
+
+@pytest.mark.parametrize("field", ["a", "dt", "m", "lam", "g"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        LatticeParams(**{"a": 0.1, field: bad})
 
 
 def test_mass_parameter_recomputed():
@@ -174,3 +184,75 @@ def test_momentum_grid():
     # symmetric under p -> -p up to the zone edge
     interior = pts[np.abs(pts - math.pi / P1.a) > 1e-9]
     assert set(np.round(interior, 9)) == set(np.round(-interior, 9))
+
+
+ARRAY_FUNCTIONS = (cosine_symbol, dispersion_theta, omega, smear_form_factor, reference_energies)
+
+
+@st.composite
+def momentum_arrays(draw, interior=False):
+    """(params, p): random massive parameters and a (k, d) array of zone momenta.
+
+    ``interior`` keeps every component off the zone edge, so that -p is in the
+    zone too.
+    """
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6))
+    params = LatticeParams(a=draw(st.floats(0.05, 0.5)), d=d, m=draw(st.floats(0.1, 3.0)))
+    top = 0.999 if interior else 1.0
+    unit = draw(st.lists(st.floats(-0.999, top), min_size=k * d, max_size=k * d))
+    return params, np.reshape(unit, (k, d)) * (math.pi / params.a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=momentum_arrays())
+def test_array_calls_equal_stacked_scalar_calls(case):
+    params, p = case
+    assert validate_momentum(params, p).shape == p.shape
+    for fn in ARRAY_FUNCTIONS:
+        stacked = np.array([fn(params, point) for point in p])
+        whole = np.array(fn(params, p))
+        if fn is reference_energies:
+            whole = whole.T  # a pair of (k,) arrays against k pairs
+        assert whole.shape == stacked.shape, fn.__name__
+        np.testing.assert_array_equal(whole, stacked, err_msg=fn.__name__)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=momentum_arrays(interior=True))
+def test_even_in_momentum_on_arrays(case):
+    params, p = case
+    for fn in (cosine_symbol, dispersion_theta, omega):
+        np.testing.assert_allclose(fn(params, -p), fn(params, p), rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=momentum_arrays(), data=st.data())
+def test_array_with_one_component_outside_zone_rejected(case, data):
+    params, p = case
+    edge = math.pi / params.a
+    outside = data.draw(st.one_of(
+        st.floats(-4.0, -1.0).map(lambda u: u * edge),  # -pi/a itself is excluded
+        st.floats(1.0, 4.0, exclude_min=True).map(lambda u: u * edge),
+        st.just(math.nan),
+    ))
+    row = data.draw(st.integers(0, p.shape[0] - 1))
+    col = data.draw(st.integers(0, p.shape[1] - 1))
+    bad = p.copy()
+    bad[row, col] = outside
+    for fn in (validate_momentum, *ARRAY_FUNCTIONS):
+        with pytest.raises(ValueError):
+            fn(params, bad)
+
+
+def test_array_shapes_and_degenerate_arrays():
+    # a bare scalar is one d=1 momentum and gives a plain float
+    assert isinstance(cosine_symbol(P1, 0.3), float)
+    grid = np.zeros((2, 3, 1))
+    assert dispersion_theta(P1, grid).shape == (2, 3)
+    with pytest.raises(ValueError):
+        cosine_symbol(P1, np.zeros((4, 2)))  # two components where d = 1
+    # one degenerate point among many is enough to raise
+    massless = LatticeParams(a=0.1, m=0.0)
+    with pytest.raises(DegenerateDispersion):
+        omega(massless, [[0.5], [1.0], [0.0]])

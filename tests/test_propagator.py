@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc.errors import QuadratureNotConverged
 from latcirc.kinematics import LatticeParams, cosine_symbol, omega
@@ -24,6 +26,12 @@ def test_query_validation():
         PropagatorQuery(P1, 2 * math.pi / P1.dt, 0.0, epsilon=1e-3)
     with pytest.raises(ValueError):
         PropagatorQuery(P1, 0.0, 2 * math.pi / P1.a, epsilon=1e-3)
+    with pytest.raises(ValueError):
+        PropagatorQuery(P1, 0.0, 0.0, epsilon=math.nan)
+    with pytest.raises(ValueError):  # one p0 outside the zone rejects the array
+        PropagatorQuery(P1, [0.0, -math.pi / P1.dt], 0.0, epsilon=1e-3)
+    with pytest.raises(ValueError):  # p0 of shape (3,) against three momenta of shape (2,)
+        PropagatorQuery(P1, np.zeros(3), np.zeros((2, 1)), epsilon=1e-3)
 
 
 def test_feynman_momentum_closed_form():
@@ -165,3 +173,23 @@ def test_two_route_equal_time_consistency():
         errs.append(abs(total - target) / abs(target))
     assert errs[0] < 1e-2
     assert errs[1] < 0.6 * errs[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.05, 0.5),
+    m=st.floats(0.0, 3.0),
+    eps=st.floats(1e-4, 1e-1),
+    p0_unit=st.lists(st.floats(-0.999, 1.0), min_size=1, max_size=6),
+    p1_unit=st.lists(st.floats(-0.999, 1.0), min_size=1, max_size=6),
+)
+def test_array_feynman_momentum_equals_per_point(a, m, eps, p0_unit, p1_unit):
+    params = LatticeParams(a=a, m=m)
+    p0 = np.array(p0_unit) * (math.pi / params.dt)
+    p1 = np.array(p1_unit) * (math.pi / params.a)
+    # p0 along rows, one-component momenta along columns: a (len p0, len p1) table
+    grid = feynman_momentum(PropagatorQuery(params, p0[:, None], p1[:, None], eps))
+    assert grid.shape == (len(p0), len(p1))
+    points = [[feynman_momentum(PropagatorQuery(params, x0, x1, eps)) for x1 in p1] for x0 in p0]
+    assert isinstance(points[0][0], complex)
+    np.testing.assert_array_equal(grid, points)
