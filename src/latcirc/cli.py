@@ -167,13 +167,21 @@ DEFAULTS = {
                       "tau": 2, "kind": "Strang", "grid": "dual"},
     "gauge-check": {"N": 2, "lx": 2, "ly": 2, "g": 1.0, "kappa": 1.0, "tau": 1,
                     "pairs": 4, "seed": 0},
-    "renorm": {"problem": None},
+    "renorm": {"problem": ""},
 }
 
 
-# a config-file value must have its default's type, except that an int may stand for
-# a float and a key without default takes a number or a string; a bool is never a number
-_CONFIG_TYPES = {float: (int, float), type(None): (int, float, str, type(None))}
+# a value must have its default's type, except that an int may stand for a float and
+# a key without default (None) takes a number or null; a bool is never a number
+_CONFIG_TYPES = {float: (int, float), type(None): (int, float, type(None))}
+
+
+def _check_types(values: dict, defaults: dict, what: str) -> None:
+    for key in [key for key in values if key in defaults]:
+        value, default = values[key], defaults[key]
+        allowed = _CONFIG_TYPES.get(type(default), type(default))
+        if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
+            raise ValueError(f"{what} value {key}={value!r} has the wrong type")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -185,10 +193,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(file_values) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys for {sub}: {sorted(unknown)}")
-        for key, value in file_values.items():
-            allowed = _CONFIG_TYPES.get(type(resolved[key]), type(resolved[key]))
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"config value {key}={value!r} has the wrong type")
+        _check_types(file_values, resolved, "config")
         resolved.update(file_values)
     for key in resolved:
         flag_value = getattr(args, key, None)
@@ -286,29 +291,25 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
     lat = gauge_mod.GaugeLattice(cfg["lx"], cfg["ly"])
     group = gauge_mod.GaugeGroupZN(cfg["N"])
     g, kappa, tau = cfg["g"], cfg["kappa"], cfg["tau"]
+    if cfg["pairs"] < 1:
+        raise ValueError("pairs must be >= 1")
     rng = np.random.default_rng(cfg["seed"])
     identity = np.zeros(lat.n_links, dtype=int)
-    pairs = [(identity, identity)]
-    for _ in range(max(0, cfg["pairs"] - 1)):
-        pairs.append((rng.integers(0, group.N, lat.n_links),
-                      rng.integers(0, group.N, lat.n_links)))
-    lhs0 = rhs0 = None
-    worst = 0.0
-    for idx, (u_i, u_f) in enumerate(pairs):
-        lhs, rhs, dev = gauge_mod.amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
-        if idx == 0:
-            lhs0, rhs0 = lhs, rhs
-        worst = max(worst, dev)
-    transfer = gauge_mod.build_wel(lat, group, g, kappa).dense() @ \
-        gauge_mod.build_wmag(lat, group, g, kappa).dense()
-    comm = 0.0
-    n_omegas = group.N**lat.n_sites
-    omega_flats = range(n_omegas) if n_omegas <= 256 else \
-        rng.integers(0, n_omegas, size=64)
-    for flat in omega_flats:
-        omega = np.array(np.unravel_index(int(flat), (group.N,) * lat.n_sites))
-        dense = gauge_mod.gauge_transform(lat, group, omega).dense()
-        comm = max(comm, float(np.max(np.abs(transfer @ dense - dense @ transfer))))
+    pairs = [(identity, identity)] + [
+        (rng.integers(0, group.N, lat.n_links), rng.integers(0, group.N, lat.n_links))
+        for _ in range(cfg["pairs"] - 1)]
+    checks = [gauge_mod.amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+              for u_i, u_f in pairs]
+    lhs0, rhs0, _ = checks[0]
+    worst = max(dev for _, _, dev in checks)
+    # [T, D(Omega)] = 0 for every Omega when W_mag is invariant under each site
+    # generator D(e_x) and the per-link W_el factor is circulant
+    wmag = gauge_mod.build_wmag(lat, group, g, kappa).diag
+    comm = max(float(np.max(np.abs(wmag[gauge_mod.gauge_transform(lat, group, site).perm] - wmag)))
+               for site in np.eye(lat.n_sites, dtype=int))
+    w = gauge_mod.wel_link_matrix(group, g, kappa)
+    rows, cols = np.indices(w.shape)
+    comm = max(comm, float(np.max(np.abs(w - w[(rows - cols) % group.N, 0]))))
     _write_json(out, cfg, {
         "N": cfg["N"], "lattice": [cfg["lx"], cfg["ly"]], "g": g, "kappa": kappa,
         "tau": tau, "pairs": len(pairs),
@@ -318,20 +319,33 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
     })
 
 
+# renorm problem-file keys, each with a value of its type
+_PROBLEM_TYPES = {"a": 0.0, "observables": [], "targets": [], "init": {}, "dt": None, "m": 0.0,
+                  "lam": 0.0, "eta": 0.0, "fd_step": 0.0, "tol": 0.0, "max_iters": 0,
+                  "backtracking": False}
+
+
 def _run_renorm(cfg: dict, out: str) -> None:
     if not cfg.get("problem"):
         raise ValueError("renorm needs --problem pointing to a JSON problem file")
     with open(cfg["problem"]) as handle:
         spec = json.load(handle)
+    if not isinstance(spec, dict):
+        raise ValueError("renorm problem file must hold a JSON object")
+    missing = [key for key in ("a", "observables", "targets", "init") if key not in spec]
+    if missing:
+        raise ValueError(f"renorm problem is missing {missing[0]!r}")
+    _check_types(spec, _PROBLEM_TYPES, "renorm problem")
     base = LatticeParams(a=spec["a"], dt=spec.get("dt"), m=spec.get("m", 1.0),
                          lam=spec.get("lam", 0.0))
-    observables = [renorm.make_observable(**entry) for entry in spec["observables"]]
-    problem = renorm.RenormProblem(
-        base, observables, spec["targets"], spec["init"],
-        eta=spec.get("eta", 0.05), fd_step=spec.get("fd_step", 1e-4),
-        tol=spec.get("tol", 1e-8), max_iters=spec.get("max_iters", 500),
-        backtracking=spec.get("backtracking", False),
-    )
+    options = {key: spec[key] for key in ("eta", "fd_step", "tol", "max_iters", "backtracking")
+               if key in spec}
+    try:
+        observables = [renorm.make_observable(**entry) for entry in spec["observables"]]
+        problem = renorm.RenormProblem(base, observables, spec["targets"], spec["init"],
+                                       **options)
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"renorm problem is malformed: {exc}") from exc
     final, trace = renorm.calibrate(problem)
     cfg = dict(cfg)
     cfg["problem_spec"] = spec  # the problem content is part of the resolved config

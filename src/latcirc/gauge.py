@@ -15,6 +15,10 @@ eigenvalues are Fourier coefficients of exp(-i beta cos), which have unit
 modulus only for N = 1; ``unitarity_report`` measures this instead of
 assuming it, and the equivalence identity does not depend on it.
 
+A gauge transform D(Omega) rolls the link index tensor along each shifted link
+axis. Site transforms commute, so the Gauss projector is applied as the product
+over sites of P_x = (1/N) sum_k D(k e_x), in O(sites N dim) work.
+
 Amplitude convention: basis kets in the equivalence check are delta-normalized
 against the Haar measure (<v|u> = N delta_{uv} per link), the convention in
 which the transfer-operator matrix elements carry no 1/N factors and the path
@@ -42,7 +46,6 @@ __all__ = [
     "wel_link_matrix",
     "plaquette_coloring",
     "gauge_transform",
-    "gauss_projector",
     "apply_transfer",
     "amplitude_equiv_check",
     "unitarity_report",
@@ -120,14 +123,6 @@ def _state_dim(lat: GaugeLattice, group: GaugeGroupZN) -> int:
     return dim
 
 
-def _config_digits(lat: GaugeLattice, group: GaugeGroupZN) -> np.ndarray:
-    """(dim, n_links) int array of all link configurations, index order."""
-    dim = _state_dim(lat, group)
-    return np.stack(
-        np.unravel_index(np.arange(dim), (group.N,) * lat.n_links), axis=1
-    )
-
-
 def config_index(lat: GaugeLattice, group: GaugeGroupZN, config) -> int:
     return int(np.ravel_multi_index(tuple(int(c) for c in config), (group.N,) * lat.n_links))
 
@@ -136,19 +131,17 @@ def config_index(lat: GaugeLattice, group: GaugeGroupZN, config) -> int:
 class GaugeOperator:
     """Operator on the link configuration space in one of three shapes:
 
-    diagonal phases (W_mag), an index permutation (D(Omega)), or an explicit
-    dense matrix. ``dense()`` materializes small operators for the algebraic
-    checks; ``apply`` works matrix-free in all three shapes.
+    diagonal phases (W_mag), an index permutation (D(Omega)), or a product of
+    one per-link factor (W_el). ``dense()`` materializes small operators for the
+    algebraic checks; ``apply`` works matrix-free in all three shapes.
     """
 
     label: str
     dim: int
     diag: np.ndarray | None = None
     perm: np.ndarray | None = None
-    matrix: np.ndarray | None = None
     link_matrix: np.ndarray | None = None  # per-link factor of a product operator
     lat: GaugeLattice | None = None
-    group: GaugeGroupZN | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if self.diag is not None:
@@ -157,13 +150,9 @@ class GaugeOperator:
             out = np.empty_like(vec)
             out[self.perm] = vec
             return out
-        if self.link_matrix is not None:
-            return _apply_site_kernel(self.link_matrix, vec, self.lat.n_links)
-        return self.matrix @ vec
+        return _apply_site_kernel(self.link_matrix, vec, self.lat.n_links)
 
     def dense(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
         if self.dim > DENSE_CAP:
             raise DimensionCap(f"dense gauge operator of dimension {self.dim}")
         if self.diag is not None:
@@ -188,38 +177,40 @@ def _holonomies(lat: GaugeLattice, group: GaugeGroupZN, digits: np.ndarray) -> n
     return np.stack(cols, axis=-1)
 
 
+def _couplings(g: float, kappa: float) -> tuple[float, float]:
+    """(2 kappa/g^2, 2/(kappa g^2)): the spatial and temporal plaquette coefficients."""
+    if not (math.isfinite(g) and math.isfinite(kappa) and g > 0 and kappa > 0):
+        raise ValueError(f"g and kappa must be finite and positive, got g={g}, kappa={kappa}")
+    return 2.0 * kappa / g**2, 2.0 / (kappa * g**2)
+
+
 def build_wmag(
     lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
 ) -> GaugeOperator:
     """Diagonal plaquette layer exp(-i (2 kappa/g^2) sum_ps cos(2 pi h/N))."""
-    if g <= 0:
-        raise ValueError("gauge coupling must be positive")
-    digits = _config_digits(lat, group)
+    coeff_s, _ = _couplings(g, kappa)
+    dim = _state_dim(lat, group)
+    digits = np.stack(np.unravel_index(np.arange(dim), (group.N,) * lat.n_links), axis=1)
     action = group.retrace(_holonomies(lat, group, digits)).sum(axis=-1)
-    return GaugeOperator(
-        "W_mag", digits.shape[0], diag=np.exp(-1j * (2.0 * kappa / g**2) * action)
-    )
+    return GaugeOperator("W_mag", dim, diag=np.exp(-1j * coeff_s * action))
 
 
 def wel_link_matrix(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> np.ndarray:
-    """Per-link electric factor (1/N) sum_v exp(-i (2/(kappa g^2)) cos(2 pi v/N)) L(v)."""
+    """Per-link electric factor (1/N) sum_v exp(-i (2/(kappa g^2)) cos(2 pi v/N)) L(v).
+
+    Entry [r, u] is the weight of v = u - r mod N: circulant, so it commutes with D(Omega).
+    """
     n = group.N
-    beta = 2.0 / (kappa * g**2)
-    mat = np.zeros((n, n), dtype=complex)
-    for v in range(n):
-        weight = np.exp(-1j * beta * group.retrace(v)) / n
-        for u in range(n):
-            mat[(u - v) % n, u] += weight
-    return mat
+    _, beta = _couplings(g, kappa)
+    weights = np.exp(-1j * beta * group.retrace(np.arange(n))) / n
+    return weights[(np.arange(n) - np.arange(n)[:, None]) % n]
 
 
 def build_wel(
     lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
 ) -> GaugeOperator:
-    dim = _state_dim(lat, group)
-    return GaugeOperator(
-        "W_el", dim, link_matrix=wel_link_matrix(group, g, kappa), lat=lat, group=group
-    )
+    link_matrix = wel_link_matrix(group, g, kappa)
+    return GaugeOperator("W_el", _state_dim(lat, group), link_matrix=link_matrix, lat=lat)
 
 
 def apply_transfer(
@@ -241,41 +232,36 @@ def plaquette_coloring(lat: GaugeLattice) -> tuple[list[int], list[int]]:
 
 
 def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOperator:
-    """Permutation operator D(Omega): u_{x,e} -> omega_x + u_{x,e} - omega_{x+e}."""
+    """Permutation operator D(Omega): u_{x,e} -> omega_x + u_{x,e} - omega_{x+e}.
+
+    ``perm[i]`` is the index of configuration i's image: the index tensor rolled by
+    omega_{x+e} - omega_x on each link axis.
+    """
     omega = np.asarray(omega, dtype=int)
     if omega.shape != (lat.n_sites,):
         raise ValueError(f"omega must assign one group element per site ({lat.n_sites})")
-    digits = _config_digits(lat, group)
-    transformed = digits.copy()
-    for link in range(lat.n_links):
-        frm, to = lat.link_endpoints(link)
-        transformed[:, link] = np.mod(digits[:, link] + omega[frm] - omega[to], group.N)
-    perm = np.ravel_multi_index(tuple(transformed.T), (group.N,) * lat.n_links)
-    return GaugeOperator("D(Omega)", digits.shape[0], perm=perm)
-
-
-def gauss_projector(lat: GaugeLattice, group: GaugeGroupZN) -> GaugeOperator:
-    """P_G = |G|^{-#sites} sum_Omega D(Omega), as a dense matrix."""
     dim = _state_dim(lat, group)
-    if dim > DENSE_CAP:
-        raise DimensionCap(f"dense projector of dimension {dim}")
-    total = np.zeros((dim, dim), dtype=complex)
-    n_omegas = group.N**lat.n_sites
-    for flat in range(n_omegas):
-        omega = np.unravel_index(flat, (group.N,) * lat.n_sites)
-        total += gauge_transform(lat, group, np.array(omega)).dense()
-    return GaugeOperator("P_G", dim, matrix=total / n_omegas)
+    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
+    shifts = omega[ends[:, 1]] - omega[ends[:, 0]]
+    index = np.arange(dim).reshape((group.N,) * lat.n_links)
+    # one axis per roll: a multi-axis np.roll copies 2^(shifted axes) separate blocks
+    for axis in np.flatnonzero(shifts % group.N):
+        index = np.roll(index, shifts[axis], axis=axis)
+    return GaugeOperator("D(Omega)", dim, perm=index.ravel())
 
 
 def _apply_gauss_projector(
     lat: GaugeLattice, group: GaugeGroupZN, vec: np.ndarray
 ) -> np.ndarray:
-    out = np.zeros_like(vec)
-    n_omegas = group.N**lat.n_sites
-    for flat in range(n_omegas):
-        omega = np.unravel_index(flat, (group.N,) * lat.n_sites)
-        out += gauge_transform(lat, group, np.array(omega)).apply(vec)
-    return out / n_omegas
+    """P_G vec as the product over sites of P_x = (1/N) sum_k D(e_x)^k."""
+    for site in np.eye(lat.n_sites, dtype=int):
+        generator = gauge_transform(lat, group, site)
+        term, total = vec, vec
+        for _ in range(group.N - 1):
+            term = generator.apply(term)
+            total = total + term
+        vec = total / group.N
+    return vec
 
 
 def unitarity_report(
@@ -312,6 +298,7 @@ def amplitude_equiv_check(
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
+    coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
     u_i = np.asarray(u_i, dtype=int) % n
     u_f = np.asarray(u_f, dtype=int) % n
@@ -324,18 +311,16 @@ def amplitude_equiv_check(
     if n**n_vars > BRUTE_TERM_CAP:
         raise BruteForceCap(f"{n**n_vars} brute-force terms exceed cap {BRUTE_TERM_CAP}")
 
-    # left side: dense/matrix-free transfer applications
-    dim = _state_dim(lat, group)
-    psi = np.zeros(dim, dtype=complex)
+    # left side: matrix-free projector, then T = W_el W_mag built once, applied tau times
+    wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
+    psi = np.zeros(wmag.dim, dtype=complex)
     psi[config_index(lat, group, u_i)] = 1.0
     psi = _apply_gauss_projector(lat, group, psi)
     for _ in range(tau):
-        psi = apply_transfer(lat, group, g, kappa, psi)
+        psi = wel.apply(wmag.apply(psi))
     lhs = complex(psi[config_index(lat, group, u_f)]) * n**lat.n_links
 
     # right side: chunked enumeration of all summed link variables
-    coeff_s = 2.0 * kappa / g**2
-    coeff_t = 2.0 / (kappa * g**2)
     endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
     chunk = 1 << 16
     total_terms = n**n_vars

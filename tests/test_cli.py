@@ -96,6 +96,14 @@ def test_gauge_check_json(tmp_path):
     assert 0.0 < payload["wel_unitarity_deviation"] < 1.0
 
 
+def test_gauge_check_n3_matrix_free(tmp_path):
+    out = tmp_path / "gauge3.json"
+    assert run(["gauge-check", "--N", "3", "--out", str(out)]) == 0
+    payload = json.loads(read_hash_and_body(out)[1])
+    assert payload["deviation"] < 1e-10
+    assert payload["gauss_commutator_max"] == 0.0
+
+
 def test_renorm_cli(tmp_path):
     from latcirc.kinematics import LatticeParams, dispersion_theta
 
@@ -150,6 +158,10 @@ def test_exit_codes(tmp_path):
     # missing input files end in a message too
     assert run(["renorm", "--problem", str(tmp_path / "none.json"),
                 "--out", str(tmp_path / "r.json")]) == 1
+    # a renorm problem file must hold a JSON object
+    (tmp_path / "list.json").write_text("[1]")
+    assert run(["renorm", "--problem", str(tmp_path / "list.json"),
+                "--out", str(tmp_path / "r.json")]) == 1
     # resource cap: cone wrap-around
     assert run(["lightcone", "--tau", "5", "--L", "8", "--out", str(tmp_path / "y.json")]) == 3
 
@@ -174,6 +186,7 @@ def test_byte_identical_reruns(tmp_path):
 
 @pytest.mark.parametrize("values", [
     {"L": "abc"}, {"L": 8.0}, {"L": True}, {"a": "0.1"}, {"m": False}, {"dt": [0.1]},
+    {"dt": "x"},
 ])
 def test_config_value_types_checked(tmp_path, capsys, values):
     cfg = tmp_path / "cfg.json"
@@ -184,6 +197,55 @@ def test_config_value_types_checked(tmp_path, capsys, values):
     # an int where a float is expected, and a number for a key without default
     cfg.write_text(json.dumps({"a": 1, "m": 1, "dt": 0.5, "L": 4}))
     assert run(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "y.csv")]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--g", "0"], ["--kappa", "0"], ["--pairs", "0"], ["--g", "nan"], ["--kappa", "-1"],
+])
+def test_gauge_check_rejects_bad_inputs(tmp_path, capsys, flags):
+    out = tmp_path / "g.json"
+    assert run(["gauge-check", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+DROP = object()
+SMALL_PROBLEM = {"a": 0.1, "m": 1.0, "observables": [{"kind": "dispersion_theta", "p": 0.3}],
+                 "targets": [0.03], "init": {"m": 1.3}, "max_iters": 2}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("a", DROP), ("observables", DROP), ("targets", DROP), ("init", DROP), ("a", "x"),
+    ("a", True), ("m", None), ("eta", "0.1"), ("max_iters", 2.5), ("init", [1.3]),
+    ("backtracking", 1),
+])
+def test_renorm_problem_checked(tmp_path, capsys, key, value):
+    problem = dict(SMALL_PROBLEM)
+    path, out = tmp_path / "problem.json", tmp_path / "r.json"
+    path.write_text(json.dumps(problem))
+    assert run(["renorm", "--problem", str(path), "--out", str(out)]) == 0
+    if value is DROP:
+        del problem[key]
+    else:
+        problem[key] = value
+    path.write_text(json.dumps(problem))
+    assert run(["renorm", "--problem", str(path), "--out", str(tmp_path / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err or f" {key}=" in err  # names the key
+    assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("observables", [1]), ("observables", [{"kind": "omega"}]), ("targets", [[0.03]]),
+])
+def test_renorm_problem_malformed_entries(tmp_path, capsys, key, value):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**SMALL_PROBLEM, key: value}))
+    assert run(["renorm", "--problem", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: renorm problem is malformed") and err.count("\n") == 1
 
 
 def _cli_bytes(workdir: Path, argv: list[str], name: str) -> bytes:

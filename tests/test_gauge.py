@@ -3,18 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc.errors import BruteForceCap, DimensionCap, OddLattice
 from latcirc.gauge import (
     GaugeGroupZN,
     GaugeLattice,
+    _apply_gauss_projector,
     amplitude_equiv_check,
     apply_transfer,
     build_wel,
     build_wmag,
     config_index,
     gauge_transform,
-    gauss_projector,
     plaquette_coloring,
     unitarity_report,
     wel_link_matrix,
@@ -149,7 +151,8 @@ def test_transfer_gauge_covariance_sampled_n34():
 
 
 def test_gauss_projector():
-    proj = gauss_projector(LAT, Z2).dense()
+    columns = [_apply_gauss_projector(LAT, Z2, col) for col in np.eye(256, dtype=complex)]
+    proj = np.column_stack(columns)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     assert np.max(np.abs(proj - proj.conj().T)) < 1e-12
     rank = np.linalg.matrix_rank(proj)
@@ -241,3 +244,72 @@ def test_config_index_roundtrip():
     idx = config_index(LAT, Z2, cfg)
     back = np.unravel_index(idx, (2,) * 8)
     assert list(back) == cfg
+
+
+# digit-table references: every configuration spelled out as (dim, n_links) digits
+def digit_table_perms(lat, group, omegas):
+    shape = (group.N,) * lat.n_links
+    digits = np.stack(np.unravel_index(np.arange(group.N**lat.n_links), shape), axis=1)
+    digits = digits.astype(np.uint8)  # small integers keep the mod cheap
+    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
+    for omega in omegas:
+        shifts = np.mod(omega[ends[:, 0]] - omega[ends[:, 1]], group.N).astype(np.uint8)
+        yield np.ravel_multi_index(tuple(np.mod(digits + shifts, group.N).T), shape)
+
+
+def enumerated_projector(lat, group, vec):
+    """P_G vec as the average of D(Omega) vec over all N^sites transforms."""
+    out = np.zeros_like(vec)
+    for perm in digit_table_perms(lat, group, all_omegas(lat, group)):
+        moved = np.empty_like(vec)
+        moved[perm] = vec
+        out += moved
+    return out / group.N**lat.n_sites
+
+
+gauge_cases = st.tuples(st.sampled_from((2, 3, 4)), st.sampled_from(((1, 2), (2, 2))),
+                        st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=gauge_cases)
+def test_rolled_perm_equals_digit_table(case):
+    n, (lx, ly), seed = case
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    omega = np.random.default_rng(seed).integers(0, n, lat.n_sites)
+    (expected,) = digit_table_perms(lat, group, [omega])
+    assert np.array_equal(gauge_transform(lat, group, omega).perm, expected)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=gauge_cases)
+def test_factorized_projector_equals_enumeration(case):
+    n, (lx, ly), seed = case
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=n**lat.n_links) + 1j * rng.normal(size=n**lat.n_links)
+    expected = enumerated_projector(lat, group, vec)
+    assert np.max(np.abs(_apply_gauss_projector(lat, group, vec) - expected)) < 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=gauge_cases, g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0))
+def test_transfer_commutes_with_random_gauge_transforms(case, g, kappa):
+    n, (lx, ly), seed = case
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    d = gauge_transform(lat, group, rng.integers(0, n, lat.n_sites))
+    vec = rng.normal(size=d.dim) + 1j * rng.normal(size=d.dim)
+    lhs = apply_transfer(lat, group, g, kappa, d.apply(vec))
+    rhs = d.apply(apply_transfer(lat, group, g, kappa, vec))
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("g, kappa", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0),
+                                      (math.nan, 1.0), (1.0, math.inf)])
+def test_couplings_rejected(g, kappa):
+    u0 = np.zeros(LAT.n_links, dtype=int)
+    for build in (lambda: build_wmag(LAT, Z2, g, kappa), lambda: wel_link_matrix(Z2, g, kappa),
+                  lambda: amplitude_equiv_check(LAT, Z2, g, kappa, u0, u0, 1)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build()
