@@ -336,6 +336,7 @@ def _run_renorm(cfg: dict, out: str) -> None:
     if missing:
         raise ValueError(f"renorm problem is missing {missing[0]!r}")
     _check_types(spec, _PROBLEM_TYPES, "renorm problem")
+    _check_types(spec["init"], dict.fromkeys(spec["init"], 0.0), "renorm problem 'init'")
     base = LatticeParams(a=spec["a"], dt=spec.get("dt"), m=spec.get("m", 1.0),
                          lam=spec.get("lam", 0.0))
     options = {key: spec[key] for key in ("eta", "fd_step", "tol", "max_iters", "backtracking")

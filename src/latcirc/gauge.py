@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BruteForceCap, DimensionCap, OddLattice
 from .quadrature import fsum_complex
-from .statevector import DENSE_CAP, _apply_site_kernel
+from .statevector import DENSE_CAP, PATH_TERM_CAP, _apply_site_kernel, _chunked_intermediate_configs
 
 __all__ = [
     "GaugeGroupZN",
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 STATE_CAP = 2**22  # #links * log2(N) <= 22
-BRUTE_TERM_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -308,8 +307,8 @@ def amplitude_equiv_check(
     n_spatial_vars = lat.n_links * (tau - 1)
     n_temporal_vars = lat.n_sites * tau
     n_vars = n_spatial_vars + n_temporal_vars
-    if n**n_vars > BRUTE_TERM_CAP:
-        raise BruteForceCap(f"{n**n_vars} brute-force terms exceed cap {BRUTE_TERM_CAP}")
+    if n**n_vars > PATH_TERM_CAP:
+        raise BruteForceCap(f"{n**n_vars} brute-force terms exceed cap {PATH_TERM_CAP}")
 
     # left side: matrix-free projector, then T = W_el W_mag built once, applied tau times
     wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
@@ -322,17 +321,9 @@ def amplitude_equiv_check(
 
     # right side: chunked enumeration of all summed link variables
     endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
-    chunk = 1 << 16
-    total_terms = n**n_vars
     chunks = []
-    for start in range(0, total_terms, chunk):
-        idx = np.arange(start, min(start + chunk, total_terms))
-        digits = (
-            np.stack(np.unravel_index(idx, (n,) * n_vars), axis=1)
-            if n_vars
-            else np.zeros((1, 0), dtype=int)
-        )
-        slices = [np.broadcast_to(u_i, (len(idx) if n_vars else 1, lat.n_links))]
+    for digits in _chunked_intermediate_configs(n, n_vars, chunk=1 << 16):
+        slices = [np.broadcast_to(u_i, (len(digits), lat.n_links))]
         for eta in range(tau - 1):
             slices.append(digits[:, eta * lat.n_links : (eta + 1) * lat.n_links])
         slices.append(np.broadcast_to(u_f, slices[0].shape))

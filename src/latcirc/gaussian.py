@@ -7,6 +7,12 @@ a functional  f_phi . phi + f_pi . pi  evolves by one timestep as
 the 2L x 2L real-space map). In this convention the annihilation-operator
 coefficients (alpha, beta) are literally an eigenvector of B.
 
+In real space each free step is one range-1 periodic stencil (``_free_step``,
+built from ``np.roll`` hops), the only definition of the step: the dense map is
+the stencil applied to the identity, the light cone evolves one or two start
+columns in O(L) memory and O(L tau) time, and the per-momentum blocks of a map
+are one FFT of each block's first column.
+
 Timestep convention: the per-mode blocks use dt in their off-diagonal entries
 (they coincide with the lattice-spacing form whenever dt = a, the circuits'
 native operating point), which keeps the mode normalization and the eigenvalue
@@ -121,13 +127,39 @@ def bogoliubov_modes(params: LatticeParams, p) -> ModeData:
     return ModeData(alpha, beta, theta, omega(params, p))
 
 
-def _circulant(L: int, entries: dict[int, float]) -> np.ndarray:
-    """Circulant L x L matrix with given {offset: value} couplings."""
-    mat = np.zeros((L, L))
-    for off, val in entries.items():
-        for n in range(L):
-            mat[(n + off) % L, n] += val
-    return mat
+def _check_chain(params: LatticeParams, L: int, kind: str = "Shift") -> None:
+    if params.d != 1:
+        raise ValueError("real-space maps are implemented for d=1 only")
+    if L < 2:
+        raise ValueError("need at least two sites")
+    if kind not in ("Shift", "Strang"):
+        raise ValueError(f"unknown circuit kind {kind!r}")
+
+
+def _hop(v: np.ndarray) -> np.ndarray:
+    """(T + T^dagger) v on a periodic chain along axis 0."""
+    return np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0)
+
+
+def _free_step(params: LatticeParams, kind: str, coeffs: np.ndarray) -> np.ndarray:
+    """One free step S @ coeffs for coefficient columns of shape (2L, ...).
+
+    The only definition of the real-space step: a range-1 periodic stencil.
+    """
+    L = coeffs.shape[0] // 2
+    phi, pi = coeffs[:L], coeffs[L:]
+    dt = params.dt
+    if kind == "Shift":
+        # c-operator: M cos(pa) <-> (M/2)(T + T^dagger)
+        half_m = params.M / 2.0
+        c_pi = half_m * _hop(pi)
+        return np.concatenate([half_m * _hop(phi) + (half_m * _hop(c_pi) - pi) / dt,
+                               dt * phi + c_pi])
+    # Strang: half X-shear, P-shear, half X-shear; curvature m^2 + (2 - hop)/a^2
+    curv0, inv_a2 = params.m**2 + 2.0 / params.a**2, 1.0 / params.a**2
+    phi = phi - 0.5 * dt * (curv0 * pi - inv_a2 * _hop(pi))
+    pi = pi + dt * phi
+    return np.concatenate([phi - 0.5 * dt * (curv0 * pi - inv_a2 * _hop(pi)), pi])
 
 
 def realspace_map(params: LatticeParams, L: int, kind: str) -> RealSpaceMap:
@@ -136,50 +168,21 @@ def realspace_map(params: LatticeParams, L: int, kind: str) -> RealSpaceMap:
     Its DFT block-diagonalization reproduces :func:`shift_block` or
     :func:`strang_block` at every grid momentum.
     """
-    if params.d != 1:
-        raise ValueError("real-space maps are implemented for d=1 only")
-    if L < 2:
-        raise ValueError("need at least two sites")
-    dt = params.dt
-    eye = np.eye(L)
-    if kind == "Shift":
-        # c-operator: M cos(pa) <-> (M/2)(T + T^dagger)
-        cop = _circulant(L, {1: params.M / 2.0, -1: params.M / 2.0})
-        top = np.hstack([cop, (cop @ cop - eye) / dt])
-        bottom = np.hstack([dt * eye, cop])
-        mat = np.vstack([top, bottom])
-    elif kind == "Strang":
-        curv = _circulant(
-            L,
-            {0: params.m**2 + 2.0 / params.a**2, 1: -1.0 / params.a**2, -1: -1.0 / params.a**2},
-        )
-        zero = np.zeros((L, L))
-        x_half = np.block([[eye, -0.5 * dt * curv], [zero, eye]])
-        p_full = np.block([[eye, zero], [dt * eye, eye]])
-        mat = x_half @ p_full @ x_half
-    else:
-        raise ValueError(f"unknown circuit kind {kind!r}")
-    return RealSpaceMap(mat, params, L, kind)
+    _check_chain(params, L, kind)
+    return RealSpaceMap(_free_step(params, kind, np.eye(2 * L)), params, L, kind)
 
 
 def momentum_blocks_of_map(rmap: RealSpaceMap) -> list[tuple[float, np.ndarray]]:
     """DFT-diagonalize a block-circulant map into per-momentum 2x2 blocks.
 
-    Returns (p_k, block) pairs for p_k = 2*pi*k/(L*a), k = 0..L-1. Exact for
-    circulant blocks because plane waves are their eigenvectors.
+    Returns (p_k, block) pairs for p_k = 2*pi*k/(L*a), k = 0..L-1. A circulant
+    block's eigenvalue at plane wave k is the FFT of its first column.
     """
     L = rmap.L
-    out = []
-    for k in range(L):
-        v = np.exp(2j * math.pi * k * np.arange(L) / L)
-        block = np.empty((2, 2), dtype=complex)
-        for col, src in enumerate((np.concatenate([v, 0 * v]), np.concatenate([0 * v, v]))):
-            image = rmap.matrix @ src
-            block[0, col] = image[:L] @ v.conj() / (v.conj() @ v)
-            block[1, col] = image[L:] @ v.conj() / (v.conj() @ v)
-        p_k = 2.0 * math.pi * k / (L * rmap.params.a)
-        out.append((p_k, block))
-    return out
+    first_columns = rmap.matrix.reshape(2, L, 2, L)[..., 0]  # (row block, site, col block)
+    blocks = np.fft.fft(first_columns, axis=1).transpose(1, 0, 2)
+    p_k = 2.0 * math.pi * np.arange(L) / (L * rmap.params.a)
+    return list(zip(p_k.tolist(), blocks))
 
 
 def symplectic_defect(mat: np.ndarray) -> float:
@@ -189,30 +192,21 @@ def symplectic_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat.T @ j @ mat - j)))
 
 
-def _mover_functionals(params: LatticeParams, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right mover coefficient vectors, one row per site."""
-    a = params.a
-    left = np.zeros((L, 2 * L))
-    right = np.zeros((L, 2 * L))
-    for n in range(L):
-        for sign, arr in ((1.0, left), (-1.0, right)):
-            arr[n, L + n] = 0.5  # pi_n / 2
-            arr[n, (n + 1) % L] += sign / (4.0 * a)  # +- central difference of phi
-            arr[n, (n - 1) % L] -= sign / (4.0 * a)
-    return left, right
-
-
 def mover_shift_residual(params: LatticeParams, L: int) -> float:
     """Max |S l_{L,n} - l_{L,n+1}| and |S l_{R,n} - l_{R,n-1}| over all sites.
 
-    No mass check: with m != 0 this residual is genuinely nonzero.
+    Column n of each functional matrix is the mover at site n: pi_n/2 plus or
+    minus the central difference of phi. No mass check: with m != 0 this
+    residual is genuinely nonzero.
     """
-    smap = realspace_map(params, L, "Shift").matrix
-    left, right = _mover_functionals(params, L)
+    _check_chain(params, L)
+    eye = np.eye(L)
+    diff = (np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0)) / (4.0 * params.a)
     res = 0.0
-    for n in range(L):
-        res = max(res, float(np.max(np.abs(smap @ left[n] - left[(n + 1) % L]))))
-        res = max(res, float(np.max(np.abs(smap @ right[n] - right[(n - 1) % L]))))
+    for sign, shift in ((1.0, -1), (-1.0, 1)):  # left movers advance, right movers retreat
+        movers = np.concatenate([sign * diff, 0.5 * eye])
+        image = _free_step(params, "Shift", movers)
+        res = max(res, float(np.max(np.abs(image - np.roll(movers, shift, axis=1)))))
     return res
 
 
@@ -249,14 +243,13 @@ def lightcone_radius(
         raise LatticeTooSmall(f"need L > 4*tau + 2 = {4 * tau + 2} to rule out wrap-around")
     if observable not in ("phi", "pi", "both"):
         raise ValueError("observable must be 'phi', 'pi' or 'both'")
-    smap = np.linalg.matrix_power(realspace_map(params, L, kind).matrix, tau)
+    _check_chain(params, L, kind)
     n0 = L // 2
-    radius = 0
-    columns = {"phi": (n0,), "pi": (L + n0,), "both": (n0, L + n0)}[observable]
-    for col in columns:
-        evolved = smap[:, col]
-        support = np.abs(evolved.reshape(2, L)).max(axis=0) > CONE_THRESHOLD
-        for n in np.nonzero(support)[0]:
-            dist = min(abs(int(n) - n0), L - abs(int(n) - n0))
-            radius = max(radius, dist)
-    return radius
+    rows = {"phi": [n0], "pi": [L + n0], "both": [n0, L + n0]}[observable]
+    coeffs = np.zeros((2 * L, len(rows)))
+    coeffs[rows, range(len(rows))] = 1.0
+    for _ in range(tau):
+        coeffs = _free_step(params, kind, coeffs)
+    support = np.abs(coeffs.reshape(2, L, -1)).max(axis=(0, 2)) > CONE_THRESHOLD
+    dist = np.abs(np.arange(L) - n0)
+    return int(np.max(np.minimum(dist, L - dist)[support], initial=0))

@@ -51,6 +51,14 @@ def test_lightcone_json(tmp_path):
     assert payload["radius"] == 3
 
 
+def test_lightcone_long_chain(tmp_path):
+    # the cone evolves start columns through the stencil, never a dense 2L x 2L map
+    out = tmp_path / "cone.json"
+    assert run(["lightcone", "--L", "1000000", "--tau", "3", "--out", str(out)]) == 0
+    payload = json.loads(read_hash_and_body(out)[1])
+    assert 0 < payload["radius"] <= 6
+
+
 def test_propagator_csv(tmp_path):
     out = tmp_path / "prop.csv"
     assert run(["propagator", "--L", "8", "--out", str(out)]) == 0
@@ -218,7 +226,7 @@ SMALL_PROBLEM = {"a": 0.1, "m": 1.0, "observables": [{"kind": "dispersion_theta"
 @pytest.mark.parametrize("key, value", [
     ("a", DROP), ("observables", DROP), ("targets", DROP), ("init", DROP), ("a", "x"),
     ("a", True), ("m", None), ("eta", "0.1"), ("max_iters", 2.5), ("init", [1.3]),
-    ("backtracking", 1),
+    ("backtracking", 1), ("init", {"m": [1]}), ("init", {"m": True}),
 ])
 def test_renorm_problem_checked(tmp_path, capsys, key, value):
     problem = dict(SMALL_PROBLEM)
@@ -261,18 +269,22 @@ def _cli_bytes(workdir: Path, argv: list[str], name: str) -> bytes:
     m=st.floats(0.1, 3.0),
     L=st.integers(1, 12),
     eps=st.floats(1e-4, 1e-1),
+    order=st.permutations(["a", "m", "L", "epsilon"]),
 )
-def test_cli_bytes_independent_of_rerun_and_config_route(sub, a, m, L, eps):
+def test_cli_bytes_independent_of_rerun_and_config_route(sub, a, m, L, eps, order):
     values = {"a": a, "m": m, "L": L}
     if sub == "propagator":
         values["epsilon"] = eps
-    flags = [sub]
+    flags, permuted = [sub], [sub]
     for key, value in values.items():
         flags += [f"--{key}", repr(value)]
+    for key in [key for key in order if key in values]:
+        permuted += [f"--{key}", repr(values[key])]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         first = _cli_bytes(workdir, flags, "first")
         assert _cli_bytes(workdir, flags, "second") == first
+        assert _cli_bytes(workdir, permuted, "permuted") == first
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps(values))
         assert _cli_bytes(workdir, [sub, "--config", str(cfg)], "config") == first

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc.errors import DegenerateDispersion, LatticeTooSmall
 from latcirc.gaussian import (
+    CONE_THRESHOLD,
     block_phase,
     bogoliubov_modes,
     lightcone_radius,
@@ -16,7 +19,7 @@ from latcirc.gaussian import (
     strang_block,
     symplectic_defect,
 )
-from latcirc.kinematics import LatticeParams, dispersion_theta, reference_energies
+from latcirc.kinematics import LatticeParams, _fold_to_zone, dispersion_theta, reference_energies
 
 P1 = LatticeParams(a=0.1, m=1.0)
 MASSLESS = LatticeParams(a=0.1, m=0.0)
@@ -205,3 +208,93 @@ def test_lightcone_radius():
             assert lightcone_radius(P1, 4 * tau + 4, kind, tau, observable="both") <= 2 * tau
     with pytest.raises(LatticeTooSmall):
         lightcone_radius(P1, 14, "Shift", 3)
+    # an unknown kind is rejected even where no step is taken
+    for tau in (0, 2):
+        with pytest.raises(ValueError):
+            lightcone_radius(P1, 16, "Euler", tau)
+    with pytest.raises(ValueError):
+        lightcone_radius(P1, 16, "Shift", 1, observable="chi")
+    with pytest.raises(ValueError):
+        lightcone_radius(P1, 16, "Shift", -1)
+    with pytest.raises(ValueError):
+        lightcone_radius(LatticeParams(a=0.1, d=2), 16, "Shift", 1)
+
+
+def test_realspace_checks():
+    with pytest.raises(ValueError):
+        realspace_map(P1, 1, "Shift")
+    with pytest.raises(ValueError):
+        realspace_map(P1, 8, "Euler")
+    with pytest.raises(ValueError):
+        mover_shift_residual(LatticeParams(a=0.1, d=2), 8)
+    with pytest.raises(ValueError):
+        mover_shift_residual(P1, 1)
+
+
+free_params = st.builds(
+    lambda a, kappa, m: LatticeParams(a=a, dt=kappa * a, m=m),
+    st.floats(0.05, 1.0), st.floats(0.1, 1.0), st.floats(0.0, 3.0),
+)
+kinds = st.sampled_from(["Shift", "Strang"])
+
+
+def _dense_cone(params, L, kind, tau, observable):
+    """Reference cone: columns of the dense S^tau and their circular site support."""
+    power = np.linalg.matrix_power(realspace_map(params, L, kind).matrix, tau)
+    n0 = L // 2
+    radius = 0
+    for col in {"phi": (n0,), "pi": (L + n0,), "both": (n0, L + n0)}[observable]:
+        support = np.abs(power[:, col].reshape(2, L)).max(axis=0) > CONE_THRESHOLD
+        for n in np.nonzero(support)[0]:
+            radius = max(radius, min(abs(int(n) - n0), L - abs(int(n) - n0)))
+    return radius
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=free_params, kind=kinds, observable=st.sampled_from(["phi", "pi", "both"]),
+       tau=st.integers(0, 5), data=st.data())
+def test_lightcone_matches_dense_power(params, kind, observable, tau, data):
+    L = data.draw(st.integers(4 * tau + 3, 40), label="L")
+    radius = lightcone_radius(params, L, kind, tau, observable)
+    assert radius == _dense_cone(params, L, kind, tau, observable)
+    assert radius <= 2 * tau
+
+
+def _dense_mover_residual(params, L):
+    """Reference residual: the dense map applied to each site's mover functional."""
+    smap = realspace_map(params, L, "Shift").matrix
+    res = 0.0
+    for sign, step in ((1.0, 1), (-1.0, -1)):
+        movers = np.zeros((L, 2 * L))
+        for n in range(L):
+            movers[n, L + n] = 0.5
+            movers[n, (n + 1) % L] += sign / (4.0 * params.a)
+            movers[n, (n - 1) % L] -= sign / (4.0 * params.a)
+        for n in range(L):
+            res = max(res, np.max(np.abs(smap @ movers[n] - movers[(n + step) % L])))
+    return res, np.max(np.abs(smap))
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=free_params, L=st.integers(2, 40))
+def test_mover_residual_matches_dense_reference(params, L):
+    ref, scale = _dense_mover_residual(params, L)
+    assert abs(mover_shift_residual(params, L) - ref) <= 1e-14 * max(1.0, scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=free_params, kind=kinds, L=st.integers(2, 40))
+def test_one_step_symplectic_defect(params, kind, L):
+    mat = realspace_map(params, L, kind).matrix
+    assert symplectic_defect(mat) <= 1e-14 * max(1.0, np.max(np.abs(mat))) ** 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=free_params, kind=kinds, L=st.integers(2, 24))
+def test_momentum_blocks_match_builders(params, kind, L):
+    builder = shift_block if kind == "Shift" else strang_block
+    pairs = momentum_blocks_of_map(realspace_map(params, L, kind))
+    assert len(pairs) == L
+    for p_k, blk in pairs:
+        ref = builder(params, _fold_to_zone(np.array(p_k), params.a)).matrix
+        assert np.max(np.abs(blk - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
