@@ -8,7 +8,10 @@ transfer operator is T = W_el W_mag with
     W_mag = diag exp(-i (2 kappa/g^2) sum_{spatial plaquettes} cos(2 pi h/N))
     W_el  = prod_links (1/N) sum_v exp(-i (2/(kappa g^2)) cos(2 pi v/N)) L(v)
 
-where L(v)|u> = |u - v mod N> and h is the plaquette holonomy. For finite N
+where L(v)|u> = |u - v mod N> and h is the plaquette holonomy. W_mag is built
+from its local factors: one cos(2 pi h_p/N) per plaquette, read from an N-entry
+table and summed on the open link grid, with no configuration table; the
+Wilson sum adds the same factors on enumerated digit columns. For finite N
 the path-integral equality is an exact algebraic identity and is checked here
 by brute force. Note that W_el is *not* unitary in general: its per-link
 eigenvalues are Fourier coefficients of exp(-i beta cos), which have unit
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import BruteForceCap, DimensionCap, OddLattice
 from .quadrature import fsum_complex
-from .statevector import DENSE_CAP, PATH_TERM_CAP, _apply_site_kernel, _chunked_intermediate_configs
+from .statevector import DENSE_CAP, PATH_TERM_CAP, _apply_site_kernel, _time_slices
 
 __all__ = [
     "GaugeGroupZN",
@@ -166,14 +169,13 @@ class GaugeOperator:
         return out
 
 
-def _holonomies(lat: GaugeLattice, group: GaugeGroupZN, digits: np.ndarray) -> np.ndarray:
-    """(n_configs, n_plaquettes) holonomy table, digits shape (..., n_links)."""
-    cols = []
+def _plaquette_action(lat: GaugeLattice, group: GaugeGroupZN, links) -> np.ndarray:
+    """sum_p cos(2 pi h_p/N) for per-link indexable ``links`` (broadcastable index arrays)."""
+    retrace = group.retrace(np.arange(group.N))
+    total = 0.0
     for l0, l1, l2, l3 in lat.plaquettes():
-        cols.append(
-            np.mod(digits[..., l0] + digits[..., l1] - digits[..., l2] - digits[..., l3], group.N)
-        )
-    return np.stack(cols, axis=-1)
+        total = total + retrace[(links[l0] + links[l1] - links[l2] - links[l3]) % group.N]
+    return total
 
 
 def _couplings(g: float, kappa: float) -> tuple[float, float]:
@@ -189,9 +191,8 @@ def build_wmag(
     """Diagonal plaquette layer exp(-i (2 kappa/g^2) sum_ps cos(2 pi h/N))."""
     coeff_s, _ = _couplings(g, kappa)
     dim = _state_dim(lat, group)
-    digits = np.stack(np.unravel_index(np.arange(dim), (group.N,) * lat.n_links), axis=1)
-    action = group.retrace(_holonomies(lat, group, digits)).sum(axis=-1)
-    return GaugeOperator("W_mag", dim, diag=np.exp(-1j * coeff_s * action))
+    action = _plaquette_action(lat, group, np.ix_(*[np.arange(group.N)] * lat.n_links))
+    return GaugeOperator("W_mag", dim, diag=np.exp(-1j * coeff_s * action).ravel())
 
 
 def wel_link_matrix(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> np.ndarray:
@@ -321,24 +322,17 @@ def amplitude_equiv_check(
 
     # right side: chunked enumeration of all summed link variables
     endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
+    retrace = group.retrace(np.arange(n))
     chunks = []
-    for digits in _chunked_intermediate_configs(n, n_vars, chunk=1 << 16):
-        slices = [np.broadcast_to(u_i, (len(digits), lat.n_links))]
-        for eta in range(tau - 1):
-            slices.append(digits[:, eta * lat.n_links : (eta + 1) * lat.n_links])
-        slices.append(np.broadcast_to(u_f, slices[0].shape))
-        temporal = digits[:, n_spatial_vars:].reshape(-1, tau, lat.n_sites)
-
-        action = np.zeros(slices[0].shape[0])
+    for slices, temporal in _time_slices(n, u_i, u_f, tau, n_temporal_vars, chunk=1 << 16):
+        temporal = temporal.reshape(tau, lat.n_sites, -1)
+        action = 0.0
         for nu in range(tau):
-            action += coeff_s * group.retrace(_holonomies(lat, group, slices[nu])).sum(axis=-1)
-            t_now = temporal[:, nu, :]
+            action = action + coeff_s * _plaquette_action(lat, group, slices[nu])
+            t_now = temporal[nu]
             for link, (frm, to) in enumerate(endpoints):
-                h = np.mod(
-                    t_now[:, frm] + slices[nu][:, link] - t_now[:, to] - slices[nu + 1][:, link],
-                    n,
-                )
-                action += coeff_t * group.retrace(h)
+                h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
+                action = action + coeff_t * retrace[h]
         chunks.append(np.sum(np.exp(-1j * action)))
     rhs = complex(fsum_complex(chunks)) / n**n_vars
     return lhs, rhs, abs(lhs - rhs)

@@ -32,8 +32,6 @@ __all__ = [
     "omega",
     "reference_energies",
     "smear_form_factor",
-    "smear_weights",
-    "smear_form_factor_sum",
 ]
 
 
@@ -187,29 +185,7 @@ def reference_energies(params: LatticeParams, p) -> tuple:
     return _unwrap(e_cont), _unwrap(np.sqrt(params.m**2 + lap))
 
 
-def smear_weights(d: int) -> dict[tuple[int, ...], float]:
-    """Raw smearing weights w(e) = prod_i v(e_i), v(0)=1/2, v(+-1)=1/4."""
-    v = {-1: 0.25, 0: 0.5, 1: 0.25}
-    return {
-        e: float(np.prod([v[c] for c in e]))
-        for e in itertools.product((-1, 0, 1), repeat=d)
-    }
-
-
 def smear_form_factor(params: LatticeParams, p):
     """Vertex form factor prod_i (1 + cos(p_i a))/2, in [0, 1] on the zone."""
     arr = validate_momentum(params, p)
     return _unwrap(((1.0 + np.cos(arr * params.a)) / 2.0).prod(axis=-1))
-
-
-def smear_form_factor_sum(params: LatticeParams, p) -> complex:
-    """The defining sum over smear offsets, sum_e w(e) exp(i p.e a).
-
-    Equals :func:`smear_form_factor` identically; kept as an independent route
-    for testing the weight normalization.
-    """
-    arr = validate_momentum(params, p)
-    total = 0.0 + 0.0j
-    for e, w in sorted(smear_weights(params.d).items()):
-        total += w * np.exp(1j * float(arr @ np.asarray(e, dtype=float)) * params.a)
-    return total

@@ -14,8 +14,10 @@ The Shift circuit's X-layer is exp(+i[(M/2) sum x_n x_{n+1} +
 exp(-i pi (X^2 + P^2)/4), built by dense per-site diagonalization.
 
 A step is built once (``CircuitStep``): the X layer as a product of one n x n
-bond table over neighbours, and the per-site momentum kernel, cached on
-(grid, kind, kappa) and applied by one batched matmul per site axis.
+bond table over neighbours, and the per-site momentum kernel K, cached on
+(grid, kind, kappa) and applied by one batched matmul per site axis. Its elements
+layer[y] prod_s K[y_s, x_s] layer[x] give the dense step on the open index grid
+and each brute-force path-sum term as a product over time slices.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +44,6 @@ __all__ = [
     "amplitude_action_form",
     "kernel_gaussian_check",
     "interaction_picture_check",
-    "translation_permutation",
     "KINDS",
 ]
 
@@ -167,7 +169,7 @@ def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
 
     Every term of the phase couples only x_n and x_{n+1} (on-site terms ride
     on x_n), so the layer is the product over bonds of one n x n table
-    exp(i angle(x_n, x_{n+1})) broadcast into the configuration hypercube.
+    exp(i angle(x_n, x_{n+1})), gathered on the open configuration grid.
     """
     x, y = lat.grid.values[:, None], lat.grid.values[None, :]
     quartic = lam * lat.params.a**2 / 24.0 * x**4
@@ -180,14 +182,9 @@ def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
     else:
         raise ValueError(f"unknown circuit kind {kind!r}")
     table = np.exp(1j * angle)
-    n, L = lat.grid.n_points, lat.L
-    layer = np.ones((1,) * L, dtype=complex)
-    for site in range(L):
-        shape = [1] * L
-        shape[site] = shape[(site + 1) % L] = n
-        # the wrap-around bond (x_{L-1}, x_0) puts its first index on the last axis
-        layer = layer * (table if site + 1 < L else table.T).reshape(shape)
-    return layer.ravel()
+    sites = np.ix_(*[np.arange(lat.grid.n_points)] * lat.L)
+    bonds = [table[sites[s], sites[(s + 1) % lat.L]] for s in range(lat.L)]
+    return functools.reduce(operator.mul, bonds).ravel()
 
 
 @functools.lru_cache(maxsize=8)
@@ -229,11 +226,13 @@ class CircuitStep:
         out = _apply_site_kernel(self.kernel, self.layer * psi, self.lat.L)
         return out if self.kind == "Trotter" else self.layer * out
 
-    def dense(self) -> np.ndarray:
-        full_kernel = functools.reduce(np.kron, [self.kernel] * self.lat.L)
-        if self.kind == "Trotter":
-            return full_kernel * self.layer[None, :]
-        return self.layer[:, None] * full_kernel * self.layer[None, :]
+    def element(self, y, x) -> np.ndarray:
+        """<y|U|x> for configurations given per site as broadcastable index arrays."""
+        layer = self.layer.reshape((self.lat.grid.n_points,) * self.lat.L)
+        out = functools.reduce(operator.mul, [self.kernel[ys, xs] for ys, xs in zip(y, x)])
+        if self.kind != "Trotter":
+            out = layer[tuple(y)] * out
+        return out * layer[tuple(x)]
 
 
 def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) -> np.ndarray:
@@ -242,10 +241,12 @@ def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) ->
 
 
 def build_step(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """Dense one-step operator (DimensionCap above 4096 states)."""
+    """Dense one-step operator from the step's local factors (DimensionCap above 4096 states)."""
     if lat.dim > DENSE_CAP:
         raise DimensionCap(f"dense operator of dimension {lat.dim} exceeds {DENSE_CAP}")
-    return CircuitStep(lat, kind, lam).dense()
+    grid = np.ix_(*[np.arange(lat.grid.n_points)] * (2 * lat.L))
+    step = CircuitStep(lat, kind, lam).element(grid[: lat.L], grid[lat.L :])
+    return step.reshape(lat.dim, lat.dim)
 
 
 def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
@@ -263,34 +264,38 @@ def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> com
 def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
     """Explicit sum over intermediate configurations of one-step elements.
 
-    The unoptimized einsum iterates the full index space, so this really is
-    the brute-force insertion-of-identity sum, not a matrix-product shortcut.
+    Every path phi_i -> ... -> phi_f is enumerated and weighted by the product
+    of its tau step elements, so this really is the brute-force
+    insertion-of-identity sum, not a matrix-product shortcut.
     """
     if tau < 1:
         raise ValueError("path sum needs tau >= 1")
     terms = lat.dim ** (tau - 1)
     if terms > PATH_TERM_CAP:
         raise BruteForceCap(f"{terms} path terms exceed cap {PATH_TERM_CAP}")
-    step = build_step(lat, kind, lam)
-    i_idx, f_idx = lat.config_index(phi_i), lat.config_index(phi_f)
-    if tau == 1:
-        return complex(step[f_idx, i_idx])
-    letters = "abcdefghijklmnopqrstuvwxyz"[: tau - 1]
-    subscripts = [letters[-1]] + [letters[k + 1] + letters[k] for k in range(tau - 2)][::-1]
-    subscripts += [letters[0]]
-    operands = [step[f_idx, :]] + [step] * (tau - 2) + [step[:, i_idx]]
-    spec = ",".join([subscripts[0]] + subscripts[1:-1] + [subscripts[-1]]) + "->"
-    return complex(np.einsum(spec, *operands, optimize=False))
+    step = CircuitStep(lat, kind, lam)
+    total = 0.0 + 0.0j
+    for slices, _ in _time_slices(lat.grid.n_points, phi_i, phi_f, tau):
+        steps = (step.element(y, x) for x, y in zip(slices, slices[1:]))
+        total += np.sum(functools.reduce(operator.mul, steps))
+    return complex(total)
 
 
-def _chunked_intermediate_configs(n: int, n_vars: int, chunk: int = 1 << 18):
-    if n_vars == 0:
-        yield np.zeros((1, 0), dtype=int)
-        return
-    total = n**n_vars
+def _time_slices(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1 << 18):
+    """Enumerate every path first -> (tau - 1 summed slices) -> last in chunks.
+
+    Yields the tau + 1 slices as per-site index arrays of shape (sites, k), the
+    ends as (sites, 1), and the (n_extra, k) digits of further summed variables.
+    """
+    first, last = np.asarray(first)[:, None], np.asarray(last)[:, None]
+    inner = first.shape[0] * (tau - 1)
+    # int32 divides fastest; callers keep the path count under PATH_TERM_CAP < 2**31
+    powers = n ** np.arange(inner + n_extra, dtype=np.int32)[::-1, None]
+    total = n ** (inner + n_extra)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        yield np.stack(np.unravel_index(idx, (n,) * n_vars), axis=1)
+        digits = np.arange(start, min(start + chunk, total), dtype=np.int32) // powers % n
+        slices = digits[:inner].reshape(tau - 1, first.shape[0], digits.shape[1])
+        yield [first, *slices, last], digits[inner:]
 
 
 def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
@@ -320,11 +325,11 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     msq = (lat.params.m * lat.params.a) ** 2
     lam_eff = lam * lat.params.a**2
 
-    def potential(slices: np.ndarray) -> np.ndarray:
-        # slices shape (..., L): site potential summed over the chain
+    def potential(x_slice: np.ndarray) -> np.ndarray:
+        # x_slice shape (L, k): site potential summed over the chain
         total = 0.0
         for site in range(L):
-            x, x_next = slices[..., site], slices[..., (site + 1) % L]
+            x, x_next = x_slice[site], x_slice[(site + 1) % L]
             total = (
                 total
                 + 0.5 * (x_next - x) ** 2
@@ -333,20 +338,14 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
             )
         return total
 
-    x_init = vals[np.asarray(phi_i, dtype=int)]
-    x_final = vals[np.asarray(phi_f, dtype=int)]
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
     total = 0.0 + 0.0j
-    for block in _chunked_intermediate_configs(n, n_vars):
-        slices = [np.broadcast_to(x_init, (block.shape[0], L))]
-        for eta in range(tau - 1):
-            slices.append(vals[block[:, eta * L : (eta + 1) * L]])
-        slices.append(np.broadcast_to(x_final, (block.shape[0], L)))
-        action = np.zeros(block.shape[0])
+    for slices, _ in _time_slices(n, phi_i, phi_f, tau):
+        x = [vals[s] for s in slices]
+        action = 0.0
         for nu in range(tau):
-            x_now, x_next = slices[nu], slices[nu + 1]
-            kinetic = np.sum((x_next - x_now) ** 2, axis=-1) / (2.0 * kappa)
-            action = action + kinetic - 0.5 * kappa * (potential(x_now) + potential(x_next))
+            kinetic = np.sum((x[nu + 1] - x[nu]) ** 2, axis=0) / (2.0 * kappa)
+            action = action + kinetic - 0.5 * kappa * (potential(x[nu]) + potential(x[nu + 1]))
         total += np.sum(np.exp(1j * action))
     return complex(measure * total)
 
@@ -377,15 +376,6 @@ def kernel_gaussian_check(grid: FieldGrid, match_phase: bool = False) -> float:
     return float(np.max(np.abs(diff[np.ix_(inner, inner)])) / abs(target_unit))
 
 
-def translation_permutation(lat: TruncatedLattice) -> np.ndarray:
-    """Index permutation of the one-site cyclic shift on configurations."""
-    n, L = lat.grid.n_points, lat.L
-    idx = np.arange(lat.dim)
-    digits = np.stack(np.unravel_index(idx, (n,) * L), axis=0)
-    rolled = np.roll(digits, 1, axis=0)
-    return np.ravel_multi_index(tuple(rolled), (n,) * L)
-
-
 def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     """Operator-norm deviation of the interaction-picture product identity.
 
@@ -396,8 +386,6 @@ def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     the full U_{int,I}(nu), nu = tau-1 .. 0. Returns the max deviation over
     1..tau steps.
     """
-    if lat.dim > DENSE_CAP:
-        raise DimensionCap(f"dense check needs dimension <= {DENSE_CAP}, got {lat.dim}")
     step = build_step(lat, kind, lam)
     free = build_step(lat, kind, 0.0)
     int_phase = quartic_interaction_phase(lat, kind, lam)

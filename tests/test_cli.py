@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -93,6 +96,41 @@ def test_pathint_check_json(tmp_path):
     payload = json.loads(read_hash_and_body(out)[1])
     assert payload["rel_errors"]["path"] < 1e-12
     assert payload["rel_errors"]["action"] < 1e-10  # dual grid default
+
+
+def test_pathint_check_beyond_dense_cap(tmp_path):
+    # dim 16^4 = 65536 is past the dense-step cap; the tau = 2 sum has 65536 terms
+    out = tmp_path / "pathint.json"
+    argv = ["pathint-check", "--L", "4", "--n-points", "16", "--tau", "2", "--out", str(out)]
+    assert run(argv) == 0
+    assert json.loads(read_hash_and_body(out)[1])["rel_errors"]["path"] <= 1e-12
+
+
+# The child reads its own peak: RUSAGE_CHILDREN in this process would also count
+# every earlier child. ru_maxrss is in KiB on Linux.
+PEAK_RSS_CHILD = """
+import resource, sys
+from latcirc.cli import run
+code = run(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["pathint-check", "--n-points", "64", "--tau", "2"],
+    ["pathint-check", "--L", "3", "--n-points", "16", "--tau", "2"],
+    ["movers", "--L", "100000"],
+])
+def test_peak_memory(tmp_path, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv, "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert child.returncode == 0, child.stderr[-500:]
+    code, peak_kib = child.stdout.split()
+    assert code == "0", child.stderr
+    assert int(peak_kib) / 1024 < 200
 
 
 def test_gauge_check_json(tmp_path):

@@ -247,6 +247,15 @@ def test_config_index_roundtrip():
 
 
 # digit-table references: every configuration spelled out as (dim, n_links) digits
+def digit_table_wmag(lat, group, g, kappa):
+    """W_mag diagonal from the (dim, n_links) digit table and a (dim, n_plaquettes) holonomy table."""
+    dim = group.N**lat.n_links
+    digits = np.stack(np.unravel_index(np.arange(dim), (group.N,) * lat.n_links), axis=1)
+    holonomies = np.stack([np.mod(digits[:, l0] + digits[:, l1] - digits[:, l2] - digits[:, l3],
+                                  group.N) for l0, l1, l2, l3 in lat.plaquettes()], axis=-1)
+    return np.exp(-1j * (2.0 * kappa / g**2) * group.retrace(holonomies).sum(axis=-1))
+
+
 def digit_table_perms(lat, group, omegas):
     shape = (group.N,) * lat.n_links
     digits = np.stack(np.unravel_index(np.arange(group.N**lat.n_links), shape), axis=1)
@@ -269,6 +278,21 @@ def enumerated_projector(lat, group, vec):
 
 gauge_cases = st.tuples(st.sampled_from((2, 3, 4)), st.sampled_from(((1, 2), (2, 2))),
                         st.integers(0, 2**32 - 1))
+
+
+# Lx = 1 or Ly = 1 repeats link axes inside a plaquette; dims up to 2^18 keep the table cheap
+wmag_shapes = [(n, lx, ly) for n in (2, 3, 4) for lx in (1, 2, 3) for ly in (1, 2, 3)
+               if n ** (2 * lx * ly) <= 2**18]
+
+
+@pytest.mark.parametrize("shape", wmag_shapes)
+@settings(max_examples=3, deadline=None)
+@given(g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0))
+def test_wmag_equals_digit_table(shape, g, kappa):
+    n, lx, ly = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    assert np.array_equal(build_wmag(lat, group, g, kappa).diag,
+                          digit_table_wmag(lat, group, g, kappa))
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latcirc.errors import DegenerateDispersion, LatticeTooSmall
 from latcirc.gaussian import (
     CONE_THRESHOLD,
+    _free_step,
     block_phase,
     bogoliubov_modes,
     lightcone_radius,
@@ -280,6 +281,25 @@ def _dense_mover_residual(params, L):
 def test_mover_residual_matches_dense_reference(params, L):
     ref, scale = _dense_mover_residual(params, L)
     assert abs(mover_shift_residual(params, L) - ref) <= 1e-14 * max(1.0, scale)
+
+
+def _all_sites_mover_residual(params, L):
+    """Reference residual: the stencil applied to all L movers at once, as (2L, L) columns."""
+    eye = np.eye(L)
+    diff = (np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0)) / (4.0 * params.a)
+    res = 0.0
+    for sign, shift in ((1.0, -1), (-1.0, 1)):
+        movers = np.concatenate([sign * diff, 0.5 * eye])
+        image = _free_step(params, "Shift", movers)
+        res = max(res, float(np.max(np.abs(image - np.roll(movers, shift, axis=1)))))
+    return res
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=free_params, L=st.sampled_from((2, 3, 8, 64, 256)))
+def test_site0_mover_residual_equals_all_sites(params, L):
+    # translation invariance: site 0 carries every site's entries, bit for bit
+    assert mover_shift_residual(params, L) == _all_sites_mover_residual(params, L)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +15,6 @@ from latcirc.kinematics import (
     omega,
     reference_energies,
     smear_form_factor,
-    smear_form_factor_sum,
-    smear_weights,
     validate_momentum,
 )
 
@@ -151,6 +150,25 @@ def test_reference_energies():
     fine = LatticeParams(a=1e-4, m=1.0)
     e_cont, e_latt = reference_energies(fine, 0.8)
     assert e_latt / e_cont == pytest.approx(1.0, abs=1e-8)
+
+
+def smear_weights(d: int) -> dict[tuple[int, ...], float]:
+    """Raw smearing weights w(e) = prod_i v(e_i), v(0)=1/2, v(+-1)=1/4."""
+    v = {-1: 0.25, 0: 0.5, 1: 0.25}
+    return {
+        e: float(np.prod([v[c] for c in e]))
+        for e in itertools.product((-1, 0, 1), repeat=d)
+    }
+
+
+def smear_form_factor_sum(params: LatticeParams, p) -> complex:
+    """The defining sum over smear offsets, sum_e w(e) exp(i p.e a): the
+    reference for the weight normalization of :func:`smear_form_factor`."""
+    arr = validate_momentum(params, p)
+    total = 0.0 + 0.0j
+    for e, w in sorted(smear_weights(params.d).items()):
+        total += w * np.exp(1j * float(arr @ np.asarray(e, dtype=float)) * params.a)
+    return total
 
 
 def test_smear_form_factor():

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from latcirc.statevector import (
     build_step,
     interaction_picture_check,
     kernel_gaussian_check,
-    translation_permutation,
 )
 
 PARAMS = LatticeParams(a=0.5, m=1.0)
@@ -29,6 +29,22 @@ PARAMS = LatticeParams(a=0.5, m=1.0)
 
 def small_lattice(n_points=16, L=2, params=PARAMS):
     return TruncatedLattice(L, FieldGrid.for_mass(1.0, n_points), params)
+
+
+def translation_permutation(lat):
+    """Index permutation of the one-site cyclic shift on configurations."""
+    n, L = lat.grid.n_points, lat.L
+    digits = np.stack(np.unravel_index(np.arange(lat.dim), (n,) * L), axis=0)
+    return np.ravel_multi_index(tuple(np.roll(digits, 1, axis=0)), (n,) * L)
+
+
+def kron_step(lat, kind, lam):
+    """Reference dense step: layer * (K kron ... kron K) * layer, no left layer for Trotter."""
+    step = CircuitStep(lat, kind, lam)
+    full_kernel = functools.reduce(np.kron, [step.kernel] * lat.L)
+    if kind == "Trotter":
+        return full_kernel * step.layer[None, :]
+    return step.layer[:, None] * full_kernel * step.layer[None, :]
 
 
 def test_field_grid_validation():
@@ -107,7 +123,7 @@ def test_amplitude_bounds_and_tau_zero():
 def test_circuit_equals_path_sum():
     lat = small_lattice(n_points=16)
     for kind in KINDS:
-        for tau in (1, 2):
+        for tau in (1, 2, 3):
             circ = amplitude_circuit(lat, kind, 0.1, (8, 8), (9, 7), tau)
             path = amplitude_path_sum(lat, kind, 0.1, (8, 8), (9, 7), tau)
             assert abs(circ - path) < 1e-12, (kind, tau)
@@ -265,6 +281,12 @@ def test_step_matrix_free_equals_dense_and_unitary(lat, kind, lam, seed):
     out = apply_step(lat, kind, lam, psi)
     assert np.max(np.abs(out - build_step(lat, kind, lam) @ psi)) < 1e-12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(lat=random_lattices, kind=st.sampled_from(KINDS), lam=st.floats(0.0, 2.0))
+def test_dense_step_equals_kron_reference(lat, kind, lam):
+    assert np.array_equal(build_step(lat, kind, lam), kron_step(lat, kind, lam))
 
 
 @settings(max_examples=20, deadline=None)
