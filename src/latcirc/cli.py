@@ -211,6 +211,8 @@ def _params_from_config(cfg: dict, d: int = 1) -> LatticeParams:
 
 def _run_dispersion(cfg: dict, out: str) -> None:
     params = _params_from_config(cfg)
+    # the grid's Python lists and the CSV rows' floats and strings: ~700 bytes per momentum
+    statevector.require_bytes(700 * cfg["L"], f"dispersion table of {cfg['L']} rows")
     p = kinematics.MomentumGrid(params, cfg["L"]).points
     columns = (p[:, 0], kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
                *kinematics.reference_energies(params, p))

@@ -18,6 +18,7 @@ its clean closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .errors import DomainError, IllConditionedFit, QuadratureNotConverged, Unkn
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import PropagatorQuery, feynman_momentum
 from .quadrature import fsum_complex, fsum_real, gauss_legendre_panels, midpoint_nodes
+from .statevector import require_bytes
 
 __all__ = [
     "DiagramSpec",
@@ -107,11 +109,23 @@ def _require_two_dimensional(params: LatticeParams):
         raise ValueError("one-loop corrections require m > 0")
 
 
+@functools.lru_cache(maxsize=8)
+def _shift_grid(n: int, smeared: bool):
+    """The M-independent parts of the Shift integrand on n zone nodes, read-only."""
+    cos = np.cos(midpoint_nodes(n, math.pi))
+    cos2 = cos**2
+    cos2.flags.writeable = False
+    if not smeared:
+        return 1.0, cos2
+    weight = (1.0 + cos) ** 2
+    weight.flags.writeable = False
+    return weight, cos2
+
+
 def _shift_loop_integral(params: LatticeParams, n: int, smeared: bool) -> float:
     """Zone integral of 1/sqrt(1 - M^2 cos^2), optionally weighted by (1+cos)^2."""
-    theta = midpoint_nodes(n, math.pi)
-    weight = (1.0 + np.cos(theta)) ** 2 if smeared else 1.0
-    vals = weight / np.sqrt(1.0 - params.M**2 * np.cos(theta) ** 2)
+    weight, cos2 = _shift_grid(n, smeared)
+    vals = weight / np.sqrt(1.0 - params.M**2 * cos2)
     return fsum_real(vals) / n
 
 
@@ -128,6 +142,9 @@ def one_loop_mass(
     lam, m, a = params.lam, params.m, params.a
 
     if regulator == "ContinuumCutoff":
+        fine_n = resolution // 128 + 32
+        # leggauss diagonalizes an n x n companion matrix and holds one copy of it
+        require_bytes(2 * 8 * fine_n**2, f"Gauss-Legendre rule with {fine_n} nodes")
         lim = math.pi / a if cutoff is None else cutoff
 
         def integral(n):
@@ -139,8 +156,11 @@ def one_loop_mass(
             )
 
         value = lam / (8.0 * math.pi) * integral(resolution // 256 + 16)
-        fine = lam / (8.0 * math.pi) * integral(resolution // 128 + 32)
+        fine = lam / (8.0 * math.pi) * integral(fine_n)
     elif regulator in ("ShiftPlain", "ShiftSmeared"):
+        # the fine grid of 2 * resolution nodes: the cached cos^2 and weights of both
+        # grids and the integrand's temporaries make about eight arrays of it
+        require_bytes(8 * 8 * 2 * resolution, f"Shift zone grid with {2 * resolution} nodes")
         smeared = regulator == "ShiftSmeared"
         prefactor = lam / 4.0
         if smeared:

@@ -51,6 +51,14 @@ KINDS = ("Strang", "Trotter", "Shift")
 DIM_CAP = 2**20  # total Hilbert-space dimension
 DENSE_CAP = 4096  # largest dimension for explicitly stored operators
 PATH_TERM_CAP = 10**8  # brute-force path-sum terms
+BYTE_BUDGET = 2**31  # largest estimated peak allocation of one entry point
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Raise DimensionCap, before allocating, when ``what`` would need over BYTE_BUDGET."""
+    if nbytes > BYTE_BUDGET:
+        raise DimensionCap(f"{what} needs about {nbytes / 2**30:.3g} GiB, over the "
+                           f"{BYTE_BUDGET / 2**30:g} GiB budget")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcirc import perturbation, quadrature
 from latcirc.cli import run
 
 
@@ -110,6 +112,7 @@ def test_pathint_check_beyond_dense_cap(tmp_path):
 # every earlier child. ru_maxrss is in KiB on Linux.
 PEAK_RSS_CHILD = """
 import resource, sys
+from latcirc import perturbation, quadrature
 from latcirc.cli import run
 code = run(sys.argv[1:])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
@@ -131,6 +134,33 @@ def test_peak_memory(tmp_path, argv):
     code, peak_kib = child.stdout.split()
     assert code == "0", child.stderr
     assert int(peak_kib) / 1024 < 200
+
+
+def _limit_address_space():
+    limit = 2 * 2**30  # room for the interpreter and numpy, far below each request
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["oneloop", "--resolution", "100000000"],
+    ["movers", "--L", "1000000000"],
+    ["dispersion", "--L", "1000000000"],
+    ["lightcone", "--L", "1000000000"],
+])
+def test_oversized_inputs_capped_before_allocation(tmp_path, argv):
+    # with 2 GiB of address space, an allocation made before the budget check
+    # would end in a MemoryError traceback and exit 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    child = subprocess.run(
+        [sys.executable, "-m", "latcirc.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=_limit_address_space, timeout=120)
+    assert child.returncode == 3, child.stderr[-500:]
+    assert child.stderr.startswith("resource cap exceeded: ")
+    assert child.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gauge_check_json(tmp_path):
@@ -326,3 +356,36 @@ def test_cli_bytes_independent_of_rerun_and_config_route(sub, a, m, L, eps, orde
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps(values))
         assert _cli_bytes(workdir, [sub, "--config", str(cfg)], "config") == first
+
+
+README_PROBLEM = {
+    "a": 0.1, "m": 1.0,
+    "observables": [{"kind": "dispersion_theta", "p": 0.3},
+                    {"kind": "one_loop", "regulator": "ShiftSmeared", "p_in": 0.0}],
+    "targets": [1.044, 0.127], "init": {"m": 1.3},
+    "eta": 0.05, "fd_step": 1e-4, "tol": 1e-8, "max_iters": 500,
+}
+
+
+def _zone_artifacts(workdir: Path) -> dict:
+    problem = workdir / "problem.json"
+    problem.write_text(json.dumps(README_PROBLEM))
+    perturbation._shift_grid.cache_clear()
+    quadrature._leggauss.cache_clear()
+    cases = {
+        "renorm": ["renorm", "--problem", str(problem)],
+        "oneloop": ["oneloop"],
+        "oneloop5": ["oneloop", "--lambda", "0.7", "--m", "1.3",
+                     "--a-series", "0.3,0.15,0.075,0.0375,0.01875"],
+        "propagator": ["propagator", "--L", "64", "--epsilon", "1e-3"],
+    }
+    return {name: _cli_bytes(workdir, argv, name) for name, argv in cases.items()}
+
+
+def test_zone_artifacts_equal_list_fsum_reference(tmp_path, monkeypatch):
+    # every exact reduction (fsum_real and fsum_complex) routes through
+    # quadrature._fsum; the reference sums a Python list with math.fsum
+    fast = _zone_artifacts(tmp_path)
+    monkeypatch.setattr(quadrature, "_fsum", lambda x: math.fsum(x.tolist()))
+    assert _zone_artifacts(tmp_path) == fast
+    assert json.loads(read_hash_and_body(tmp_path / "renorm")[1])["iterations"] == 185
