@@ -5,8 +5,9 @@ flags), stamps the output's first line with a comment carrying the sha256
 hash of that resolved config, and formats floats with 17 significant digits
 so identical configs give byte-identical files.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numerical-convergence
-failure, 3 resource cap exceeded.
+A failed run writes no artifact and prints one stderr line; its exit code is
+the error's ``exit_code`` from ``errors`` (1 validation or usage, 2 numerical
+convergence, 3 resource cap), or 1 for a ValueError or OSError.
 """
 
 from __future__ import annotations
@@ -21,40 +22,13 @@ import numpy as np
 
 from . import gauge as gauge_mod
 from . import gaussian, kinematics, perturbation, propagator, renorm, statevector
-from .errors import (
-    BruteForceCap,
-    DegenerateDispersion,
-    DimensionCap,
-    Diverged,
-    DomainError,
-    IllConditionedFit,
-    LatticeTooSmall,
-    NonFinite,
-    ObservableFailure,
-    OddLattice,
-    QuadratureNotConverged,
-    UnknownDiagram,
-)
+from .errors import BYTE_BUDGET, EXIT_PREFIXES, LatcircError, require
 from .kinematics import LatticeParams
 from .quadrature import midpoint_nodes
 
 __all__ = ["main", "run"]
 
-SUBCOMMANDS = (
-    "dispersion",
-    "movers",
-    "lightcone",
-    "propagator",
-    "oneloop",
-    "pathint-check",
-    "gauge-check",
-    "renorm",
-)
-
-VALIDATION_ERRORS = (ValueError, OSError, DegenerateDispersion, DomainError, UnknownDiagram,
-                     ObservableFailure, OddLattice, IllConditionedFit)
-CONVERGENCE_ERRORS = (QuadratureNotConverged, Diverged, NonFinite)
-RESOURCE_ERRORS = (DimensionCap, BruteForceCap, LatticeTooSmall)
+_CSV_CHUNK_ROWS = 1 << 14
 
 
 def _config_hash(config: dict) -> str:
@@ -63,13 +37,15 @@ def _config_hash(config: dict) -> str:
 
 
 def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
-    """One row per entry of the equal-size ``columns``, which are flattened."""
-    rows = np.column_stack([np.ravel(c) for c in columns]).tolist()
-    row_format = ",".join(["%.17g"] * len(header))
-    lines = [f"# config_hash={_config_hash(config)}", ",".join(header)]
-    lines.extend(row_format % tuple(row) for row in rows)
+    """One row per entry of the equal-size ``columns``, which are flattened,
+    formatted and written _CSV_CHUNK_ROWS rows at a time rather than as one string."""
+    columns = [np.ravel(c) for c in columns]
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"# config_hash={_config_hash(config)}\n{','.join(header)}\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack([c[start : start + _CSV_CHUNK_ROWS] for c in columns])
+            handle.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path: str, config: dict, payload: dict) -> None:
@@ -211,8 +187,8 @@ def _params_from_config(cfg: dict, d: int = 1) -> LatticeParams:
 
 def _run_dispersion(cfg: dict, out: str) -> None:
     params = _params_from_config(cfg)
-    # the grid's Python lists and the CSV rows' floats and strings: ~700 bytes per momentum
-    statevector.require_bytes(700 * cfg["L"], f"dispersion table of {cfg['L']} rows")
+    # the grid, the value columns and their temporaries: ~56 bytes per momentum (measured)
+    require(80 * cfg["L"], BYTE_BUDGET, f"bytes for the dispersion table of {cfg['L']} rows")
     p = kinematics.MomentumGrid(params, cfg["L"]).points
     columns = (p[:, 0], kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
                *kinematics.reference_energies(params, p))
@@ -237,6 +213,8 @@ def _run_lightcone(cfg: dict, out: str) -> None:
 
 def _run_propagator(cfg: dict, out: str) -> None:
     params = _params_from_config(cfg)
+    # the momentum grids, the values and their CSV columns: ~56 bytes per point (measured)
+    require(80 * cfg["L"] ** 2, BYTE_BUDGET, f"bytes for a propagator table of {cfg['L']}^2 rows")
     p0, p1 = np.meshgrid(midpoint_nodes(cfg["L"], math.pi / params.dt),
                          midpoint_nodes(cfg["L"], math.pi / params.a), indexing="ij")
     value = propagator.feynman_momentum(
@@ -271,8 +249,9 @@ def _run_pathint_check(cfg: dict, out: str) -> None:
     lat = statevector.TruncatedLattice(cfg["L"], grid, params)
     phi_i = tuple([n // 2] * cfg["L"])
     phi_f = tuple((n // 2 + (1 if site % 2 else -1)) % n for site in range(cfg["L"]))
-    circuit = statevector.amplitude_circuit(lat, cfg["kind"], params.lam, phi_i, phi_f, cfg["tau"])
+    # the path sum first: it refuses an oversized sum before any state vector exists
     path = statevector.amplitude_path_sum(lat, cfg["kind"], params.lam, phi_i, phi_f, cfg["tau"])
+    circuit = statevector.amplitude_circuit(lat, cfg["kind"], params.lam, phi_i, phi_f, cfg["tau"])
     scale = max(abs(circuit), 1e-300)
     payload = {
         "kind": cfg["kind"], "L": cfg["L"], "n_points": n, "tau": cfg["tau"],
@@ -381,15 +360,10 @@ def run(argv) -> int:
     try:
         cfg = _resolve_config(args)
         RUNNERS[args.subcommand](cfg, args.out)
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CONVERGENCE_ERRORS as exc:
-        print(f"numerical convergence failure: {exc}", file=sys.stderr)
-        return 2
-    except RESOURCE_ERRORS as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return 3
+    except (LatcircError, ValueError, OSError) as exc:
+        code = getattr(exc, "exit_code", 1)
+        print(f"{EXIT_PREFIXES[code]}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -1,8 +1,24 @@
-"""Exception types shared across the package."""
+"""The package's failure policy: exception types, their exit codes and the resource caps.
+
+Every package error carries the exit code the CLI ends with (``exit_code``):
+1 for validation errors, 2 for numerical-convergence failures, 3 for resource
+caps; ``EXIT_PREFIXES`` holds the one-line message prefix of each code. The
+caps bound what one entry point may enumerate or allocate, and ``require``
+checks an amount against its cap before the work starts.
+"""
+
+STATE_CAP = 2**22  # amplitudes of one complex state vector (64 MiB), statevector and gauge alike
+DENSE_CAP = 4096  # largest dimension of an explicitly stored operator
+PATH_TERM_CAP = 10**8  # terms of one brute-force sum; below 2**31 for int32 digits
+BYTE_BUDGET = 2**31  # largest estimated peak allocation of one entry point
+
+EXIT_PREFIXES = {1: "error", 2: "numerical convergence failure", 3: "resource cap exceeded"}
 
 
 class LatcircError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; a validation error (exit 1) by default."""
+
+    exit_code = 1
 
 
 class DegenerateDispersion(LatcircError):
@@ -12,17 +28,25 @@ class DegenerateDispersion(LatcircError):
 class QuadratureNotConverged(LatcircError):
     """Doubling the quadrature nodes moved the result more than the tolerance."""
 
+    exit_code = 2
+
 
 class LatticeTooSmall(LatcircError):
     """Lattice cannot hold the requested causal cone without wrap-around."""
 
+    exit_code = 3
+
 
 class DimensionCap(LatcircError):
-    """Requested Hilbert-space dimension exceeds the configured cap."""
+    """A dimension or an estimated allocation exceeds its cap (raised by ``require``)."""
+
+    exit_code = 3
 
 
 class BruteForceCap(LatcircError):
-    """Requested brute-force sum exceeds the configured term cap."""
+    """A brute-force sum has more terms than PATH_TERM_CAP (raised by ``require``)."""
+
+    exit_code = 3
 
 
 class OddLattice(LatcircError):
@@ -52,6 +76,17 @@ class ObservableFailure(LatcircError):
 class Diverged(LatcircError):
     """Gradient descent cost increased for too many consecutive steps."""
 
+    exit_code = 2
+
 
 class NonFinite(LatcircError):
     """A numerical evaluation produced NaN or infinity."""
+
+    exit_code = 2
+
+
+def require(amount: int, cap: int, what: str, error: type[LatcircError] = DimensionCap) -> int:
+    """Return ``amount``, or raise ``error`` (exit 3) first when it exceeds ``cap``."""
+    if amount > cap:
+        raise error(f"{what}: {amount} exceeds the cap {cap}")
+    return amount

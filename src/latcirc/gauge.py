@@ -22,6 +22,9 @@ A gauge transform D(Omega) rolls the link index tensor along each shifted link
 axis. Site transforms commute, so the Gauss projector is applied as the product
 over sites of P_x = (1/N) sum_k D(k e_x), in O(sites N dim) work.
 
+The configuration space shares the state-vector cap ``errors.STATE_CAP``, and a
+Wilson sum over PATH_TERM_CAP terms is refused before the left side is built.
+
 Amplitude convention: basis kets in the equivalence check are delta-normalized
 against the Haar measure (<v|u> = N delta_{uv} per link), the convention in
 which the transfer-operator matrix elements carry no 1/N factors and the path
@@ -36,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BruteForceCap, DimensionCap, OddLattice
+from .errors import DENSE_CAP, STATE_CAP, OddLattice, require
 from .quadrature import fsum_complex
-from .statevector import DENSE_CAP, PATH_TERM_CAP, _apply_site_kernel, _time_slices
+from .statevector import _apply_site_kernel, _time_slices
 
 __all__ = [
     "GaugeGroupZN",
@@ -53,8 +56,6 @@ __all__ = [
     "amplitude_equiv_check",
     "unitarity_report",
 ]
-
-STATE_CAP = 2**22  # #links * log2(N) <= 22
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,7 @@ class GaugeLattice:
 
 
 def _state_dim(lat: GaugeLattice, group: GaugeGroupZN) -> int:
-    dim = group.N**lat.n_links
-    if dim > STATE_CAP:
-        raise DimensionCap(f"configuration space {dim} exceeds cap {STATE_CAP}")
-    return dim
+    return require(group.N**lat.n_links, STATE_CAP, "link configuration space dimension")
 
 
 def config_index(lat: GaugeLattice, group: GaugeGroupZN, config) -> int:
@@ -155,8 +153,7 @@ class GaugeOperator:
         return _apply_site_kernel(self.link_matrix, vec, self.lat.n_links)
 
     def dense(self) -> np.ndarray:
-        if self.dim > DENSE_CAP:
-            raise DimensionCap(f"dense gauge operator of dimension {self.dim}")
+        require(self.dim, DENSE_CAP, "dense gauge operator dimension")
         if self.diag is not None:
             return np.diag(self.diag)
         if self.perm is not None:
@@ -305,11 +302,9 @@ def amplitude_equiv_check(
     if u_i.shape != (lat.n_links,) or u_f.shape != (lat.n_links,):
         raise ValueError(f"configurations must assign one element per link ({lat.n_links})")
 
-    n_spatial_vars = lat.n_links * (tau - 1)
     n_temporal_vars = lat.n_sites * tau
-    n_vars = n_spatial_vars + n_temporal_vars
-    if n**n_vars > PATH_TERM_CAP:
-        raise BruteForceCap(f"{n**n_vars} brute-force terms exceed cap {PATH_TERM_CAP}")
+    n_vars = lat.n_links * (tau - 1) + n_temporal_vars
+    paths = _time_slices(n, u_i, u_f, tau, n_temporal_vars, chunk=1 << 16)  # BruteForceCap first
 
     # left side: matrix-free projector, then T = W_el W_mag built once, applied tau times
     wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
@@ -324,7 +319,7 @@ def amplitude_equiv_check(
     endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
     retrace = group.retrace(np.arange(n))
     chunks = []
-    for slices, temporal in _time_slices(n, u_i, u_f, tau, n_temporal_vars, chunk=1 << 16):
+    for slices, temporal in paths:
         temporal = temporal.reshape(tau, lat.n_sites, -1)
         action = 0.0
         for nu in range(tau):

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDispersion, LatticeTooSmall
+from .errors import BYTE_BUDGET, DegenerateDispersion, LatticeTooSmall, require
 from .kinematics import LatticeParams, cosine_symbol, dispersion_theta, omega, validate_momentum
-from .statevector import require_bytes
 
 __all__ = [
     "MomentumBlock",
@@ -202,7 +201,8 @@ def mover_shift_residual(params: LatticeParams, L: int) -> float:
     residual is genuinely nonzero.
     """
     _check_chain(params, L)
-    require_bytes(12 * 8 * L, f"mover residual on {L} sites")  # ~12 length-L arrays at the peak
+    # ~12 length-L arrays at the peak
+    require(12 * 8 * L, BYTE_BUDGET, f"bytes for the mover residual on {L} sites")
     site0 = np.eye(1, L)[0]
     diff = (np.roll(site0, 1) - np.roll(site0, -1)) / (4.0 * params.a)
     res = 0.0
@@ -251,7 +251,7 @@ def lightcone_radius(
     n0 = L // 2
     rows = {"phi": [n0], "pi": [L + n0], "both": [n0, L + n0]}[observable]
     # ~8 length-L arrays per evolved column at the peak (measured)
-    require_bytes(8 * 8 * L * len(rows), f"light cone on {L} sites")
+    require(8 * 8 * L * len(rows), BYTE_BUDGET, f"bytes for the light cone on {L} sites")
     coeffs = np.zeros((2 * L, len(rows)))
     coeffs[rows, range(len(rows))] = 1.0
     for _ in range(tau):

@@ -15,7 +15,6 @@ so the one-step phase theta is positive.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -139,8 +138,8 @@ class MomentumGrid:
         line = _fold_to_zone(
             2.0 * math.pi * np.arange(self.L) / (self.L * self.params.a), self.params.a
         )
-        pts = np.array(list(itertools.product(sorted(line), repeat=self.params.d)))
-        object.__setattr__(self, "points", pts.reshape(self.L**self.params.d, self.params.d))
+        axes = np.meshgrid(*[np.sort(line)] * self.params.d, indexing="ij")
+        object.__setattr__(self, "points", np.stack([x.ravel() for x in axes], axis=-1))
 
 
 def cosine_symbol(params: LatticeParams, p):

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedFit, QuadratureNotConverged, UnknownDiagram
+from .errors import (BYTE_BUDGET, DomainError, IllConditionedFit, QuadratureNotConverged,
+                     UnknownDiagram, require)
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import PropagatorQuery, feynman_momentum
 from .quadrature import fsum_complex, fsum_real, gauss_legendre_panels, midpoint_nodes
-from .statevector import require_bytes
 
 __all__ = [
     "DiagramSpec",
@@ -144,7 +144,7 @@ def one_loop_mass(
     if regulator == "ContinuumCutoff":
         fine_n = resolution // 128 + 32
         # leggauss diagonalizes an n x n companion matrix and holds one copy of it
-        require_bytes(2 * 8 * fine_n**2, f"Gauss-Legendre rule with {fine_n} nodes")
+        require(2 * 8 * fine_n**2, BYTE_BUDGET, f"bytes for {fine_n} Gauss-Legendre nodes")
         lim = math.pi / a if cutoff is None else cutoff
 
         def integral(n):
@@ -160,7 +160,8 @@ def one_loop_mass(
     elif regulator in ("ShiftPlain", "ShiftSmeared"):
         # the fine grid of 2 * resolution nodes: the cached cos^2 and weights of both
         # grids and the integrand's temporaries make about eight arrays of it
-        require_bytes(8 * 8 * 2 * resolution, f"Shift zone grid with {2 * resolution} nodes")
+        require(8 * 8 * 2 * resolution, BYTE_BUDGET,
+                f"bytes for the Shift zone grid of {2 * resolution} nodes")
         smeared = regulator == "ShiftSmeared"
         prefactor = lam / 4.0
         if smeared:

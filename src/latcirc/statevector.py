@@ -18,6 +18,10 @@ bond table over neighbours, and the per-site momentum kernel K, cached on
 (grid, kind, kappa) and applied by one batched matmul per site axis. Its elements
 layer[y] prod_s K[y_s, x_s] layer[x] give the dense step on the open index grid
 and each brute-force path-sum term as a product over time slices.
+
+Sizes are capped in ``errors``: a state holds at most STATE_CAP amplitudes, a
+dense step DENSE_CAP rows, and a brute-force sum PATH_TERM_CAP terms, which
+``_time_slices`` checks before its caller builds any state.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BruteForceCap, DimensionCap
+from .errors import DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, require
 from .kinematics import LatticeParams
 
 __all__ = [
@@ -48,17 +52,6 @@ __all__ = [
 ]
 
 KINDS = ("Strang", "Trotter", "Shift")
-DIM_CAP = 2**20  # total Hilbert-space dimension
-DENSE_CAP = 4096  # largest dimension for explicitly stored operators
-PATH_TERM_CAP = 10**8  # brute-force path-sum terms
-BYTE_BUDGET = 2**31  # largest estimated peak allocation of one entry point
-
-
-def require_bytes(nbytes: int, what: str) -> None:
-    """Raise DimensionCap, before allocating, when ``what`` would need over BYTE_BUDGET."""
-    if nbytes > BYTE_BUDGET:
-        raise DimensionCap(f"{what} needs about {nbytes / 2**30:.3g} GiB, over the "
-                           f"{BYTE_BUDGET / 2**30:g} GiB budget")
 
 
 @dataclass(frozen=True)
@@ -139,9 +132,7 @@ class TruncatedLattice:
             raise ValueError("L must be >= 2 (L = 1 self-couples degenerately)")
         if self.params.d != 1:
             raise ValueError("the state-vector simulator is d=1 only")
-        dim = self.grid.n_points**self.L
-        if dim > DIM_CAP:
-            raise DimensionCap(f"dimension {dim} exceeds cap {DIM_CAP}")
+        dim = require(self.grid.n_points**self.L, STATE_CAP, "state-vector dimension")
         object.__setattr__(self, "dim", dim)
 
     def config_index(self, config) -> int:
@@ -249,9 +240,8 @@ def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) ->
 
 
 def build_step(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """Dense one-step operator from the step's local factors (DimensionCap above 4096 states)."""
-    if lat.dim > DENSE_CAP:
-        raise DimensionCap(f"dense operator of dimension {lat.dim} exceeds {DENSE_CAP}")
+    """Dense one-step operator from the step's local factors (DimensionCap above DENSE_CAP)."""
+    require(lat.dim, DENSE_CAP, "dense operator dimension")
     grid = np.ix_(*[np.arange(lat.grid.n_points)] * (2 * lat.L))
     step = CircuitStep(lat, kind, lam).element(grid[: lat.L], grid[lat.L :])
     return step.reshape(lat.dim, lat.dim)
@@ -278,12 +268,10 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
     """
     if tau < 1:
         raise ValueError("path sum needs tau >= 1")
-    terms = lat.dim ** (tau - 1)
-    if terms > PATH_TERM_CAP:
-        raise BruteForceCap(f"{terms} path terms exceed cap {PATH_TERM_CAP}")
+    paths = _time_slices(lat.grid.n_points, phi_i, phi_f, tau)
     step = CircuitStep(lat, kind, lam)
     total = 0.0 + 0.0j
-    for slices, _ in _time_slices(lat.grid.n_points, phi_i, phi_f, tau):
+    for slices, _ in paths:
         steps = (step.element(y, x) for x, y in zip(slices, slices[1:]))
         total += np.sum(functools.reduce(operator.mul, steps))
     return complex(total)
@@ -292,18 +280,22 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
 def _time_slices(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1 << 18):
     """Enumerate every path first -> (tau - 1 summed slices) -> last in chunks.
 
-    Yields the tau + 1 slices as per-site index arrays of shape (sites, k), the
-    ends as (sites, 1), and the (n_extra, k) digits of further summed variables.
+    The path count is checked against PATH_TERM_CAP at the call, before any chunk
+    exists. Each chunk holds the tau + 1 slices as per-site index arrays (sites, k),
+    the ends as (sites, 1), and the (n_extra, k) digits of further summed variables.
     """
     first, last = np.asarray(first)[:, None], np.asarray(last)[:, None]
     inner = first.shape[0] * (tau - 1)
-    # int32 divides fastest; callers keep the path count under PATH_TERM_CAP < 2**31
+    total = require(n ** (inner + n_extra), PATH_TERM_CAP, "brute-force sum terms", BruteForceCap)
+    # int32 divides fastest, exact since the capped path count is below 2**31
     powers = n ** np.arange(inner + n_extra, dtype=np.int32)[::-1, None]
-    total = n ** (inner + n_extra)
-    for start in range(0, total, chunk):
+
+    def block(start):
         digits = np.arange(start, min(start + chunk, total), dtype=np.int32) // powers % n
         slices = digits[:inner].reshape(tau - 1, first.shape[0], digits.shape[1])
-        yield [first, *slices, last], digits[inner:]
+        return [first, *slices, last], digits[inner:]
+
+    return map(block, range(0, total, chunk))
 
 
 def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
@@ -326,9 +318,7 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
         raise ValueError("action form needs tau >= 1")
     n, L = lat.grid.n_points, lat.L
     kappa = lat.params.kappa
-    n_vars = L * (tau - 1)
-    if n**n_vars > PATH_TERM_CAP:
-        raise BruteForceCap(f"{n**n_vars} action-sum terms exceed cap {PATH_TERM_CAP}")
+    paths = _time_slices(n, phi_i, phi_f, tau)
     vals = lat.grid.values
     msq = (lat.params.m * lat.params.a) ** 2
     lam_eff = lam * lat.params.a**2
@@ -348,7 +338,7 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
 
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
     total = 0.0 + 0.0j
-    for slices, _ in _time_slices(n, phi_i, phi_f, tau):
+    for slices, _ in paths:
         x = [vals[s] for s in slices]
         action = 0.0
         for nu in range(tau):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcirc import perturbation, quadrature
+from latcirc import cli, perturbation, quadrature, statevector
 from latcirc.cli import run
 
 
@@ -146,6 +146,7 @@ def _limit_address_space():
     ["movers", "--L", "1000000000"],
     ["dispersion", "--L", "1000000000"],
     ["lightcone", "--L", "1000000000"],
+    ["propagator", "--L", "100000"],
 ])
 def test_oversized_inputs_capped_before_allocation(tmp_path, argv):
     # with 2 GiB of address space, an allocation made before the budget check
@@ -161,6 +162,64 @@ def test_oversized_inputs_capped_before_allocation(tmp_path, argv):
     assert child.stderr.startswith("resource cap exceeded: ")
     assert child.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_pathint_check_refuses_path_sum_before_any_state(tmp_path, monkeypatch, capsys):
+    def no_state(*args):
+        raise AssertionError("a state vector was built before the path-term check")
+
+    monkeypatch.setattr(statevector, "amplitude_circuit", no_state)
+    monkeypatch.setattr(statevector, "CircuitStep", no_state)
+    out = tmp_path / "pathint.json"
+    assert run(["pathint-check", "--L", "4", "--tau", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: brute-force sum terms") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def joined_csv_reference(path, config, header, columns):
+    """The writer that formats every row into one joined string: the byte reference."""
+    rows = np.column_stack([np.ravel(c) for c in columns]).tolist()
+    row_format = ",".join(["%.17g"] * len(header))
+    lines = [f"# config_hash={cli._config_hash(config)}", ",".join(header)]
+    lines.extend(row_format % tuple(row) for row in rows)
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -3.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                  math.pi, 0.1, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, cli._CSV_CHUNK_ROWS - 1, cli._CSV_CHUNK_ROWS,
+                                  cli._CSV_CHUNK_ROWS + 1, 2 * cli._CSV_CHUNK_ROWS + 6])
+@pytest.mark.parametrize("n_columns", [1, 4, 7])
+def test_streamed_csv_equals_joined_reference(tmp_path, rows, n_columns):
+    rng = np.random.default_rng(rows * 10 + n_columns)
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+               for _ in range(n_columns)]
+    columns[0][: len(SPECIAL_VALUES)] = SPECIAL_VALUES[:rows]
+    if rows % 2 == 0 and rows:  # a 2-d column and a list column are flattened alike
+        columns[-1] = columns[-1].reshape(2, -1)
+        columns[0] = columns[0].tolist()
+    header = [f"c{j}" for j in range(n_columns)]
+    config = {"rows": rows, "n_columns": n_columns}
+    cli._write_csv(str(tmp_path / "streamed.csv"), config, header, columns)
+    joined_csv_reference(str(tmp_path / "joined.csv"), config, header, columns)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+
+def test_cli_csv_artifacts_equal_joined_reference(tmp_path, monkeypatch):
+    cases = {
+        "dispersion": ["dispersion", "--L", "2048"],
+        "dispersion_config": ["dispersion", "--a", "0.3", "--m", "0.7", "--L", "40000"],
+        "propagator": ["propagator", "--L", "64"],
+        "propagator_chunks": ["propagator", "--L", "300", "--epsilon", "0.01"],
+        "oneloop": ["oneloop", "--a-series", "0.2,0.1"],
+    }
+    streamed = {name: _cli_bytes(tmp_path, argv, name) for name, argv in cases.items()}
+    monkeypatch.setattr(cli, "_write_csv", joined_csv_reference)
+    assert {name: _cli_bytes(tmp_path, argv, name) for name, argv in cases.items()} == streamed
 
 
 def test_gauge_check_json(tmp_path):

@@ -231,6 +231,27 @@ def test_equiv_check_z3():
     assert dev < 1e-10
 
 
+def test_equiv_check_refuses_wilson_sum_before_left_side(monkeypatch):
+    import latcirc.gauge as gauge_mod
+
+    def no_state(*args):
+        raise AssertionError("the left side ran before the brute-force term check")
+
+    monkeypatch.setattr(gauge_mod, "build_wmag", no_state)
+    monkeypatch.setattr(gauge_mod, "build_wel", no_state)
+    monkeypatch.setattr(gauge_mod, "_apply_gauss_projector", no_state)
+    with pytest.raises(BruteForceCap):
+        amplitude_equiv_check(LAT, Z2, 1.0, 1.0, np.zeros(8, int), np.zeros(8, int), 3)
+
+
+def test_gauge_shares_the_state_cap():
+    from latcirc.errors import STATE_CAP
+
+    assert build_wel(GaugeLattice(1, 11), Z2, 1.0).dim == STATE_CAP  # 22 links
+    with pytest.raises(DimensionCap):
+        build_wel(GaugeLattice(2, 6), Z2, 1.0)  # 24 links
+
+
 def test_equiv_check_caps():
     with pytest.raises(BruteForceCap):
         amplitude_equiv_check(LAT, Z2, 1.0, 1.0, np.zeros(8, int), np.zeros(8, int), 3)

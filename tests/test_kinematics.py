@@ -10,6 +10,7 @@ from latcirc.errors import DegenerateDispersion
 from latcirc.kinematics import (
     LatticeParams,
     MomentumGrid,
+    _fold_to_zone,
     cosine_symbol,
     dispersion_theta,
     omega,
@@ -202,6 +203,23 @@ def test_momentum_grid():
     # symmetric under p -> -p up to the zone edge
     interior = pts[np.abs(pts - math.pi / P1.a) > 1e-9]
     assert set(np.round(interior, 9)) == set(np.round(-interior, 9))
+
+
+def itertools_grid_points(params, L):
+    """The grid built from ``sorted`` and ``itertools.product`` on Python floats."""
+    line = _fold_to_zone(2.0 * math.pi * np.arange(L) / (L * params.a), params.a)
+    pts = np.array(list(itertools.product(sorted(line), repeat=params.d)))
+    return pts.reshape(L**params.d, params.d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), L=st.integers(1, 17), a=st.floats(0.01, 3.0),
+       m=st.floats(0.0, 2.0))
+def test_momentum_grid_equals_itertools_reference(d, L, a, m):
+    params = LatticeParams(a=a, d=d, m=m)
+    points, reference = MomentumGrid(params, L).points, itertools_grid_points(params, L)
+    assert points.shape == reference.shape and points.dtype == reference.dtype
+    assert points.tobytes() == reference.tobytes()
 
 
 ARRAY_FUNCTIONS = (cosine_symbol, dispersion_theta, omega, smear_form_factor, reference_energies)

@@ -140,6 +140,35 @@ def test_path_sum_cap():
         amplitude_path_sum(lat, "Strang", 0.1, (8, 8), (9, 7), 6)
 
 
+def test_brute_force_cap_before_any_state(monkeypatch):
+    import latcirc.statevector as sv
+
+    def no_state(*args):
+        raise AssertionError("a step was built before the path-term check")
+
+    monkeypatch.setattr(sv, "CircuitStep", no_state)
+    lat = small_lattice(n_points=16)
+    with pytest.raises(BruteForceCap):
+        amplitude_path_sum(lat, "Strang", 0.1, (8, 8), (9, 7), 6)
+    with pytest.raises(BruteForceCap):
+        amplitude_action_form(lat, 0.1, (8, 8), (9, 7), 6)
+
+
+@pytest.mark.parametrize("sites, n_points, admitted", [
+    (7, 8, True), (2, 2048, True), (8, 8, False), (2, 2050, False), (11, 8, False),
+])
+def test_state_cap_is_errors_state_cap(sites, n_points, admitted):
+    from latcirc.errors import STATE_CAP
+
+    grid = FieldGrid.dual(n_points)
+    assert (n_points**sites <= STATE_CAP) == admitted
+    if admitted:
+        assert TruncatedLattice(sites, grid, PARAMS).dim == n_points**sites
+    else:
+        with pytest.raises(DimensionCap):
+            TruncatedLattice(sites, grid, PARAMS)
+
+
 def test_amplitude_translation_covariance():
     lat = small_lattice()
     amp = amplitude_circuit(lat, "Strang", 0.4, (8, 9), (9, 7), 2)
