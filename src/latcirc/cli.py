@@ -5,9 +5,13 @@ flags), stamps the output's first line with a comment carrying the sha256
 hash of that resolved config, and formats floats with 17 significant digits
 so identical configs give byte-identical files.
 
+Each setting is one ``DEFAULTS`` key, which gives its flag, the flag's type and
+(with ``_CHOICES``) the values that the flag and ``--config`` accept.
+
 A failed run writes no artifact and prints one stderr line; its exit code is
 the error's ``exit_code`` from ``errors`` (1 validation or usage, 2 numerical
-convergence, 3 resource cap), or 1 for a ValueError or OSError.
+convergence, 3 resource cap), or 1 for a ValueError or OSError. A usage error
+is a ValueError; a NaN or infinite result is refused as ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import gauge as gauge_mod
 from . import gaussian, kinematics, perturbation, propagator, renorm, statevector
-from .errors import BYTE_BUDGET, EXIT_PREFIXES, LatcircError, require
+from .errors import BYTE_BUDGET, EXIT_PREFIXES, LatcircError, NonFinite, require
 from .kinematics import LatticeParams
 from .quadrature import midpoint_nodes
 
@@ -48,87 +53,26 @@ def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
             handle.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def _finite(columns):
+    """``columns``, or NonFinite (exit 2) if any value is NaN or infinite; the CSV runners
+    check here, as ``_write_csv`` itself formats NaN and inf like any other double."""
+    if not all(np.isfinite(c).all() for c in columns):
+        raise NonFinite("the table holds a NaN or infinite value")
+    return columns
+
+
 def _write_json(path: str, config: dict, payload: dict) -> None:
-    body = json.dumps(payload, sort_keys=True, indent=2)
+    """The payload as JSON; NonFinite (exit 2) before the file opens if it holds NaN or inf."""
+    try:
+        body = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFinite(f"the result holds a NaN or infinite value ({exc})") from exc
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# config_hash={_config_hash(config)}\n{body}\n")
 
 
-def _params_dict(params: LatticeParams) -> dict:
-    return {"a": params.a, "dt": params.dt, "d": params.d, "m": params.m,
-            "lam": params.lam, "g": params.g}
-
-
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="latcirc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, mass_default=1.0):
-        p.add_argument("--a", type=float, default=None, help="lattice spacing")
-        p.add_argument("--dt", type=float, default=None, help="timestep (default: a)")
-        p.add_argument("--m", type=float, default=None, help=f"bare mass (default {mass_default})")
-        p.add_argument("--lambda", dest="lam", type=float, default=None, help="quartic coupling")
-        p.add_argument("--config", type=str, default=None, help="JSON config file (flags override)")
-        p.add_argument("--out", type=str, default=None, help="output file path")
-
-    p = sub.add_parser("dispersion", help="dispersion table: p,theta,omega,E,E_latt")
-    add_common(p)
-    p.add_argument("--L", type=int, default=None, help="momentum grid points")
-
-    p = sub.add_parser("movers", help="massless mover-shift residual (JSON)")
-    add_common(p, mass_default=0.0)
-    p.add_argument("--L", type=int, default=None, help="chain length")
-
-    p = sub.add_parser("lightcone", help="causal cone radius (JSON)")
-    add_common(p)
-    p.add_argument("--L", type=int, default=None, help="chain length")
-    p.add_argument("--kind", type=str, default=None, choices=["Shift", "Strang"])
-    p.add_argument("--tau", type=int, default=None, help="number of steps")
-    p.add_argument("--observable", type=str, default=None, choices=["phi", "pi", "both"])
-
-    p = sub.add_parser("propagator", help="momentum-space propagator table: p0,p1,re,im")
-    add_common(p)
-    p.add_argument("--L", type=int, default=None, help="nodes per momentum axis")
-    p.add_argument("--epsilon", type=float, default=None, help="i*epsilon regulator (dimensionless)")
-
-    p = sub.add_parser("oneloop", help="one-loop mass corrections vs lattice spacing")
-    add_common(p)
-    p.add_argument("--a-series", dest="a_series", type=str, default=None,
-                   help="comma-separated lattice spacings")
-    p.add_argument("--p-in", dest="p_in", type=float, default=None, help="incoming momentum")
-    p.add_argument("--resolution", type=int, default=None, help="quadrature nodes")
-
-    p = sub.add_parser("pathint-check", help="circuit vs path-sum vs action-form amplitudes")
-    add_common(p)
-    p.add_argument("--L", type=int, default=None, help="chain sites")
-    p.add_argument("--n-points", dest="n_points", type=int, default=None, help="field grid points")
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--kind", type=str, default=None, choices=list(statevector.KINDS))
-    p.add_argument("--grid", type=str, default=None, choices=["dual", "mass"],
-                   help="field grid family (dual enables the exact action-form check)")
-
-    p = sub.add_parser("gauge-check", help="Z_N transfer operator vs Wilson path integral")
-    p.add_argument("--N", type=int, default=None, help="gauge group order")
-    p.add_argument("--lx", type=int, default=None)
-    p.add_argument("--ly", type=int, default=None)
-    p.add_argument("--g", type=float, default=None, help="gauge coupling")
-    p.add_argument("--kappa", type=float, default=None, help="dt/a anisotropy")
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None, help="number of (U_i, U_f) pairs")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed for the random pairs")
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("renorm", help="gradient-descent calibration from a problem file")
-    p.add_argument("--problem", type=str, default=None, help="JSON problem file")
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-
-    return parser
 
 
 DEFAULTS = {
@@ -146,18 +90,68 @@ DEFAULTS = {
     "renorm": {"problem": ""},
 }
 
+# the values a setting may take, for flags and --config files alike
+_CHOICES = {
+    ("lightcone", "kind"): ("Shift", "Strang"),
+    ("lightcone", "observable"): ("phi", "pi", "both"),
+    ("pathint-check", "kind"): statevector.KINDS,
+    ("pathint-check", "grid"): ("dual", "mass"),
+}
+
+_HELP = {
+    "a": "lattice spacing", "dt": "timestep (default: a)", "m": "bare mass",
+    "lam": "quartic coupling", "L": "chain sites or momentum grid points per axis",
+    "kind": "circuit kind", "tau": "number of steps", "observable": "cone observable",
+    "epsilon": "i*epsilon regulator (dimensionless)",
+    "a_series": "comma-separated lattice spacings", "p_in": "incoming momentum",
+    "resolution": "quadrature nodes", "n_points": "field grid points",
+    "grid": "field grid family (dual enables the exact action-form check)",
+    "N": "gauge group order", "lx": "lattice extent in x", "ly": "lattice extent in y",
+    "g": "gauge coupling", "kappa": "dt/a anisotropy", "pairs": "number of (U_i, U_f) pairs",
+    "seed": "RNG seed for the random pairs", "problem": "JSON problem file",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, so it ends in one line and exit 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One flag per DEFAULTS key: --<key> with _ as -, except --lambda for lam; its type
+    is its default's (float for a default of None), its choices those in _CHOICES."""
+    parser = _Parser(prog="latcirc", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file (flags override)")
+    common.add_argument("--out", required=True, help="output file path")
+    for name, defaults in DEFAULTS.items():
+        p = sub.add_parser(name, help=RUNNERS[name].__doc__, parents=[common])
+        for key, value in defaults.items():
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            shown = "" if value in (None, "") else f" (default {value})"
+            p.add_argument(flag, dest=key, type=float if value is None else type(value),
+                           choices=_CHOICES.get((name, key)), help=_HELP[key] + shown)
+    return parser
+
 
 # a value must have its default's type, except that an int may stand for a float and
 # a key without default (None) takes a number or null; a bool is never a number
 _CONFIG_TYPES = {float: (int, float), type(None): (int, float, type(None))}
 
 
-def _check_types(values: dict, defaults: dict, what: str) -> None:
+def _check_types(values: dict, defaults: dict, what: str, subcommand: str = "") -> None:
+    """Refuse (ValueError) a value of the wrong type, or outside the subcommand's _CHOICES."""
     for key in [key for key in values if key in defaults]:
         value, default = values[key], defaults[key]
         allowed = _CONFIG_TYPES.get(type(default), type(default))
         if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
             raise ValueError(f"{what} value {key}={value!r} has the wrong type")
+        choices = _CHOICES.get((subcommand, key))
+        if choices is not None and value not in choices:
+            raise ValueError(f"{what} value {key}={value!r} is not one of {list(choices)}")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -169,14 +163,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(file_values) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys for {sub}: {sorted(unknown)}")
-        _check_types(file_values, resolved, "config")
+        _check_types(file_values, resolved, "config", sub)
         resolved.update(file_values)
     for key in resolved:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
-    if getattr(args, "out", None) is None:
-        raise ValueError("--out is required")
     resolved["subcommand"] = sub
     return resolved
 
@@ -186,32 +178,36 @@ def _params_from_config(cfg: dict, d: int = 1) -> LatticeParams:
 
 
 def _run_dispersion(cfg: dict, out: str) -> None:
+    """dispersion table: p,theta,omega,E,E_latt"""
     params = _params_from_config(cfg)
     # the grid, the value columns and their temporaries: ~56 bytes per momentum (measured)
     require(80 * cfg["L"], BYTE_BUDGET, f"bytes for the dispersion table of {cfg['L']} rows")
     p = kinematics.MomentumGrid(params, cfg["L"]).points
     columns = (p[:, 0], kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
                *kinematics.reference_energies(params, p))
-    _write_csv(out, cfg, ["p", "theta", "omega", "E", "E_latt"], columns)
+    _write_csv(out, cfg, ["p", "theta", "omega", "E", "E_latt"], _finite(columns))
 
 
 def _run_movers(cfg: dict, out: str) -> None:
+    """massless mover-shift residual (JSON)"""
     params = _params_from_config(cfg)
     residual = gaussian.mover_shift_check(params, cfg["L"])
     _write_json(out, cfg, {"residual": residual, "radius": None, "tau": 1,
-                           "L": cfg["L"], "params": _params_dict(params)})
+                           "L": cfg["L"], "params": asdict(params)})
 
 
 def _run_lightcone(cfg: dict, out: str) -> None:
+    """causal cone radius (JSON)"""
     params = _params_from_config(cfg)
     radius = gaussian.lightcone_radius(params, cfg["L"], cfg["kind"], cfg["tau"],
                                        observable=cfg["observable"])
     _write_json(out, cfg, {"residual": None, "radius": radius, "tau": cfg["tau"],
                            "L": cfg["L"], "kind": cfg["kind"],
-                           "observable": cfg["observable"], "params": _params_dict(params)})
+                           "observable": cfg["observable"], "params": asdict(params)})
 
 
 def _run_propagator(cfg: dict, out: str) -> None:
+    """momentum-space propagator table: p0,p1,re,im"""
     params = _params_from_config(cfg)
     # the momentum grids, the values and their CSV columns: ~56 bytes per point (measured)
     require(80 * cfg["L"] ** 2, BYTE_BUDGET, f"bytes for a propagator table of {cfg['L']}^2 rows")
@@ -219,10 +215,12 @@ def _run_propagator(cfg: dict, out: str) -> None:
                          midpoint_nodes(cfg["L"], math.pi / params.a), indexing="ij")
     value = propagator.feynman_momentum(
         propagator.PropagatorQuery(params, p0, p1[..., None], cfg["epsilon"]))
-    _write_csv(out, cfg, ["p0", "p1", "re", "im"], (p0, p1, value.real, value.imag))
+    _write_csv(out, cfg, ["p0", "p1", "re", "im"],
+               _finite((p0, p1, value.real, value.imag)))
 
 
 def _run_oneloop(cfg: dict, out: str) -> None:
+    """one-loop mass corrections vs lattice spacing"""
     spacings = [float(tok) for tok in str(cfg["a_series"]).split(",") if tok]
     if not spacings:
         raise ValueError("a-series must contain at least one lattice spacing")
@@ -237,11 +235,12 @@ def _run_oneloop(cfg: dict, out: str) -> None:
         out, cfg,
         ["a", "pi_cont", "pi_shift_plain", "pi_shift_smeared",
          "pi_cont_norm", "pi_shift_plain_norm", "pi_shift_smeared_norm"],
-        (spacings, *table.T, *norm.T),
+        _finite((spacings, *table.T, *norm.T)),
     )
 
 
 def _run_pathint_check(cfg: dict, out: str) -> None:
+    """circuit vs path-sum vs action-form amplitudes"""
     params = _params_from_config(cfg)
     n = cfg["n_points"]
     grid = (statevector.FieldGrid.dual(n) if cfg["grid"] == "dual"
@@ -259,7 +258,7 @@ def _run_pathint_check(cfg: dict, out: str) -> None:
         "circuit_amp": _complex_pair(circuit), "path_amp": _complex_pair(path),
         "action_amp": None,
         "rel_errors": {"path": abs(circuit - path) / scale},
-        "params": _params_dict(params),
+        "params": asdict(params),
     }
     if cfg["kind"] == "Strang":
         action = statevector.amplitude_action_form(lat, params.lam, phi_i, phi_f, cfg["tau"])
@@ -269,6 +268,7 @@ def _run_pathint_check(cfg: dict, out: str) -> None:
 
 
 def _run_gauge_check(cfg: dict, out: str) -> None:
+    """Z_N transfer operator vs Wilson path integral"""
     lat = gauge_mod.GaugeLattice(cfg["lx"], cfg["ly"])
     group = gauge_mod.GaugeGroupZN(cfg["N"])
     g, kappa, tau = cfg["g"], cfg["kappa"], cfg["tau"]
@@ -283,20 +283,12 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
               for u_i, u_f in pairs]
     lhs0, rhs0, _ = checks[0]
     worst = max(dev for _, _, dev in checks)
-    # [T, D(Omega)] = 0 for every Omega when W_mag is invariant under each site
-    # generator D(e_x) and the per-link W_el factor is circulant
-    wmag = gauge_mod.build_wmag(lat, group, g, kappa).diag
-    comm = max(float(np.max(np.abs(wmag[gauge_mod.gauge_transform(lat, group, site).perm] - wmag)))
-               for site in np.eye(lat.n_sites, dtype=int))
-    w = gauge_mod.wel_link_matrix(group, g, kappa)
-    rows, cols = np.indices(w.shape)
-    comm = max(comm, float(np.max(np.abs(w - w[(rows - cols) % group.N, 0]))))
     _write_json(out, cfg, {
         "N": cfg["N"], "lattice": [cfg["lx"], cfg["ly"]], "g": g, "kappa": kappa,
         "tau": tau, "pairs": len(pairs),
         "lhs": _complex_pair(lhs0), "rhs": _complex_pair(rhs0), "deviation": worst,
         "wel_unitarity_deviation": gauge_mod.unitarity_report(lat, group, g, kappa),
-        "gauss_commutator_max": comm,
+        "gauss_commutator_max": gauge_mod.gauss_commutator_max(lat, group, g, kappa),
     })
 
 
@@ -307,6 +299,7 @@ _PROBLEM_TYPES = {"a": 0.0, "observables": [], "targets": [], "init": {}, "dt": 
 
 
 def _run_renorm(cfg: dict, out: str) -> None:
+    """gradient-descent calibration from a problem file"""
     if not cfg.get("problem"):
         raise ValueError("renorm needs --problem pointing to a JSON problem file")
     with open(cfg["problem"]) as handle:
@@ -339,31 +332,22 @@ def _run_renorm(cfg: dict, out: str) -> None:
     })
 
 
-RUNNERS = {
-    "dispersion": _run_dispersion,
-    "movers": _run_movers,
-    "lightcone": _run_lightcone,
-    "propagator": _run_propagator,
-    "oneloop": _run_oneloop,
-    "pathint-check": _run_pathint_check,
-    "gauge-check": _run_gauge_check,
-    "renorm": _run_renorm,
-}
+# the runner of each DEFAULTS subcommand is _run_<name>, with - written as _
+RUNNERS = {name: globals()["_run_" + name.replace("-", "_")] for name in DEFAULTS}
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        RUNNERS[args.subcommand](cfg, args.out)
+        with np.errstate(all="ignore"):  # a NaN or inf reaching a writer ends in NonFinite
+            RUNNERS[args.subcommand](cfg, args.out)
     except (LatcircError, ValueError, OSError) as exc:
         code = getattr(exc, "exit_code", 1)
         print(f"{EXIT_PREFIXES[code]}: {exc}", file=sys.stderr)
         return code
+    except SystemExit:  # --help; a usage error raises ValueError instead
+        return 0
     return 0
 
 

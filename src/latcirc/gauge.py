@@ -20,7 +20,7 @@ assuming it, and the equivalence identity does not depend on it.
 
 A gauge transform D(Omega) rolls the link index tensor along each shifted link
 axis. Site transforms commute, so the Gauss projector is applied as the product
-over sites of P_x = (1/N) sum_k D(k e_x), in O(sites N dim) work.
+over sites of P_x = (1/N) sum_k D(e_x)^k, one roll per term, in O(sites N dim) work.
 
 The configuration space shares the state-vector cap ``errors.STATE_CAP``, and a
 Wilson sum over PATH_TERM_CAP terms is refused before the left side is built.
@@ -52,6 +52,7 @@ __all__ = [
     "wel_link_matrix",
     "plaquette_coloring",
     "gauge_transform",
+    "gauss_commutator_max",
     "apply_transfer",
     "amplitude_equiv_check",
     "unitarity_report",
@@ -176,9 +177,12 @@ def _plaquette_action(lat: GaugeLattice, group: GaugeGroupZN, links) -> np.ndarr
 
 
 def _couplings(g: float, kappa: float) -> tuple[float, float]:
-    """(2 kappa/g^2, 2/(kappa g^2)): the spatial and temporal plaquette coefficients."""
-    if not (math.isfinite(g) and math.isfinite(kappa) and g > 0 and kappa > 0):
-        raise ValueError(f"g and kappa must be finite and positive, got g={g}, kappa={kappa}")
+    """(2 kappa/g^2, 2/(kappa g^2)): the spatial and temporal plaquette coefficients, checked
+    finite and positive by dividing by g twice, before g**2 can overflow or round to 0."""
+    if not (g > 0 and kappa > 0 and 0 < 2.0 * kappa / g / g < math.inf
+            and 0 < 2.0 / kappa / g / g < math.inf):  # NaN fails too
+        raise ValueError(f"g, kappa and both coefficients must be finite and positive, "
+                         f"got g={g}, kappa={kappa}")
     return 2.0 * kappa / g**2, 2.0 / (kappa * g**2)
 
 
@@ -228,6 +232,16 @@ def plaquette_coloring(lat: GaugeLattice) -> tuple[list[int], list[int]]:
     return layers
 
 
+def _roll_links(lat: GaugeLattice, tensor: np.ndarray, omega, n: int) -> np.ndarray:
+    """``tensor`` (one axis per link) rolled by omega_{x+e} - omega_x along each link axis."""
+    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
+    shifts = omega[ends[:, 1]] - omega[ends[:, 0]]
+    # one axis per roll: a multi-axis np.roll copies 2^(shifted axes) separate blocks
+    for axis in np.flatnonzero(shifts % n):
+        tensor = np.roll(tensor, shifts[axis], axis=axis)
+    return tensor
+
+
 def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOperator:
     """Permutation operator D(Omega): u_{x,e} -> omega_x + u_{x,e} - omega_{x+e}.
 
@@ -238,27 +252,33 @@ def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOpera
     if omega.shape != (lat.n_sites,):
         raise ValueError(f"omega must assign one group element per site ({lat.n_sites})")
     dim = _state_dim(lat, group)
-    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
-    shifts = omega[ends[:, 1]] - omega[ends[:, 0]]
     index = np.arange(dim).reshape((group.N,) * lat.n_links)
-    # one axis per roll: a multi-axis np.roll copies 2^(shifted axes) separate blocks
-    for axis in np.flatnonzero(shifts % group.N):
-        index = np.roll(index, shifts[axis], axis=axis)
-    return GaugeOperator("D(Omega)", dim, perm=index.ravel())
+    return GaugeOperator("D(Omega)", dim, perm=_roll_links(lat, index, omega, group.N).ravel())
 
 
 def _apply_gauss_projector(
     lat: GaugeLattice, group: GaugeGroupZN, vec: np.ndarray
 ) -> np.ndarray:
-    """P_G vec as the product over sites of P_x = (1/N) sum_k D(e_x)^k."""
+    """P_G vec as the product over sites of P_x = (1/N) sum_k D(e_x)^k, each term a roll."""
     for site in np.eye(lat.n_sites, dtype=int):
-        generator = gauge_transform(lat, group, site)
-        term, total = vec, vec
-        for _ in range(group.N - 1):
-            term = generator.apply(term)
-            total = total + term
+        tensor, total = vec.reshape((group.N,) * lat.n_links), vec
+        for k in range(1, group.N):
+            total = total + _roll_links(lat, tensor, -k * site, group.N).ravel()
         vec = total / group.N
     return vec
+
+
+def gauss_commutator_max(
+    lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
+) -> float:
+    """Deviation of T = W_el W_mag from commuting with each D(e_x): the largest change of
+    W_mag under a generator, or of the per-link W_el factor from a circulant (0 up to rounding)."""
+    wmag = build_wmag(lat, group, g, kappa).diag.reshape((group.N,) * lat.n_links)
+    comm = max(float(np.max(np.abs(_roll_links(lat, wmag, -site, group.N) - wmag)))
+               for site in np.eye(lat.n_sites, dtype=int))
+    w = wel_link_matrix(group, g, kappa)
+    rows, cols = np.indices(w.shape)
+    return max(comm, float(np.max(np.abs(w - w[(rows - cols) % group.N, 0]))))
 
 
 def unitarity_report(

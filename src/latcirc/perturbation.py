@@ -43,6 +43,7 @@ __all__ = [
 REGULATORS = ("ContinuumCutoff", "ShiftPlain", "ShiftSmeared")
 _INCOMING = {"Tree2to2": 2, "TadpoleMass": 1, "BubbleSChannel": 2}  # kind -> incoming momenta
 _ROWS = 32  # q0 rows summed per chunk by numpy; fsum adds the chunk totals
+_CONV_RTOL = 1e-9  # largest relative change of Pi when one_loop_mass doubles its nodes
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,12 @@ def _shift_loop_integral(params: LatticeParams, n: int, smeared: bool) -> float:
     return fsum_real(vals) / n
 
 
-def one_loop_mass(
-    regulator: str,
-    params: LatticeParams,
-    p_in: float = 0.0,
-    resolution: int = 8192,
-    cutoff: float | None = None,
-    conv_rtol: float | None = 1e-9,
-) -> float:
+def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
+                  resolution: int = 8192, cutoff: float | None = None) -> float:
     """Real one-loop mass correction Pi for the chosen regulator (D = 2)."""
     _require_two_dimensional(params)
+    if not math.isfinite(p_in):
+        raise ValueError(f"p_in must be finite, got {p_in}")
     lam, m, a = params.lam, params.m, params.a
 
     if regulator == "ContinuumCutoff":
@@ -171,7 +168,7 @@ def one_loop_mass(
     else:
         raise ValueError(f"regulator must be one of {REGULATORS}, got {regulator!r}")
 
-    if conv_rtol is not None and abs(fine - value) > conv_rtol * max(abs(value), 1e-300):
+    if abs(fine - value) > _CONV_RTOL * max(abs(value), 1e-300):
         raise QuadratureNotConverged(
             f"{regulator}: refinement moved Pi by {abs(fine - value):.3e}"
         )

@@ -41,8 +41,8 @@ class PropagatorQuery:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:  # NaN fails too
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         p0 = np.asarray(self.p0, dtype=float)
         _require_zone(p0, self.params.dt, "p0 must lie in (-pi/dt, pi/dt]")
         p = validate_momentum(self.params, self.p)

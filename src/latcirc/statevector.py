@@ -328,22 +328,18 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
         total = 0.0
         for site in range(L):
             x, x_next = x_slice[site], x_slice[(site + 1) % L]
-            total = (
-                total
-                + 0.5 * (x_next - x) ** 2
-                + 0.5 * msq * x**2
-                + lam_eff / 24.0 * x**4
-            )
+            total = total + 0.5 * (x_next - x) ** 2 + 0.5 * msq * x**2 + lam_eff / 24.0 * x**4
         return total
 
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
     total = 0.0 + 0.0j
     for slices, _ in paths:
         x = [vals[s] for s in slices]
+        v = [potential(x_slice) for x_slice in x]  # once per slice, though two steps use it
         action = 0.0
         for nu in range(tau):
             kinetic = np.sum((x[nu + 1] - x[nu]) ** 2, axis=0) / (2.0 * kappa)
-            action = action + kinetic - 0.5 * kappa * (potential(x[nu]) + potential(x[nu + 1]))
+            action = action + kinetic - 0.5 * kappa * (v[nu] + v[nu + 1])
         total += np.sum(np.exp(1j * action))
     return complex(measure * total)
 

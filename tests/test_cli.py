@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from latcirc import cli, perturbation, quadrature, statevector
 from latcirc.cli import run
+from latcirc.errors import EXIT_PREFIXES, NonFinite
 
 
 def read_hash_and_body(path):
@@ -448,3 +450,94 @@ def test_zone_artifacts_equal_list_fsum_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(quadrature, "_fsum", lambda x: math.fsum(x.tolist()))
     assert _zone_artifacts(tmp_path) == fast
     assert json.loads(read_hash_and_body(tmp_path / "renorm")[1])["iterations"] == 185
+
+
+# every option string of every subcommand, copied from the hand-written parser that
+# declared them one add_argument at a time; the table-built parser must keep them all
+FLAG_INVENTORY = {
+    "dispersion": ["--L", "--a", "--config", "--dt", "--lambda", "--m", "--out"],
+    "movers": ["--L", "--a", "--config", "--dt", "--lambda", "--m", "--out"],
+    "lightcone": ["--L", "--a", "--config", "--dt", "--kind", "--lambda", "--m",
+                  "--observable", "--out", "--tau"],
+    "propagator": ["--L", "--a", "--config", "--dt", "--epsilon", "--lambda", "--m", "--out"],
+    "oneloop": ["--a", "--a-series", "--config", "--dt", "--lambda", "--m", "--out",
+                "--p-in", "--resolution"],
+    "pathint-check": ["--L", "--a", "--config", "--dt", "--grid", "--kind", "--lambda", "--m",
+                      "--n-points", "--out", "--tau"],
+    "gauge-check": ["--N", "--config", "--g", "--kappa", "--lx", "--ly", "--out", "--pairs",
+                    "--seed", "--tau"],
+    "renorm": ["--config", "--out", "--problem"],
+}
+
+
+def test_flag_inventory():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: sorted(flag for action in sub._actions for flag in action.option_strings
+                          if flag not in ("-h", "--help"))
+             for name, sub in subparsers.choices.items()}
+    assert found == FLAG_INVENTORY
+    lam = [a for a in subparsers.choices["oneloop"]._actions if "--lambda" in a.option_strings]
+    assert lam[0].dest == "lam"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lightcone", "--kind", "Foo"], ["dispersion", "--L", "abc"], ["nosuchcommand"], [],
+    ["dispersion", "--nosuchflag", "1"],
+])
+def test_usage_error_is_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)] if argv else argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: latcirc") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == 0
+    assert run(["oneloop", "--help"]) == 0
+    assert "--a-series" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub, values", [
+    ("pathint-check", {"grid": "bogus"}), ("lightcone", {"kind": "Trotter"}),
+    ("lightcone", {"observable": "x"}),
+])
+def test_config_values_checked_against_choices(tmp_path, capsys, sub, values):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps(values))
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    ((key, value),) = values.items()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config value {key}={value!r} is not one of")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# numpy warnings are errors here: a RuntimeWarning on stderr would be a second line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", [
+    (["oneloop", "--p-in", "nan"], 1), (["oneloop", "--m", "1e200"], 2),
+    (["oneloop", "--a-series", "1e300"], 2), (["propagator", "--epsilon", "inf"], 1),
+    (["propagator", "--dt", "1e300", "--L", "4"], 2), (["gauge-check", "--g", "1e-200"], 1),
+    (["gauge-check", "--g", "1e200"], 1), (["gauge-check", "--g", "1e-160"], 1),
+    (["gauge-check", "--kappa", "1e-320"], 1),
+    (["gauge-check", "--g", "1e-10", "--kappa", "1e300"], 1),  # only 2 kappa/g^2 overflows
+    (["gauge-check", "--g", "1e20", "--kappa", "1e-300"], 1),  # only 2 kappa/g^2 underflows
+])
+def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, code):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{EXIT_PREFIXES[code]}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_refuse_non_finite_values(tmp_path, bad):
+    out = tmp_path / "out.json"
+    with pytest.raises(NonFinite):
+        cli._write_json(str(out), {}, {"rel_errors": {"path": bad}})
+    assert not out.exists()
+    with pytest.raises(NonFinite):
+        cli._finite([[0.0, 1.0], np.array([[2.0], [bad]])])

@@ -17,6 +17,7 @@ from latcirc.gauge import (
     build_wmag,
     config_index,
     gauge_transform,
+    gauss_commutator_max,
     plaquette_coloring,
     unitarity_report,
     wel_link_matrix,
@@ -358,3 +359,45 @@ def test_couplings_rejected(g, kappa):
                   lambda: amplitude_equiv_check(LAT, Z2, g, kappa, u0, u0, 1)):
         with pytest.raises(ValueError, match="finite and positive"):
             build()
+
+
+def perm_projector_reference(lat, group, vec):
+    """The Gauss projector through each site generator's permutation array."""
+    for site in np.eye(lat.n_sites, dtype=int):
+        generator = gauge_transform(lat, group, site)
+        term, total = vec, vec
+        for _ in range(group.N - 1):
+            term = generator.apply(term)
+            total = total + term
+        vec = total / group.N
+    return vec
+
+
+def perm_commutator_reference(lat, group, g, kappa):
+    """[T, D(e_x)] diagnostic through the generators' permutation arrays."""
+    wmag = build_wmag(lat, group, g, kappa).diag
+    comm = max(float(np.max(np.abs(wmag[gauge_transform(lat, group, site).perm] - wmag)))
+               for site in np.eye(lat.n_sites, dtype=int))
+    w = wel_link_matrix(group, g, kappa)
+    rows, cols = np.indices(w.shape)
+    return max(comm, float(np.max(np.abs(w - w[(rows - cols) % group.N, 0]))))
+
+
+# Lx = 1 or Ly = 1 gives links from a site to itself, which a generator leaves unshifted
+roll_shapes = [(n, lx, ly) for n in (1, 2, 3, 4, 5)
+               for lx, ly in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2))
+               if n ** (2 * lx * ly) <= 2**16]
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(roll_shapes), seed=st.integers(0, 2**32 - 1),
+       g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0))
+def test_rolled_generators_equal_perm_reference(shape, seed, g, kappa):
+    n, lx, ly = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=n**lat.n_links) + 1j * rng.normal(size=n**lat.n_links)
+    assert np.array_equal(_apply_gauss_projector(lat, group, vec),
+                          perm_projector_reference(lat, group, vec))
+    assert gauss_commutator_max(lat, group, g, kappa) == perm_commutator_reference(
+        lat, group, g, kappa)

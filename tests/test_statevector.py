@@ -14,6 +14,7 @@ from latcirc.statevector import (
     CircuitStep,
     FieldGrid,
     TruncatedLattice,
+    _time_slices,
     amplitude_action_form,
     amplitude_circuit,
     amplitude_path_sum,
@@ -333,3 +334,45 @@ def test_amplitude_circuit_equals_dense_power(lat, kind, lam, tau, data):
         column = step @ column
     amp = amplitude_circuit(lat, kind, lam, phi_i, phi_f, tau)
     assert abs(amp - column[lat.config_index(phi_f)]) < 1e-12
+
+
+def action_form_reference(lat, lam, phi_i, phi_f, tau):
+    """amplitude_action_form evaluating each interior slice's potential twice."""
+    n, L = lat.grid.n_points, lat.L
+    kappa = lat.params.kappa
+    vals = lat.grid.values
+    msq = (lat.params.m * lat.params.a) ** 2
+    lam_eff = lam * lat.params.a**2
+
+    def potential(x_slice):
+        total = 0.0
+        for site in range(L):
+            x, x_next = x_slice[site], x_slice[(site + 1) % L]
+            total = total + 0.5 * (x_next - x) ** 2 + 0.5 * msq * x**2 + lam_eff / 24.0 * x**4
+        return total
+
+    measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
+    total = 0.0 + 0.0j
+    for slices, _ in _time_slices(n, phi_i, phi_f, tau):
+        x = [vals[s] for s in slices]
+        action = 0.0
+        for nu in range(tau):
+            kinetic = np.sum((x[nu + 1] - x[nu]) ** 2, axis=0) / (2.0 * kappa)
+            action = action + kinetic - 0.5 * kappa * (potential(x[nu]) + potential(x[nu + 1]))
+        total += np.sum(np.exp(1j * action))
+    return complex(measure * total)
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from([(2, 8, 2), (2, 8, 3), (2, 12, 3), (3, 8, 2), (3, 8, 3),
+                              (4, 8, 2)]),
+       a=st.floats(0.2, 1.0), kappa=st.floats(0.5, 1.5), m=st.floats(0.1, 2.0),
+       lam=st.floats(0.0, 1.0), dual=st.booleans(), data=st.data())
+def test_action_form_equals_twice_evaluated_reference(shape, a, kappa, m, lam, dual, data):
+    L, n, tau = shape
+    grid = FieldGrid.dual(n) if dual else FieldGrid.for_mass(m, n)
+    lat = TruncatedLattice(L, grid, LatticeParams(a=a, dt=kappa * a, m=m, lam=lam))
+    ends = st.tuples(*[st.integers(0, n - 1)] * L)
+    phi_i, phi_f = data.draw(ends), data.draw(ends)
+    assert amplitude_action_form(lat, lam, phi_i, phi_f, tau) == action_form_reference(
+        lat, lam, phi_i, phi_f, tau)
