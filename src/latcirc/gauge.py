@@ -11,7 +11,8 @@ transfer operator is T = W_el W_mag with
 where L(v)|u> = |u - v mod N> and h is the plaquette holonomy. W_mag is built
 from its local factors: one cos(2 pi h_p/N) per plaquette, read from an N-entry
 table and summed on the open link grid, with no configuration table; the
-Wilson sum adds the same factors on enumerated digit columns. For finite N
+Wilson sum adds the same factors on blocks of the open grid of its summed
+variables, each factor on its own few axes. For finite N
 the path-integral equality is an exact algebraic identity and is checked here
 by brute force. Note that W_el is *not* unitary in general: its per-link
 eigenvalues are Fourier coefficients of exp(-i beta cos), which have unit
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DENSE_CAP, STATE_CAP, OddLattice, require
 from .quadrature import fsum_complex
-from .statevector import _apply_site_kernel, _time_slices
+from .statevector import _apply_site_kernel, _path_blocks
 
 __all__ = [
     "GaugeGroupZN",
@@ -324,7 +325,7 @@ def amplitude_equiv_check(
 
     n_temporal_vars = lat.n_sites * tau
     n_vars = lat.n_links * (tau - 1) + n_temporal_vars
-    paths = _time_slices(n, u_i, u_f, tau, n_temporal_vars, chunk=1 << 16)  # BruteForceCap first
+    blocks = _path_blocks(n, u_i, u_f, tau, n_temporal_vars, chunk=1 << 16)  # BruteForceCap first
 
     # left side: matrix-free projector, then T = W_el W_mag built once, applied tau times
     wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
@@ -339,15 +340,14 @@ def amplitude_equiv_check(
     endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
     retrace = group.retrace(np.arange(n))
     chunks = []
-    for slices, temporal in paths:
-        temporal = temporal.reshape(tau, lat.n_sites, -1)
+    for slices, temporal in blocks:
         action = 0.0
         for nu in range(tau):
             action = action + coeff_s * _plaquette_action(lat, group, slices[nu])
-            t_now = temporal[nu]
+            t_now = temporal[nu * lat.n_sites : (nu + 1) * lat.n_sites]
             for link, (frm, to) in enumerate(endpoints):
                 h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
                 action = action + coeff_t * retrace[h]
-        chunks.append(np.sum(np.exp(-1j * action)))
+        chunks.append(np.sum(np.exp(-1j * action).ravel()))
     rhs = complex(fsum_complex(chunks)) / n**n_vars
     return lhs, rhs, abs(lhs - rhs)

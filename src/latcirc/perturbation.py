@@ -155,6 +155,10 @@ def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
         value = lam / (8.0 * math.pi) * integral(resolution // 256 + 16)
         fine = lam / (8.0 * math.pi) * integral(fine_n)
     elif regulator in ("ShiftPlain", "ShiftSmeared"):
+        # 1/sqrt(1 - M^2 cos^2) is real only for |M| < 1; an M that overflows stays a
+        # non-finite result, refused where it is written
+        if math.isfinite(params.M) and params.M <= -1.0:
+            raise ValueError(f"the Shift regulators need |M| < 1, i.e. m a < 2, got m a = {m * a}")
         # the fine grid of 2 * resolution nodes: the cached cos^2 and weights of both
         # grids and the integrand's temporaries make about eight arrays of it
         require(8 * 8 * 2 * resolution, BYTE_BUDGET,

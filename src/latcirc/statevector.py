@@ -19,15 +19,21 @@ bond table over neighbours, and the per-site momentum kernel K, cached on
 layer[y] prod_s K[y_s, x_s] layer[x] give the dense step on the open index grid
 and each brute-force path-sum term as a product over time slices.
 
+The brute-force sums (the path sum, the action form and the gauge Wilson sum)
+take their terms from ``_path_blocks``: blocks of consecutive terms whose
+trailing summed variables are open index axes, so each local factor is computed
+once per value of the few variables it reads, not once per term.
+
 Sizes are capped in ``errors``: a state holds at most STATE_CAP amplitudes, a
 dense step DENSE_CAP rows, and a brute-force sum PATH_TERM_CAP terms, which
-``_time_slices`` checks before its caller builds any state.
+``_path_blocks`` checks before its caller builds any state.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -268,34 +274,48 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
     """
     if tau < 1:
         raise ValueError("path sum needs tau >= 1")
-    paths = _time_slices(lat.grid.n_points, phi_i, phi_f, tau)
+    blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     step = CircuitStep(lat, kind, lam)
     total = 0.0 + 0.0j
-    for slices, _ in paths:
+    for slices, _ in blocks:
         steps = (step.element(y, x) for x, y in zip(slices, slices[1:]))
-        total += np.sum(functools.reduce(operator.mul, steps))
+        total += np.sum(functools.reduce(operator.mul, steps).ravel())
     return complex(total)
 
 
-def _time_slices(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1 << 18):
-    """Enumerate every path first -> (tau - 1 summed slices) -> last in chunks.
+def _path_blocks(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1 << 18):
+    """Enumerate every path first -> (tau - 1 summed slices) -> last in blocks of terms.
 
-    The path count is checked against PATH_TERM_CAP at the call, before any chunk
-    exists. Each chunk holds the tau + 1 slices as per-site index arrays (sites, k),
-    the ends as (sites, 1), and the (n_extra, k) digits of further summed variables.
+    The term count is checked against PATH_TERM_CAP at the call, before any block exists.
+    A block is c * n**j consecutive terms: n**j the largest power of n within ``chunk``
+    (or every term, if fewer) and c the largest divisor of n that keeps the block within
+    it. Its leading summed variables are ints, the next runs over c values and the last j
+    are the open axes of one reused index grid, so a factor of a few variables is computed
+    on their axes only, and the block's terms, raveled in C order, are in term order. Each
+    block holds the tau + 1 slices as per-site index lists (the ends as ints) and the
+    n_extra further summed variables.
     """
-    first, last = np.asarray(first)[:, None], np.asarray(last)[:, None]
-    inner = first.shape[0] * (tau - 1)
-    total = require(n ** (inner + n_extra), PATH_TERM_CAP, "brute-force sum terms", BruteForceCap)
-    # int32 divides fastest, exact since the capped path count is below 2**31
-    powers = n ** np.arange(inner + n_extra, dtype=np.int32)[::-1, None]
+    first, last = [int(v) for v in first], [int(v) for v in last]
+    inner = len(first) * (tau - 1)
+    n_vars = inner + n_extra
+    require(n ** n_vars, PATH_TERM_CAP, "brute-force sum terms", BruteForceCap)
+    j = 0
+    while j < n_vars and n ** (j + 1) <= chunk:
+        j += 1
+    grid = [np.arange(n).reshape((n,) + (1,) * k) for k in reversed(range(j))]
+    heads = [[]]
+    if j < n_vars:
+        c = max(c for c in range(1, n) if n % c == 0 and c * n**j <= chunk)
+        partial = [np.arange(d, d + c).reshape((c,) + (1,) * j) for d in range(0, n, c)]
+        heads = ([*digits, axis] for digits in itertools.product(range(n), repeat=n_vars - j - 1)
+                 for axis in partial)
 
-    def block(start):
-        digits = np.arange(start, min(start + chunk, total), dtype=np.int32) // powers % n
-        slices = digits[:inner].reshape(tau - 1, first.shape[0], digits.shape[1])
-        return [first, *slices, last], digits[inner:]
+    def block(head):
+        variables = head + grid
+        slices = [variables[s : s + len(first)] for s in range(0, inner, len(first))]
+        return [first, *slices, last], variables[inner:]
 
-    return map(block, range(0, total, chunk))
+    return map(block, heads)
 
 
 def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
@@ -316,31 +336,33 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     """
     if tau < 1:
         raise ValueError("action form needs tau >= 1")
-    n, L = lat.grid.n_points, lat.L
-    kappa = lat.params.kappa
-    paths = _time_slices(n, phi_i, phi_f, tau)
+    L, kappa = lat.L, lat.params.kappa
+    blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     vals = lat.grid.values
     msq = (lat.params.m * lat.params.a) ** 2
     lam_eff = lam * lat.params.a**2
+    # per-site factors tabulated once on the grid values, then gathered: per term only
+    # +, -, * and / remain, which round alike at every array shape
+    diff_sq = (vals[None, :] - vals[:, None]) ** 2  # [x, x_next] -> (x_next - x)^2
+    half_sq, mass, quartic = 0.5 * diff_sq, 0.5 * msq * vals**2, lam_eff / 24.0 * vals**4
 
-    def potential(x_slice: np.ndarray) -> np.ndarray:
-        # x_slice shape (L, k): site potential summed over the chain
+    def potential(x):
+        # x: one slice's per-site indices; site potentials summed over the chain
         total = 0.0
         for site in range(L):
-            x, x_next = x_slice[site], x_slice[(site + 1) % L]
-            total = total + 0.5 * (x_next - x) ** 2 + 0.5 * msq * x**2 + lam_eff / 24.0 * x**4
+            total = total + half_sq[x[site], x[(site + 1) % L]] + mass[x[site]] + quartic[x[site]]
         return total
 
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
     total = 0.0 + 0.0j
-    for slices, _ in paths:
-        x = [vals[s] for s in slices]
+    for x, _ in blocks:
         v = [potential(x_slice) for x_slice in x]  # once per slice, though two steps use it
         action = 0.0
         for nu in range(tau):
-            kinetic = np.sum((x[nu + 1] - x[nu]) ** 2, axis=0) / (2.0 * kappa)
+            # sites added in site order, the association of np.sum over a site axis
+            kinetic = sum(diff_sq[a, b] for a, b in zip(x[nu], x[nu + 1])) / (2.0 * kappa)
             action = action + kinetic - 0.5 * kappa * (v[nu] + v[nu + 1])
-        total += np.sum(np.exp(1j * action))
+        total += np.sum(np.exp(1j * action).ravel())
     return complex(measure * total)
 
 

@@ -541,3 +541,36 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
     assert not out.exists()
     with pytest.raises(NonFinite):
         cli._finite([[0.0, 1.0], np.array([[2.0], [bad]])])
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # a usage error between two identical runs leaves the one parser as it was
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["pathint-check", "--n-points", "8", "--tau", "2", "--L", "3"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(argv + ["--out", str(first)]) == 0
+    assert run(["pathint-check", "--grid", "bogus", "--out", str(tmp_path / "bad")]) == 1
+    assert run(argv + ["--out", str(second)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: latcirc") and err.count("\n") == 1
+    assert first.read_bytes() == second.read_bytes()
+    assert not (tmp_path / "bad").exists()
+
+
+def test_pathint_check_action_error_carries_the_metaplectic_phase(tmp_path):
+    # tau L = 6: the action form is (-i)^6 = -1 times the circuit amplitude
+    out = tmp_path / "pathint.json"
+    assert run(["pathint-check", "--L", "2", "--n-points", "16", "--tau", "3",
+                "--out", str(out)]) == 0
+    payload = json.loads(read_hash_and_body(out)[1])
+    assert payload["rel_errors"]["action"] < 1e-10
+    assert payload["rel_errors"]["path"] < 1e-12
+
+
+def test_oneloop_refuses_shift_regulators_past_m_a_two(tmp_path, capsys):
+    # m a = 6 at a = 0.2 puts M = 1 - (m a)^2/2 = -17 outside |M| < 1
+    out = tmp_path / "oneloop.csv"
+    assert run(["oneloop", "--m", "30", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "|M| < 1" in err and err.count("\n") == 1
+    assert not out.exists()

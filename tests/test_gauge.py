@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_statevector import _time_slices, blocks_of, divisor_chunks
+
+from latcirc import gauge as gauge_mod
 from latcirc.errors import BruteForceCap, DimensionCap, OddLattice
 from latcirc.gauge import (
     GaugeGroupZN,
     GaugeLattice,
     _apply_gauss_projector,
+    _couplings,
+    _plaquette_action,
     amplitude_equiv_check,
     apply_transfer,
     build_wel,
@@ -22,6 +27,7 @@ from latcirc.gauge import (
     unitarity_report,
     wel_link_matrix,
 )
+from latcirc.quadrature import fsum_complex
 
 LAT = GaugeLattice(2, 2)
 Z2 = GaugeGroupZN(2)
@@ -401,3 +407,46 @@ def test_rolled_generators_equal_perm_reference(shape, seed, g, kappa):
                           perm_projector_reference(lat, group, vec))
     assert gauss_commutator_max(lat, group, g, kappa) == perm_commutator_reference(
         lat, group, g, kappa)
+
+
+def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk):
+    """The right side of amplitude_equiv_check on digit-table chunks of ``chunk`` terms."""
+    coeff_s, coeff_t = _couplings(g, kappa)
+    n = group.N
+    n_vars = lat.n_links * (tau - 1) + lat.n_sites * tau
+    endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
+    retrace = group.retrace(np.arange(n))
+    chunks = []
+    for slices, temporal in _time_slices(n, u_i, u_f, tau, lat.n_sites * tau, chunk):
+        temporal = temporal.reshape(tau, lat.n_sites, -1)
+        action = 0.0
+        for nu in range(tau):
+            action = action + coeff_s * _plaquette_action(lat, group, slices[nu])
+            t_now = temporal[nu]
+            for link, (frm, to) in enumerate(endpoints):
+                h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
+                action = action + coeff_t * retrace[h]
+        chunks.append(np.sum(np.exp(-1j * action)))
+    return complex(fsum_complex(chunks)) / n**n_vars
+
+
+# (N, Lx, Ly, tau) with at most 2^15 terms in the Wilson sum
+wilson_shapes = [(n, lx, ly, tau) for n in (2, 3, 4, 5) for lx, ly in ((1, 1), (1, 2), (2, 1))
+                 for tau in (1, 2, 3) if n ** (2 * lx * ly * (tau - 1) + lx * ly * tau) <= 2**15]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(wilson_shapes), g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_wilson_sum_in_blocks_equals_digit_table_chunks(shape, g, kappa, seed, data):
+    n, lx, ly, tau = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    u_i, u_f = rng.integers(0, n, lat.n_links), rng.integers(0, n, lat.n_links)
+    terms = n ** (lat.n_links * (tau - 1) + lat.n_sites * tau)
+    chunk = data.draw(st.sampled_from([c for c in divisor_chunks(n, range(1, 15))
+                                       if terms // c <= 256]))
+    expected = wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk)
+    with blocks_of(chunk, gauge_mod):
+        _, rhs, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+    assert rhs == expected

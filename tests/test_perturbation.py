@@ -69,6 +69,18 @@ def test_one_loop_rejects_bad_inputs():
         one_loop_mass("NoSuchRegulator", P1)
 
 
+@pytest.mark.parametrize("m", [4.0, 4.5, 60.0])
+def test_shift_regulators_need_m_a_below_two(m):
+    # a = 0.5: m a >= 2 puts M = 1 - (m a)^2/2 at or below -1, where 1/sqrt(1 - M^2 cos^2)
+    # has no real value; the continuum cutoff has no such bound
+    params = LatticeParams(a=0.5, m=m, lam=1.0)
+    for regulator in ("ShiftPlain", "ShiftSmeared"):
+        with pytest.raises(ValueError, match=r"\|M\| < 1"):
+            one_loop_mass(regulator, params)
+    assert math.isfinite(one_loop_mass("ContinuumCutoff", params))
+    assert math.isfinite(one_loop_mass("ShiftPlain", LatticeParams(a=0.5, m=3.99, lam=1.0)))
+
+
 def _slope(regulator):
     pts = []
     for a in A_SERIES:

@@ -1,12 +1,15 @@
 import cmath
 import functools
 import math
+import operator
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcirc import statevector
 from latcirc.errors import BruteForceCap, DimensionCap
 from latcirc.kinematics import LatticeParams
 from latcirc.statevector import (
@@ -14,7 +17,7 @@ from latcirc.statevector import (
     CircuitStep,
     FieldGrid,
     TruncatedLattice,
-    _time_slices,
+    _path_blocks,
     amplitude_action_form,
     amplitude_circuit,
     amplitude_path_sum,
@@ -336,7 +339,24 @@ def test_amplitude_circuit_equals_dense_power(lat, kind, lam, tau, data):
     assert abs(amp - column[lat.config_index(phi_f)]) < 1e-12
 
 
-def action_form_reference(lat, lam, phi_i, phi_f, tau):
+def _time_slices(n, first, last, tau, n_extra=0, chunk=1 << 18):
+    """Digit-table path enumerator: each chunk of up to ``chunk`` consecutive terms decoded
+    as int32 digits, the tau + 1 slices as per-site index arrays (sites, k), the ends as
+    (sites, 1), and the (n_extra, k) digits of further summed variables."""
+    first, last = np.asarray(first)[:, None], np.asarray(last)[:, None]
+    inner = first.shape[0] * (tau - 1)
+    total = n ** (inner + n_extra)
+    powers = n ** np.arange(inner + n_extra, dtype=np.int32)[::-1, None]
+
+    def block(start):
+        digits = np.arange(start, min(start + chunk, total), dtype=np.int32) // powers % n
+        slices = digits[:inner].reshape(tau - 1, first.shape[0], digits.shape[1])
+        return [first, *slices, last], digits[inner:]
+
+    return map(block, range(0, total, chunk))
+
+
+def action_form_reference(lat, lam, phi_i, phi_f, tau, chunk=1 << 18):
     """amplitude_action_form evaluating each interior slice's potential twice."""
     n, L = lat.grid.n_points, lat.L
     kappa = lat.params.kappa
@@ -353,7 +373,7 @@ def action_form_reference(lat, lam, phi_i, phi_f, tau):
 
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
     total = 0.0 + 0.0j
-    for slices, _ in _time_slices(n, phi_i, phi_f, tau):
+    for slices, _ in _time_slices(n, phi_i, phi_f, tau, chunk=chunk):
         x = [vals[s] for s in slices]
         action = 0.0
         for nu in range(tau):
@@ -376,3 +396,77 @@ def test_action_form_equals_twice_evaluated_reference(shape, a, kappa, m, lam, d
     phi_i, phi_f = data.draw(ends), data.draw(ends)
     assert amplitude_action_form(lat, lam, phi_i, phi_f, tau) == action_form_reference(
         lat, lam, phi_i, phi_f, tau)
+
+
+def blocks_of(chunk, module=statevector):
+    """``module``'s brute-force sums enumerated in blocks of at most ``chunk`` terms."""
+    blocks = statevector._path_blocks
+    return mock.patch.object(module, "_path_blocks",
+                             lambda *args, **kwargs: blocks(*args, **{**kwargs, "chunk": chunk}))
+
+
+def divisor_chunks(n, powers):
+    """Chunks c * n**j with c dividing n: blocks of exactly that many terms, so a digit-table
+    sum in chunks of the same size adds the same terms per chunk."""
+    return [c * n**j for j in powers for c in range(1, n) if n % c == 0]
+
+
+@pytest.mark.parametrize("n, sites, tau, n_extra, chunk, block", [
+    (3, 2, 3, 1, 10, 9),  # n = 3: one full 3^2 grid per block
+    (8, 2, 2, 1, 32, 32),  # 4 of 8 values on a partial leading axis
+    (10, 1, 3, 0, 50, 50),  # 5 of 10
+    (6, 1, 3, 1, 100, 72),  # 2 of 6: 3 * 36 would pass 100
+    (6, 1, 3, 1, 150, 108),  # 3 of 6: 4 does not divide 6
+    (4, 1, 1, 3, 1 << 18, 64),  # every variable on an open axis
+    (2, 3, 1, 0, 4, 1),  # no summed variable: one term
+])
+def test_path_blocks_visit_every_term_once_in_c_order(n, sites, tau, n_extra, chunk, block):
+    first, last = list(range(sites)), list(range(sites, 2 * sites))
+    n_vars = sites * (tau - 1) + n_extra
+    terms = []
+    for slices, extra in _path_blocks(n, first, last, tau, n_extra, chunk):
+        assert slices[0] == first and slices[-1] == last and len(slices) == tau + 1
+        variables = [v for s in slices[1:-1] for v in s] + list(extra)
+        index = sum(v * n ** (n_vars - 1 - k) for k, v in enumerate(variables))
+        shape = np.broadcast_shapes(*[np.shape(v) for v in variables])
+        terms.append(np.broadcast_to(index, shape).ravel())
+        assert terms[-1].size == block
+    assert np.array_equal(np.concatenate(terms), np.arange(n**n_vars))
+
+
+def path_sum_reference(lat, kind, lam, phi_i, phi_f, tau):
+    """amplitude_path_sum on digit-table chunks."""
+    step = CircuitStep(lat, kind, lam)
+    total = 0.0 + 0.0j
+    for slices, _ in _time_slices(lat.grid.n_points, phi_i, phi_f, tau):
+        steps = (step.element(y, x) for x, y in zip(slices, slices[1:]))
+        total += np.sum(functools.reduce(operator.mul, steps))
+    return complex(total)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lat=random_lattices, kind=st.sampled_from(KINDS), lam=st.floats(0.0, 2.0),
+       data=st.data())
+def test_path_sum_equals_digit_table_reference(lat, kind, lam, data):
+    tau = data.draw(st.sampled_from((1, 2, 3) if lat.L == 2 else (1, 2)))  # at most 12^4 terms
+    config = st.tuples(*[st.integers(0, lat.grid.n_points - 1)] * lat.L)
+    phi_i, phi_f = data.draw(config), data.draw(config)
+    expected = path_sum_reference(lat, kind, lam, phi_i, phi_f, tau)
+    assert abs(amplitude_path_sum(lat, kind, lam, phi_i, phi_f, tau) - expected) <= (
+        1e-14 * abs(expected) + 1e-17)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from((8, 10, 12, 16)), shape=st.sampled_from(((2, 2), (2, 3), (3, 2))),
+       a=st.floats(0.2, 1.0), kappa=st.floats(0.5, 1.5), m=st.floats(0.1, 2.0),
+       lam=st.floats(0.0, 1.0), dual=st.booleans(), data=st.data())
+def test_action_form_in_blocks_equals_digit_table_chunks(n, shape, a, kappa, m, lam, dual, data):
+    L, tau = shape
+    grid = FieldGrid.dual(n) if dual else FieldGrid.for_mass(m, n)
+    lat = TruncatedLattice(L, grid, LatticeParams(a=a, dt=kappa * a, m=m, lam=lam))
+    ends = st.tuples(*[st.integers(0, n - 1)] * L)
+    phi_i, phi_f = data.draw(ends), data.draw(ends)
+    chunk = data.draw(st.sampled_from(divisor_chunks(n, powers=(2, 3))))
+    expected = action_form_reference(lat, lam, phi_i, phi_f, tau, chunk)
+    with blocks_of(chunk):
+        assert amplitude_action_form(lat, lam, phi_i, phi_f, tau) == expected
