@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DENSE_CAP, STATE_CAP, OddLattice, require
 from .quadrature import fsum_complex
-from .statevector import _apply_site_kernel, _path_blocks
+from .statevector import _apply_site_kernel, _circulant, _path_blocks
 
 __all__ = [
     "GaugeGroupZN",
@@ -205,7 +205,7 @@ def wel_link_matrix(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> np.nda
     n = group.N
     _, beta = _couplings(g, kappa)
     weights = np.exp(-1j * beta * group.retrace(np.arange(n))) / n
-    return weights[(np.arange(n) - np.arange(n)[:, None]) % n]
+    return _circulant(weights[-np.arange(n)])  # column entry r - u holds weights[u - r]
 
 
 def build_wel(

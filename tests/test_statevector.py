@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import operator
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,78 @@ def test_momentum_kernel_cache():
     assert not np.allclose(CircuitStep(off_a, "Strang", 0.1).kernel, kernel)
     assert np.array_equal(CircuitStep(off_a, "Shift", 0.1).kernel,
                           CircuitStep(at_a, "Shift", 0.1).kernel)
+
+
+def dense_dft(grid):
+    """Centered unitary DFT, F[k, j] = exp(-i p_k phi_j)/sqrt(n): the reference for the
+    circulant builds of F^dagger diag(s) F."""
+    return np.exp(-1j * np.outer(grid.momenta, grid.values)) / math.sqrt(grid.n_points)
+
+
+@pytest.mark.parametrize("n", (8, 16, 128, 512, 2048))
+def test_circulant_kernels_equal_dense_fourier_products(n):
+    grid = FieldGrid.dual(n)
+    f = dense_dft(grid)
+    for kappa in (1.0, 0.7):
+        dense = f.conj().T @ (np.exp(-0.5j * kappa * grid.momenta**2)[:, None] * f)
+        assert np.max(np.abs(statevector._momentum_kernel(grid, "Strang", kappa) - dense)) < 1e-13
+    if n <= 512:
+        dense_p = f.conj().T @ (grid.momenta[:, None] * f)
+        _, p = build_site_operators(grid)
+        assert np.max(np.abs(p - dense_p)) < 1e-13 * np.max(np.abs(grid.momenta))
+
+
+@pytest.mark.parametrize("n", (16, 64, 512))
+def test_shift_kernel_equals_dense_build_and_is_unitary(n):
+    grid = FieldGrid.for_mass(1.0, n, extent=6.0)
+    f = dense_dft(grid)
+    x = np.diag(grid.values).astype(complex)
+    p = f.conj().T @ np.diag(grid.momenta).astype(complex) @ f
+    w, v = np.linalg.eigh((x @ x + p @ p).astype(complex))
+    dense = (v * np.exp(-0.25j * math.pi * w)) @ v.conj().T
+    kernel = statevector._momentum_kernel(grid, "Shift", 1.0)
+    assert np.max(np.abs(kernel - dense)) < 1e-11
+    assert np.max(np.abs(kernel.conj().T @ kernel - np.eye(n))) < 1e-12
+
+
+def tensordot_site_kernel(kernel, vec, sites):
+    """Reference: contract ``kernel`` with each tensor axis in place, one tensordot per axis."""
+    n = kernel.shape[0]
+    tensor = vec.reshape((n,) * sites)
+    for axis in range(sites):
+        tensor = np.moveaxis(np.tensordot(kernel, tensor, axes=([1], [axis])), 0, axis)
+    return tensor.ravel()
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(n, sites) for n in (2, 3, 5, 8, 16) for sites in range(1, 7)
+                              if n**sites <= 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_site_kernel_equals_tensordot_reference(shape, seed):
+    # a random non-symmetric complex kernel, so a slip in the axis order shows
+    n, sites = shape
+    rng = np.random.default_rng(seed)
+    kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vec = rng.standard_normal(n**sites) + 1j * rng.standard_normal(n**sites)
+    ref = tensordot_site_kernel(kernel, vec, sites)
+    out = statevector._apply_site_kernel(kernel, vec, sites)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, sites", [(16, 4), (2, 16), (256, 2)])
+def test_apply_site_kernel_holds_at_most_two_state_vectors(n, sites):
+    # each pass holds its operand and its output; a copy of the transposed operand is a third
+    rng = np.random.default_rng(0)
+    kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vec = rng.standard_normal(n**sites) + 1j * rng.standard_normal(n**sites)
+    tracemalloc.start()
+    try:
+        out = statevector._apply_site_kernel(kernel, vec, sites)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == vec.shape
+    assert peak <= 2 * vec.nbytes + 4096
 
 
 random_lattices = st.builds(
