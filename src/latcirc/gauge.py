@@ -121,7 +121,11 @@ class GaugeLattice:
         return out
 
 
+_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # NPY_MAXDIMS
+
+
 def _state_dim(lat: GaugeLattice, group: GaugeGroupZN) -> int:
+    require(lat.n_links, _MAX_AXES, "link tensor axes")
     return require(group.N**lat.n_links, STATE_CAP, "link configuration space dimension")
 
 

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BYTE_BUDGET, DomainError, IllConditionedFit, QuadratureNotConverged,
-                     UnknownDiagram, require)
+from .errors import BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, require
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import PropagatorQuery, feynman_momentum
-from .quadrature import fsum_complex, fsum_real, gauss_legendre_panels, midpoint_nodes
+from .quadrature import fsum_complex, fsum_real, gauss_legendre_panels, midpoint_nodes, refined
 
 __all__ = [
     "DiagramSpec",
@@ -43,7 +42,7 @@ __all__ = [
 REGULATORS = ("ContinuumCutoff", "ShiftPlain", "ShiftSmeared")
 _INCOMING = {"Tree2to2": 2, "TadpoleMass": 1, "BubbleSChannel": 2}  # kind -> incoming momenta
 _ROWS = 32  # q0 rows summed per chunk by numpy; fsum adds the chunk totals
-_CONV_RTOL = 1e-9  # largest relative change of Pi when one_loop_mass doubles its nodes
+_CONV_RTOL = 1e-9  # largest relative change of Pi when one_loop_mass refines its nodes
 
 
 @dataclass(frozen=True)
@@ -132,51 +131,43 @@ def _shift_loop_integral(params: LatticeParams, n: int, smeared: bool) -> float:
 
 def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
                   resolution: int = 8192, cutoff: float | None = None) -> float:
-    """Real one-loop mass correction Pi for the chosen regulator (D = 2)."""
+    """Real one-loop mass correction Pi for the chosen regulator (D = 2), refined once."""
     _require_two_dimensional(params)
     if not math.isfinite(p_in):
         raise ValueError(f"p_in must be finite, got {p_in}")
     lam, m, a = params.lam, params.m, params.a
 
     if regulator == "ContinuumCutoff":
-        fine_n = resolution // 128 + 32
+        n, fine_n = resolution // 256 + 16, resolution // 128 + 32  # not always 2 n
         # leggauss diagonalizes an n x n companion matrix and holds one copy of it
         require(2 * 8 * fine_n**2, BYTE_BUDGET, f"bytes for {fine_n} Gauss-Legendre nodes")
         lim = math.pi / a if cutoff is None else cutoff
 
-        def integral(n):
+        def correction(n):
             panels = [0.0, min(m, lim)]
             while panels[-1] < lim:
                 panels.append(min(2.0 * panels[-1], lim))
-            return 2.0 * gauss_legendre_panels(
-                lambda p: 1.0 / np.sqrt(p * p + m * m), 0.0, lim, n, panels
-            )
-
-        value = lam / (8.0 * math.pi) * integral(resolution // 256 + 16)
-        fine = lam / (8.0 * math.pi) * integral(fine_n)
+            return lam / (8.0 * math.pi) * (2.0 * gauss_legendre_panels(
+                lambda p: 1.0 / np.sqrt(p * p + m * m), 0.0, lim, n, panels))
     elif regulator in ("ShiftPlain", "ShiftSmeared"):
         # 1/sqrt(1 - M^2 cos^2) is real only for |M| < 1; an M that overflows stays a
         # non-finite result, refused where it is written
         if math.isfinite(params.M) and params.M <= -1.0:
             raise ValueError(f"the Shift regulators need |M| < 1, i.e. m a < 2, got m a = {m * a}")
-        # the fine grid of 2 * resolution nodes: the cached cos^2 and weights of both
-        # grids and the integrand's temporaries make about eight arrays of it
-        require(8 * 8 * 2 * resolution, BYTE_BUDGET,
-                f"bytes for the Shift zone grid of {2 * resolution} nodes")
+        n, fine_n = resolution, 2 * resolution
+        # the fine grid: the cached cos^2 and weights of both grids and the
+        # integrand's temporaries make about eight arrays of it
+        require(8 * 8 * fine_n, BYTE_BUDGET, f"bytes for the Shift zone grid of {fine_n} nodes")
         smeared = regulator == "ShiftSmeared"
         prefactor = lam / 4.0
         if smeared:
             prefactor *= (1.0 + math.cos(p_in * a)) ** 2 / 16.0
-        value = prefactor * _shift_loop_integral(params, resolution, smeared)
-        fine = prefactor * _shift_loop_integral(params, 2 * resolution, smeared)
+
+        def correction(n):
+            return prefactor * _shift_loop_integral(params, n, smeared)
     else:
         raise ValueError(f"regulator must be one of {REGULATORS}, got {regulator!r}")
-
-    if abs(fine - value) > _CONV_RTOL * max(abs(value), 1e-300):
-        raise QuadratureNotConverged(
-            f"{regulator}: refinement moved Pi by {abs(fine - value):.3e}"
-        )
-    return fine
+    return refined(correction, n, _CONV_RTOL, regulator, fine_n)
 
 
 def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:

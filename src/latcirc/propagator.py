@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureNotConverged
 from .kinematics import (LatticeParams, _require_zone, _unwrap, cosine_symbol, dispersion_theta,
                          omega, validate_momentum)
-from .quadrature import fsum_complex, midpoint_nodes
+from .quadrature import fsum_complex, midpoint_nodes, refined
 
 __all__ = [
     "PropagatorQuery",
@@ -88,8 +87,8 @@ def contour_identity_residual(
     Raises QuadratureNotConverged when doubling n_quad moves the quadrature by
     more than conv_rtol relative to the left side (pass None to skip).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if n_quad < 2 or n_quad & (n_quad - 1):
         raise ValueError("n_quad must be a power of two")
     theta_eps = dispersion_theta(params, p) - 1j * epsilon  # requires m > 0
@@ -97,15 +96,8 @@ def contour_identity_residual(
     t = t_steps * dt
     lhs = cmath.exp(-1j * theta_eps * abs(t)) / cmath.sin(theta_eps * dt)
     ctheta = cmath.cos(theta_eps * dt)
-    rhs = _contour_rhs(params, ctheta, t, n_quad)
-    if conv_rtol is not None:
-        rhs_fine = _contour_rhs(params, ctheta, t, 2 * n_quad)
-        if abs(rhs_fine - rhs) > conv_rtol * abs(lhs):
-            raise QuadratureNotConverged(
-                f"doubling n_quad={n_quad} moved the integral by "
-                f"{abs(rhs_fine - rhs) / abs(lhs):.3e} relative"
-            )
-        rhs = rhs_fine
+    rhs = refined(lambda n: _contour_rhs(params, ctheta, t, n), n_quad, conv_rtol,
+                  "contour identity quadrature", scale=abs(lhs))
     return abs(rhs - lhs) / abs(lhs)
 
 
@@ -124,19 +116,12 @@ def equal_time(
 
     ``x_minus_y`` is an integer site offset (scalar for d=1). The result is
     real up to the p -> -p cancellation noise of the quadrature; the complex
-    value is returned so callers can assert that.
+    value is returned so callers can assert that. ``conv_rtol`` refines it once.
     """
     if params.m <= 0:
         raise ValueError("equal-time propagator requires m > 0")
     offset = np.atleast_1d(np.asarray(x_minus_y, dtype=float))
     if offset.shape != (params.d,):
         raise ValueError(f"offset must have {params.d} component(s)")
-    value = _equal_time_sum(params, offset, L_quad)
-    if conv_rtol is not None:
-        fine = _equal_time_sum(params, offset, 2 * L_quad)
-        if abs(fine - value) > conv_rtol * max(abs(value), 1e-300):
-            raise QuadratureNotConverged(
-                f"doubling L_quad={L_quad} moved the integral by {abs(fine - value):.3e}"
-            )
-        value = fine
-    return value
+    return refined(lambda n: _equal_time_sum(params, offset, n), L_quad, conv_rtol,
+                   "equal-time quadrature")

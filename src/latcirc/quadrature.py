@@ -7,6 +7,9 @@ returns the double nearest the exact sum of its terms, the same double as
 ``math.fsum``, and so independent of evaluation order. Large arrays are summed
 exactly from their integer significands in numpy; small, non-finite or
 near-overflow ones go to ``math.fsum`` itself.
+
+``refined`` is the package's one refinement rule: a quadrature that moves by more
+than its tolerance between two node counts raises ``QuadratureNotConverged``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import math
 
 import numpy as np
 
-__all__ = ["midpoint_nodes", "fsum_complex", "fsum_real", "gauss_legendre_panels"]
+from .errors import QuadratureNotConverged
+
+__all__ = ["midpoint_nodes", "fsum_complex", "fsum_real", "gauss_legendre_panels", "refined"]
 
 _CROSSOVER = 1536  # below this many terms math.fsum of a list is the faster route
 _CHUNK = 16384  # terms per numpy pass, so the pass's temporaries stay in cache
@@ -113,3 +118,20 @@ def gauss_legendre_panels(f, lo: float, hi: float, n_per_panel: int = 32, panels
         mid, half = 0.5 * (left + right), 0.5 * (right - left)
         pieces.append(half * weights * f(mid + half * nodes))
     return fsum_real(pieces)
+
+
+def refined(evaluate, n: int, rtol: float | None, what: str, fine_n: int | None = None,
+            scale: float | None = None):
+    """``evaluate(fine_n)`` (fine_n = 2 n by default), or QuadratureNotConverged if it is
+    more than rtol * scale from ``evaluate(n)``, scale = max(|coarse|, 1e-300) by default.
+    With ``rtol`` None, the coarse ``evaluate(n)`` unchecked."""
+    coarse = evaluate(n)
+    if rtol is None:
+        return coarse
+    fine_n = 2 * n if fine_n is None else fine_n
+    fine = evaluate(fine_n)
+    scale = max(abs(coarse), 1e-300) if scale is None else scale
+    if abs(fine - coarse) > rtol * scale:
+        raise QuadratureNotConverged(f"{what}: refining {n} to {fine_n} nodes moved the value "
+                                     f"by {abs(fine - coarse) / scale:.3e} relative")
+    return fine

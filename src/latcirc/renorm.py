@@ -5,7 +5,8 @@ one-loop mass corrections, ...). Given target values, the bare parameters
 (any subset of {m, lam}) are tuned by plain gradient descent on the
 sum-of-squares cost, with the gradient estimated by central finite
 differences. The step size is fixed; an optional backtracking mode halves it
-when a step would increase the cost, and every event lands in the trace.
+when a step would increase the cost. Every event (step, backtrack, converged,
+max_iters) lands in the trace as one record of the point, cost, gradient and eta.
 """
 
 from __future__ import annotations
@@ -149,52 +150,38 @@ def gradient_selfcheck(g0, problem: RenormProblem) -> float:
 def calibrate(problem: RenormProblem) -> tuple[np.ndarray, list[dict]]:
     """Fixed-step gradient descent until the gradient norm drops below tol.
 
-    Returns the final bare parameters and the full iteration trace. Raises
-    Diverged if the cost increases on five consecutive accepted steps and
-    NonFinite on any non-finite evaluation.
+    Returns the final bare parameters and the iteration trace, every entry written by
+    ``record``. Raises Diverged if the cost increases on five consecutive accepted steps
+    and NonFinite on any non-finite evaluation.
     """
     g0 = problem.initial_vector()
     eta = problem.eta
     trace: list[dict] = []
     current = cost(g0, problem)
+
+    def record(iteration: int, grad_norm: float, event: str) -> None:
+        trace.append({"iter": iteration, "g0": [float(v) for v in g0], "cost": current,
+                      "grad_norm": grad_norm, "eta": eta, "event": event})
+
     bad_streak = 0
     for iteration in range(problem.max_iters):
         grad = fd_gradient(g0, problem)
         if not (np.all(np.isfinite(grad)) and math.isfinite(current)):
             raise NonFinite(f"non-finite evaluation at iteration {iteration}")
         gnorm = float(np.linalg.norm(grad))
-        trace.append(
-            {
-                "iter": iteration,
-                "g0": [float(v) for v in g0],
-                "cost": current,
-                "grad_norm": gnorm,
-                "eta": eta,
-                "event": "step",
-            }
-        )
         if gnorm < problem.tol:
-            trace[-1]["event"] = "converged"
+            record(iteration, gnorm, "converged")
             return g0, trace
+        record(iteration, gnorm, "step")
         candidate = g0 - eta * grad
         new_cost = cost(candidate, problem)
         if not math.isfinite(new_cost):
             raise NonFinite(f"non-finite cost at iteration {iteration}")
-        if problem.backtracking:
-            while new_cost > current and eta > 1e-12:
-                eta /= 2.0
-                trace.append(
-                    {
-                        "iter": iteration,
-                        "g0": [float(v) for v in g0],
-                        "cost": current,
-                        "grad_norm": gnorm,
-                        "eta": eta,
-                        "event": "backtrack",
-                    }
-                )
-                candidate = g0 - eta * grad
-                new_cost = cost(candidate, problem)
+        while problem.backtracking and new_cost > current and eta > 1e-12:
+            eta /= 2.0
+            record(iteration, gnorm, "backtrack")
+            candidate = g0 - eta * grad
+            new_cost = cost(candidate, problem)
         # roundoff-floor jitter is stagnation, not divergence
         if new_cost - current > 1e-12 * max(1.0, current):
             bad_streak += 1
@@ -205,14 +192,5 @@ def calibrate(problem: RenormProblem) -> tuple[np.ndarray, list[dict]]:
         else:
             bad_streak = 0
         g0, current = candidate, new_cost
-    trace.append(
-        {
-            "iter": problem.max_iters,
-            "g0": [float(v) for v in g0],
-            "cost": current,
-            "grad_norm": float(np.linalg.norm(fd_gradient(g0, problem))),
-            "eta": eta,
-            "event": "max_iters",
-        }
-    )
+    record(problem.max_iters, float(np.linalg.norm(fd_gradient(g0, problem))), "max_iters")
     return g0, trace

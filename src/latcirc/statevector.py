@@ -71,8 +71,8 @@ class FieldGrid:
     def __post_init__(self):
         if self.n_points < 8 or self.n_points % 2:
             raise ValueError("n_points must be an even integer >= 8")
-        if self.delta_phi <= 0:
-            raise ValueError("delta_phi must be positive")
+        if not 0 < self.delta_phi < math.inf:  # NaN fails too
+            raise ValueError(f"delta_phi must be finite and positive, got {self.delta_phi}")
 
     @classmethod
     def for_mass(cls, m: float, n_points: int, extent: float | None = None) -> "FieldGrid":
@@ -153,12 +153,8 @@ class TruncatedLattice:
 
 
 def _quartic_sum(lat: TruncatedLattice) -> np.ndarray:
-    """sum_n x_n^4 over configs (flattened)."""
-    n, L = lat.grid.n_points, lat.L
-    total = np.zeros((n,) * L)
-    for site in range(L):  # trailing unit axes place x_site on axis `site`
-        total = total + (lat.grid.values**4).reshape((n,) + (1,) * (L - site - 1))
-    return total.ravel()
+    """sum_n x_n^4 over configs (flattened), added in site order."""
+    return functools.reduce(np.add.outer, [lat.grid.values**4] * lat.L).ravel()
 
 
 def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
@@ -299,24 +295,24 @@ def _path_blocks(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1
 
     The term count is checked against PATH_TERM_CAP at the call, before any block exists.
     A block is c * n**j consecutive terms: n**j the largest power of n within ``chunk``
-    (or every term, if fewer) and c the largest divisor of n that keeps the block within
-    it. Its leading summed variables are ints, the next runs over c values and the last j
-    are the open axes of one reused index grid, so a factor of a few variables is computed
-    on their axes only, and the block's terms, raveled in C order, are in term order. Each
-    block holds the tau + 1 slices as per-site index lists (the ends as ints) and the
-    n_extra further summed variables.
+    (or every term, if fewer), j <= log2(chunk) even at n = 1, and c the largest divisor
+    of n that keeps the block within it. Its leading summed variables are ints, the next
+    runs over c values and the last j are the open axes of one reused index grid, so a
+    factor of a few variables is computed on their axes only, and the block's terms,
+    raveled in C order, are in term order. Each block holds the tau + 1 slices as per-site
+    index lists (the ends as ints) and the n_extra further summed variables.
     """
     first, last = [int(v) for v in first], [int(v) for v in last]
     inner = len(first) * (tau - 1)
     n_vars = inner + n_extra
     require(n ** n_vars, PATH_TERM_CAP, "brute-force sum terms", BruteForceCap)
     j = 0
-    while j < n_vars and n ** (j + 1) <= chunk:
+    while j < min(n_vars, chunk.bit_length() - 1) and n ** (j + 1) <= chunk:
         j += 1
     grid = [np.arange(n).reshape((n,) + (1,) * k) for k in reversed(range(j))]
     heads = [[]]
     if j < n_vars:
-        c = max(c for c in range(1, n) if n % c == 0 and c * n**j <= chunk)
+        c = max(c for c in range(1, n + 1) if n % c == 0 and c * n**j <= chunk)
         partial = [np.arange(d, d + c).reshape((c,) + (1,) * j) for d in range(0, n, c)]
         heads = ([*digits, axis] for digits in itertools.product(range(n), repeat=n_vars - j - 1)
                  for axis in partial)
@@ -405,34 +401,22 @@ def kernel_gaussian_check(grid: FieldGrid, match_phase: bool = False) -> float:
 def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     """Operator-norm deviation of the interaction-picture product identity.
 
-    For the symmetric factorization U = U_int^{1/2} U_0 U_int^{1/2} (Strang and
-    Shift), U_0^{-tau} U^tau must equal
-    U_{int,I}^{1/2}(tau) U_{int,I}(tau-1) ... U_{int,I}(1) U_{int,I}^{1/2}(0);
-    for the Trotter ordering U = U_0 U_int it is the plain ordered product of
-    the full U_{int,I}(nu), nu = tau-1 .. 0. Returns the max deviation over
-    1..tau steps.
+    Every kind is U = D^s U_0 D^(1-s), with D = U_int the diagonal interaction factor
+    and s = 1/2 (Strang, Shift) or 0 (Trotter). With U_I(nu) = U_0^-nu D U_0^nu,
+    U_0^-k U^k must equal U_I(k)^s U_I(k-1) ... U_I(1) D^(1-s); U_0^k, U^k and the
+    middle product are carried from step to step. Returns the max over k = 1..tau.
     """
-    step = build_step(lat, kind, lam)
-    free = build_step(lat, kind, 0.0)
-    int_phase = quartic_interaction_phase(lat, kind, lam)
-    free_dag = free.conj().T
-
-    def int_picture(nu: int, half: bool) -> np.ndarray:
-        diag = np.exp(1j * int_phase * (0.5 if half else 1.0))
-        fwd = np.linalg.matrix_power(free, nu)
-        return np.linalg.matrix_power(free_dag, nu) @ (diag[:, None] * fwd)
-
+    step, free = build_step(lat, kind, lam), build_step(lat, kind, 0.0)
+    phase = quartic_interaction_phase(lat, kind, lam)
+    s = 0.0 if kind == "Trotter" else 0.5
+    lead, full, trail = (np.exp(1j * power * phase) for power in (s, 1.0, 1.0 - s))
+    free_k, step_k, middle = free, step, np.eye(lat.dim, dtype=complex)
     worst = 0.0
-    for steps in range(1, tau + 1):
-        lhs = np.linalg.matrix_power(free_dag, steps) @ np.linalg.matrix_power(step, steps)
-        if kind == "Trotter":
-            rhs = np.eye(lat.dim, dtype=complex)
-            for nu in range(steps - 1, -1, -1):
-                rhs = rhs @ int_picture(nu, half=False)
-        else:
-            rhs = int_picture(steps, half=True)
-            for nu in range(steps - 1, 0, -1):
-                rhs = rhs @ int_picture(nu, half=False)
-            rhs = rhs @ int_picture(0, half=True)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+    for k in range(1, tau + 1):
+        free_dag = free_k.conj().T
+        rhs = free_dag @ (lead[:, None] * free_k) @ (middle * trail)
+        worst = max(worst, float(np.linalg.norm(free_dag @ step_k - rhs, 2)))
+        if k < tau:  # U_I(k) joins the middle product
+            middle = free_dag @ (full[:, None] * free_k) @ middle
+            free_k, step_k = free @ free_k, step @ step_k
     return worst

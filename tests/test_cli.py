@@ -241,6 +241,20 @@ def test_gauge_check_n3_matrix_free(tmp_path):
     assert payload["gauss_commutator_max"] == 0.0
 
 
+def test_gauge_check_n1_link_axes(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert run(["gauge-check", "--N", "1", "--lx", "6", "--ly", "6", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: link tensor axes") and err.count("\n") == 1
+    assert not out.exists()
+    assert run(["gauge-check", "--N", "1", "--lx", "4", "--ly", "4", "--tau", "3",
+                "--out", str(out)]) == 0
+    payload = json.loads(read_hash_and_body(out)[1])
+    expected = np.exp(-2j * (3 * 16 * 1.0 + 3 * 32 / 1.0))  # as test_equiv_check_n1_closed_form
+    assert complex(*payload["lhs"]) == pytest.approx(expected, rel=1e-12)
+    assert payload["deviation"] < 1e-13
+
+
 def test_renorm_cli(tmp_path):
     from latcirc.kinematics import LatticeParams, dispersion_theta
 

@@ -211,6 +211,23 @@ def test_equiv_check_n1_closed_form():
         assert lhs == pytest.approx(expected, rel=1e-12)
 
 
+def test_equiv_check_n1_closed_form_on_many_links():
+    # 32 links and 112 summed variables at N = 1: more than numpy's 64 array axes, were
+    # each summed variable an open axis of its own
+    lat = GaugeLattice(4, 4)
+    u0 = np.zeros(lat.n_links, dtype=int)
+    lhs, rhs, dev = amplitude_equiv_check(lat, GaugeGroupZN(1), 1.0, 1.0, u0, u0, 3)
+    expected = np.exp(-2j * (3 * lat.n_sites * 1.0 + 3 * lat.n_links / 1.0))
+    assert dev < 1e-13
+    assert lhs == pytest.approx(expected, rel=1e-12)
+
+
+def test_link_tensor_axes_capped_before_allocation():
+    lat = GaugeLattice(6, 6)  # 72 links: one more axis each than numpy allows
+    with pytest.raises(DimensionCap, match="link tensor axes: 72"):
+        build_wmag(lat, GaugeGroupZN(1), 1.0)
+
+
 def test_equiv_check_z2():
     u0 = np.zeros(8, dtype=int)
     lhs, rhs, dev = amplitude_equiv_check(LAT, Z2, 1.0, 1.0, u0, u0, 1)

@@ -114,6 +114,12 @@ def test_contour_not_converged_raises():
         contour_identity_residual(P1, 0.3, 1, EPS_DEFAULT, 1000)  # not a power of two
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1e-3])
+def test_contour_refuses_non_finite_or_non_positive_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        contour_identity_residual(P1, 0.3, 1, epsilon, 2**8)
+
+
 def test_equal_time_symmetric_and_real():
     g_plus = equal_time(P1, 2, 512)
     g_minus = equal_time(P1, -2, 512)

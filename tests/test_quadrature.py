@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcirc import quadrature
+from latcirc.errors import QuadratureNotConverged
 from latcirc.kinematics import LatticeParams
 from latcirc.perturbation import _shift_grid, one_loop_mass
 from latcirc.quadrature import fsum_complex, fsum_real, gauss_legendre_panels
@@ -134,3 +135,43 @@ def test_cached_grids_are_read_only():
                 arr[0] = 0.0
     nodes, weights = quadrature._leggauss(32)
     assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_refined_returns_coarse_unchecked_without_rtol():
+    calls = []
+
+    def evaluate(n):
+        calls.append(n)
+        return 1.0 / n
+
+    assert quadrature.refined(evaluate, 8, None, "f") == 0.125
+    assert calls == [8]  # no fine evaluation
+
+
+def test_refined_returns_fine_value_at_the_default_and_explicit_counts():
+    calls = []
+
+    def evaluate(n):
+        calls.append(n)
+        return 1.0 + 1.0 / n**4
+
+    assert quadrature.refined(evaluate, 10, 1e-3, "f") == evaluate(20)
+    assert quadrature.refined(evaluate, 10, 1e-3, "f", fine_n=33) == evaluate(33)
+    assert calls == [10, 20, 20, 10, 33, 33]
+
+
+def test_refined_raises_above_rtol_times_scale():
+    def evaluate(n):
+        return 1.0 if n == 4 else 1.5  # the refinement moves the value by 0.5
+
+    # default scale max(|coarse|, 1e-300) = 1: 0.5 passes 0.6 * 1, not 0.4 * 1
+    assert quadrature.refined(evaluate, 4, 0.6, "f") == 1.5
+    with pytest.raises(QuadratureNotConverged, match="^f: refining 4 to 8 nodes"):
+        quadrature.refined(evaluate, 4, 0.4, "f")
+    # an explicit scale replaces |coarse|: 0.5 passes 0.4 * 2 but not 0.4 * 1.2
+    assert quadrature.refined(evaluate, 4, 0.4, "f", scale=2.0) == 1.5
+    with pytest.raises(QuadratureNotConverged):
+        quadrature.refined(evaluate, 4, 0.4, "f", scale=1.2)
+    # a zero coarse value still has a positive scale, so any move raises
+    with pytest.raises(QuadratureNotConverged):
+        quadrature.refined(lambda n: 0.0 if n == 4 else 1e-290, 4, 1.0, "f")

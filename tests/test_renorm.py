@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from latcirc.errors import Diverged, ObservableFailure
+from latcirc.errors import Diverged, NonFinite, ObservableFailure
 from latcirc.kinematics import LatticeParams, dispersion_theta
 from latcirc.renorm import (
     RenormProblem,
@@ -136,3 +138,84 @@ def test_backtracking_rescues_large_eta():
     final, trace = calibrate(prob)
     assert abs(final[0] - 1.0) < 1e-3
     assert any(t["event"] == "backtrack" for t in trace)
+
+
+def calibrate_reference(problem):
+    """calibrate with each trace entry written out as its own dict literal."""
+    g0 = problem.initial_vector()
+    eta = problem.eta
+    trace = []
+    current = cost(g0, problem)
+    bad_streak = 0
+    for iteration in range(problem.max_iters):
+        grad = fd_gradient(g0, problem)
+        if not (np.all(np.isfinite(grad)) and math.isfinite(current)):
+            raise NonFinite(f"non-finite evaluation at iteration {iteration}")
+        gnorm = float(np.linalg.norm(grad))
+        trace.append(
+            {
+                "iter": iteration,
+                "g0": [float(v) for v in g0],
+                "cost": current,
+                "grad_norm": gnorm,
+                "eta": eta,
+                "event": "step",
+            }
+        )
+        if gnorm < problem.tol:
+            trace[-1]["event"] = "converged"
+            return g0, trace
+        candidate = g0 - eta * grad
+        new_cost = cost(candidate, problem)
+        if not math.isfinite(new_cost):
+            raise NonFinite(f"non-finite cost at iteration {iteration}")
+        if problem.backtracking:
+            while new_cost > current and eta > 1e-12:
+                eta /= 2.0
+                trace.append(
+                    {
+                        "iter": iteration,
+                        "g0": [float(v) for v in g0],
+                        "cost": current,
+                        "grad_norm": gnorm,
+                        "eta": eta,
+                        "event": "backtrack",
+                    }
+                )
+                candidate = g0 - eta * grad
+                new_cost = cost(candidate, problem)
+        if new_cost - current > 1e-12 * max(1.0, current):
+            bad_streak += 1
+            if bad_streak >= 5:
+                raise Diverged(
+                    f"cost increased for {bad_streak} consecutive steps at iteration {iteration}"
+                )
+        else:
+            bad_streak = 0
+        g0, current = candidate, new_cost
+    trace.append(
+        {
+            "iter": problem.max_iters,
+            "g0": [float(v) for v in g0],
+            "cost": current,
+            "grad_norm": float(np.linalg.norm(fd_gradient(g0, problem))),
+            "eta": eta,
+            "event": "max_iters",
+        }
+    )
+    return g0, trace
+
+
+@pytest.mark.parametrize("options, last_event", [
+    ({"eta": 0.05, "max_iters": 500}, "converged"),
+    ({"eta": 0.6, "max_iters": 300, "backtracking": True}, "converged"),
+    ({"eta": 0.05, "max_iters": 7}, "max_iters"),
+])
+def test_trace_equals_dict_literal_reference(options, last_event):
+    prob = RenormProblem(BASE, THETA_OBS, theta_targets(1.0), {"m": 1.3}, tol=1e-8, **options)
+    final, trace = calibrate(prob)
+    ref_final, ref_trace = calibrate_reference(prob)
+    assert trace == ref_trace
+    assert np.array_equal(final, ref_final)
+    assert trace[-1]["event"] == last_event
+    assert any(t["event"] == "backtrack" for t in trace) == options.get("backtracking", False)

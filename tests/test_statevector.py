@@ -59,6 +59,9 @@ def test_field_grid_validation():
         FieldGrid(9, 0.1)  # odd
     with pytest.raises(ValueError):
         FieldGrid(16, -0.1)
+    for bad in (math.nan, math.inf):  # non-finite spacings would give all-NaN or all-inf values
+        with pytest.raises(ValueError, match="finite and positive"):
+            FieldGrid(8, bad)
     grid = FieldGrid.for_mass(1.0, 16)
     assert grid.values[8] == 0.0
     assert grid.values.max() == pytest.approx(6.0 / math.sqrt(2.0) - grid.delta_phi)
@@ -252,6 +255,69 @@ def test_action_form_kinetic_only_single_step():
     circ = amplitude_circuit(lat, "Strang", 0.0, (16, 16), (18, 13), 1)
     act = amplitude_action_form(lat, 0.0, (16, 16), (18, 13), 1)
     assert abs(circ - (-1j) ** 2 * act) < 1e-13
+
+
+def quartic_sum_reference(lat):
+    """sum_n x_n^4 accumulated from zeros, one broadcast site at a time."""
+    n, L = lat.grid.n_points, lat.L
+    total = np.zeros((n,) * L)
+    for site in range(L):
+        total = total + (lat.grid.values**4).reshape((n,) + (1,) * (L - site - 1))
+    return total.ravel()
+
+
+@pytest.mark.parametrize("L, n", [(2, 16), (3, 8), (5, 16)])
+def test_quartic_sum_equals_site_loop_reference(L, n):
+    lat = TruncatedLattice(L, FieldGrid.for_mass(0.7, n), PARAMS)
+    assert np.array_equal(statevector._quartic_sum(lat), quartic_sum_reference(lat))
+
+
+def interaction_picture_reference(lat, kind, lam, tau):
+    """The identity with one branch per ordering and matrix powers for every U_I(nu)."""
+    step = build_step(lat, kind, lam)
+    free = build_step(lat, kind, 0.0)
+    int_phase = statevector.quartic_interaction_phase(lat, kind, lam)
+    free_dag = free.conj().T
+
+    def int_picture(nu, half):
+        diag = np.exp(1j * int_phase * (0.5 if half else 1.0))
+        fwd = np.linalg.matrix_power(free, nu)
+        return np.linalg.matrix_power(free_dag, nu) @ (diag[:, None] * fwd)
+
+    worst = 0.0
+    for steps in range(1, tau + 1):
+        lhs = np.linalg.matrix_power(free_dag, steps) @ np.linalg.matrix_power(step, steps)
+        if kind == "Trotter":
+            rhs = np.eye(lat.dim, dtype=complex)
+            for nu in range(steps - 1, -1, -1):
+                rhs = rhs @ int_picture(nu, half=False)
+        else:
+            rhs = int_picture(steps, half=True)
+            for nu in range(steps - 1, 0, -1):
+                rhs = rhs @ int_picture(nu, half=False)
+            rhs = rhs @ int_picture(0, half=True)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+    return worst
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(KINDS), a=st.floats(0.2, 1.5), m=st.floats(0.1, 2.0),
+       lam=st.floats(0.0, 2.0), n=st.sampled_from((8, 10, 12)), tau=st.integers(1, 4))
+def test_interaction_picture_equals_two_branch_reference(kind, a, m, lam, n, tau):
+    lat = TruncatedLattice(2, FieldGrid.for_mass(m, n), LatticeParams(a=a, m=m))
+    assert abs(interaction_picture_check(lat, kind, lam, tau)
+               - interaction_picture_reference(lat, kind, lam, tau)) < 1e-13
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interaction_picture_check_sees_a_wrong_interaction_phase(kind, monkeypatch):
+    lat = TruncatedLattice(2, FieldGrid.for_mass(1.0, 10), PARAMS)
+    assert interaction_picture_check(lat, kind, 0.3, 3) < 1e-10
+    phase = statevector.quartic_interaction_phase
+    monkeypatch.setattr(statevector, "quartic_interaction_phase",
+                        lambda *args: phase(*args) * (1.0 + 1e-3))
+    assert interaction_picture_check(lat, kind, 0.3, 3) > 1e-8
+    assert interaction_picture_reference(lat, kind, 0.3, 3) > 1e-8
 
 
 def test_interaction_picture_identity():
@@ -492,6 +558,7 @@ def divisor_chunks(n, powers):
     (6, 1, 3, 1, 150, 108),  # 3 of 6: 4 does not divide 6
     (4, 1, 1, 3, 1 << 18, 64),  # every variable on an open axis
     (2, 3, 1, 0, 4, 1),  # no summed variable: one term
+    (1, 32, 3, 48, 1 << 16, 1),  # n = 1: 112 summed variables, 16 open axes, one term
 ])
 def test_path_blocks_visit_every_term_once_in_c_order(n, sites, tau, n_extra, chunk, block):
     first, last = list(range(sites)), list(range(sites, 2 * sites))
@@ -504,6 +571,7 @@ def test_path_blocks_visit_every_term_once_in_c_order(n, sites, tau, n_extra, ch
         shape = np.broadcast_shapes(*[np.shape(v) for v in variables])
         terms.append(np.broadcast_to(index, shape).ravel())
         assert terms[-1].size == block
+        assert len(shape) <= chunk.bit_length()  # at most log2(chunk) open axes and c
     assert np.array_equal(np.concatenate(terms), np.arange(n**n_vars))
 
 
