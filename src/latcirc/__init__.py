@@ -12,8 +12,8 @@ renorm       gradient-descent calibration of bare parameters
 cli          command-line entry point emitting reproducible CSV/JSON artifacts
 """
 
-from .kinematics import LatticeParams, MomentumGrid
+from .kinematics import LatticeParams, momentum_grid
 
 __version__ = "0.1.0"
 
-__all__ = ["LatticeParams", "MomentumGrid", "__version__"]
+__all__ = ["LatticeParams", "momentum_grid", "__version__"]

@@ -184,7 +184,7 @@ def _run_dispersion(cfg: dict, out: str) -> None:
     params = _params_from_config(cfg)
     # the grid, the value columns and their temporaries: ~56 bytes per momentum (measured)
     require(80 * cfg["L"], BYTE_BUDGET, f"bytes for the dispersion table of {cfg['L']} rows")
-    p = kinematics.MomentumGrid(params, cfg["L"]).points
+    p = kinematics.momentum_grid(params, cfg["L"])
     columns = (p[:, 0], kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
                *kinematics.reference_energies(params, p))
     _write_csv(out, cfg, ["p", "theta", "omega", "E", "E_latt"], _finite(columns))

@@ -142,7 +142,6 @@ class GaugeOperator:
     algebraic checks; ``apply`` works matrix-free in all three shapes.
     """
 
-    label: str
     dim: int
     diag: np.ndarray | None = None
     perm: np.ndarray | None = None
@@ -198,7 +197,7 @@ def build_wmag(
     coeff_s, _ = _couplings(g, kappa)
     dim = _state_dim(lat, group)
     action = _plaquette_action(lat, group, np.ix_(*[np.arange(group.N)] * lat.n_links))
-    return GaugeOperator("W_mag", dim, diag=np.exp(-1j * coeff_s * action).ravel())
+    return GaugeOperator(dim, diag=np.exp(-1j * coeff_s * action).ravel())
 
 
 def wel_link_matrix(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> np.ndarray:
@@ -216,7 +215,7 @@ def build_wel(
     lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
 ) -> GaugeOperator:
     link_matrix = wel_link_matrix(group, g, kappa)
-    return GaugeOperator("W_el", _state_dim(lat, group), link_matrix=link_matrix, lat=lat)
+    return GaugeOperator(_state_dim(lat, group), link_matrix=link_matrix, lat=lat)
 
 
 def apply_transfer(
@@ -258,7 +257,7 @@ def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOpera
         raise ValueError(f"omega must assign one group element per site ({lat.n_sites})")
     dim = _state_dim(lat, group)
     index = np.arange(dim).reshape((group.N,) * lat.n_links)
-    return GaugeOperator("D(Omega)", dim, perm=_roll_links(lat, index, omega, group.N).ravel())
+    return GaugeOperator(dim, perm=_roll_links(lat, index, omega, group.N).ravel())
 
 
 def _apply_gauss_projector(

@@ -5,7 +5,8 @@ pair (phi, pi). We track that linear action in the *coefficient* convention:
 a functional  f_phi . phi + f_pi . pi  evolves by one timestep as
 (f_phi, f_pi) -> B (f_phi, f_pi), where B is the 2x2 per-momentum block (or
 the 2L x 2L real-space map). In this convention the annihilation-operator
-coefficients (alpha, beta) are literally an eigenvector of B.
+coefficients (alpha, beta) are literally an eigenvector of B. Blocks and maps
+are plain arrays, and the mode coefficients are the pair (alpha, beta).
 
 In real space each free step is one range-1 periodic stencil (``_free_step``,
 built from ``np.roll`` hops), the only definition of the step: the dense map is
@@ -22,17 +23,13 @@ identities exact for any dt/a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BYTE_BUDGET, DegenerateDispersion, LatticeTooSmall, require
-from .kinematics import LatticeParams, cosine_symbol, dispersion_theta, omega, validate_momentum
+from .kinematics import LatticeParams, cosine_symbol, dispersion_theta, validate_momentum
 
 __all__ = [
-    "MomentumBlock",
-    "ModeData",
-    "RealSpaceMap",
     "shift_block",
     "strang_block",
     "bogoliubov_modes",
@@ -48,50 +45,14 @@ __all__ = [
 CONE_THRESHOLD = 1e-13  # double-precision noise floor with safety margin
 
 
-@dataclass(frozen=True)
-class MomentumBlock:
-    """One-mode evolution block acting on (phi(p), pi(p)) coefficients."""
-
-    matrix: np.ndarray
-    params: LatticeParams
-    p: np.ndarray
-    kind: str
-
-
-@dataclass(frozen=True)
-class ModeData:
-    """Annihilation-operator data b_p = alpha*phi(p) + beta*pi(p)."""
-
-    alpha: complex
-    beta: complex
-    theta: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class RealSpaceMap:
-    """One-step coefficient map on a periodic d=1 chain of L sites.
-
-    ``matrix`` is 2L x 2L real with site blocks ordered (phi_0..phi_{L-1},
-    pi_0..pi_{L-1}); it is block-circulant by translation invariance.
-    """
-
-    matrix: np.ndarray
-    params: LatticeParams
-    L: int
-    kind: str
-
-
-def shift_block(params: LatticeParams, p) -> MomentumBlock:
-    """Free Shift-circuit block [[c, (c^2-1)/dt], [dt, c]]."""
-    arr = validate_momentum(params, p)
-    c = cosine_symbol(params, arr)
+def shift_block(params: LatticeParams, p) -> np.ndarray:
+    """Free Shift-circuit block [[c, (c^2-1)/dt], [dt, c]] acting on (phi(p), pi(p))."""
+    c = cosine_symbol(params, p)
     dt = params.dt
-    mat = np.array([[c, (c * c - 1.0) / dt], [dt, c]])
-    return MomentumBlock(mat, params, arr, "Shift")
+    return np.array([[c, (c * c - 1.0) / dt], [dt, c]])
 
 
-def strang_block(params: LatticeParams, p) -> MomentumBlock:
+def strang_block(params: LatticeParams, p) -> np.ndarray:
     """Strang-split block: X-shear (half step) . P-shear . X-shear (half step).
 
     The X-shear curvature is the lattice-Laplacian symbol
@@ -102,29 +63,27 @@ def strang_block(params: LatticeParams, p) -> MomentumBlock:
     curv = params.m**2 + float(np.sum(4.0 * np.sin(arr * params.a / 2.0) ** 2)) / params.a**2
     x_half = np.array([[1.0, -0.5 * dt * curv], [0.0, 1.0]])
     p_full = np.array([[1.0, 0.0], [dt, 1.0]])
-    return MomentumBlock(x_half @ p_full @ x_half, params, arr, "Strang")
+    return x_half @ p_full @ x_half
 
 
-def block_phase(block: MomentumBlock) -> float:
-    """Positive eigenphase theta*dt of a block, from its eigenvalues."""
-    eig = np.linalg.eigvals(block.matrix)
+def block_phase(block: np.ndarray) -> float:
+    """Positive eigenphase theta*dt of a 2x2 block, from its eigenvalues."""
+    eig = np.linalg.eigvals(block)
     phase = float(np.max(np.abs(np.angle(eig))))
     if phase <= 0.0 or phase >= math.pi:
         raise DegenerateDispersion("block has no elliptic eigenphase in (0, pi)")
     return phase
 
 
-def bogoliubov_modes(params: LatticeParams, p) -> ModeData:
-    """Mode coefficients alpha = sqrt(sin(theta dt)/(2 dt)), beta = i*sqrt(dt/(2 sin(theta dt))).
+def bogoliubov_modes(params: LatticeParams, p) -> tuple[float, complex]:
+    """Mode pair (alpha, beta) = (sqrt(sin(theta dt)/(2 dt)), i*sqrt(dt/(2 sin(theta dt)))).
 
     These satisfy alpha*conj(beta) - conj(alpha)*beta = -i and are an
     eigenvector of :func:`shift_block` with eigenvalue exp(-i theta dt).
     """
     theta = dispersion_theta(params, p)  # raises DegenerateDispersion at |c| >= 1
     s = math.sin(theta * params.dt)
-    alpha = math.sqrt(s / (2.0 * params.dt))
-    beta = 1j * math.sqrt(params.dt / (2.0 * s))
-    return ModeData(alpha, beta, theta, omega(params, p))
+    return math.sqrt(s / (2.0 * params.dt)), 1j * math.sqrt(params.dt / (2.0 * s))
 
 
 def _check_chain(params: LatticeParams, L: int, kind: str = "Shift") -> None:
@@ -162,26 +121,30 @@ def _free_step(params: LatticeParams, kind: str, coeffs: np.ndarray) -> np.ndarr
     return np.concatenate([phi - 0.5 * dt * (curv0 * pi - inv_a2 * _hop(pi)), pi])
 
 
-def realspace_map(params: LatticeParams, L: int, kind: str) -> RealSpaceMap:
-    """Position-space one-step coefficient map for a periodic d=1 chain.
+def realspace_map(params: LatticeParams, L: int, kind: str) -> np.ndarray:
+    """Position-space one-step coefficient map for a periodic d=1 chain of L sites.
 
-    Its DFT block-diagonalization reproduces :func:`shift_block` or
+    The map is 2L x 2L real with site blocks ordered (phi_0..phi_{L-1},
+    pi_0..pi_{L-1}); it is block-circulant by translation invariance. Its DFT
+    block-diagonalization reproduces :func:`shift_block` or
     :func:`strang_block` at every grid momentum.
     """
     _check_chain(params, L, kind)
-    return RealSpaceMap(_free_step(params, kind, np.eye(2 * L)), params, L, kind)
+    return _free_step(params, kind, np.eye(2 * L))
 
 
-def momentum_blocks_of_map(rmap: RealSpaceMap) -> list[tuple[float, np.ndarray]]:
-    """DFT-diagonalize a block-circulant map into per-momentum 2x2 blocks.
+def momentum_blocks_of_map(params: LatticeParams,
+                           rmap: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """DFT-diagonalize a 2L x 2L block-circulant map into per-momentum 2x2 blocks.
 
-    Returns (p_k, block) pairs for p_k = 2*pi*k/(L*a), k = 0..L-1. A circulant
-    block's eigenvalue at plane wave k is the FFT of its first column.
+    Returns (p_k, block) pairs for p_k = 2*pi*k/(L*a), k = 0..L-1, with L =
+    len(rmap) // 2 and a from ``params``. A circulant block's eigenvalue at
+    plane wave k is the FFT of its first column.
     """
-    L = rmap.L
-    first_columns = rmap.matrix.reshape(2, L, 2, L)[..., 0]  # (row block, site, col block)
+    L = len(rmap) // 2
+    first_columns = rmap.reshape(2, L, 2, L)[..., 0]  # (row block, site, col block)
     blocks = np.fft.fft(first_columns, axis=1).transpose(1, 0, 2)
-    p_k = 2.0 * math.pi * np.arange(L) / (L * rmap.params.a)
+    p_k = 2.0 * math.pi * np.arange(L) / (L * params.a)
     return list(zip(p_k.tolist(), blocks))
 
 

@@ -16,7 +16,7 @@ so the one-step phase theta is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import DegenerateDispersion
 
 __all__ = [
     "LatticeParams",
-    "MomentumGrid",
+    "momentum_grid",
     "validate_momentum",
     "cosine_symbol",
     "dispersion_theta",
@@ -120,26 +120,17 @@ def _fold_to_zone(p: np.ndarray, a: float) -> np.ndarray:
     return np.where(folded > edge + 1e-15 * period, folded - period, np.minimum(folded, edge))
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
+def momentum_grid(params: LatticeParams, L: int) -> np.ndarray:
     """The L^d momenta p_k = 2*pi*k/(L*a) folded into the Brillouin zone.
 
-    ``points`` has shape (L**d, d) and is sorted lexicographically, which makes
-    every consumer of the grid deterministic.
+    The points have shape (L**d, d) and are sorted lexicographically, which
+    makes every consumer of the grid deterministic.
     """
-
-    params: LatticeParams
-    L: int
-    points: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("grid needs at least one momentum per dimension")
-        line = _fold_to_zone(
-            2.0 * math.pi * np.arange(self.L) / (self.L * self.params.a), self.params.a
-        )
-        axes = np.meshgrid(*[np.sort(line)] * self.params.d, indexing="ij")
-        object.__setattr__(self, "points", np.stack([x.ravel() for x in axes], axis=-1))
+    if L < 1:
+        raise ValueError("grid needs at least one momentum per dimension")
+    line = _fold_to_zone(2.0 * math.pi * np.arange(L) / (L * params.a), params.a)
+    axes = np.meshgrid(*[np.sort(line)] * params.d, indexing="ij")
+    return np.stack([x.ravel() for x in axes], axis=-1)
 
 
 def cosine_symbol(params: LatticeParams, p):

@@ -138,6 +138,8 @@ def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
     lam, m, a = params.lam, params.m, params.a
 
     if regulator == "ContinuumCutoff":
+        if cutoff is not None and not 0 < cutoff < math.inf:  # NaN fails too
+            raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
         n, fine_n = resolution // 256 + 16, resolution // 128 + 32  # not always 2 n
         # leggauss diagonalizes an n x n companion matrix and holds one copy of it
         require(2 * 8 * fine_n**2, BYTE_BUDGET, f"bytes for {fine_n} Gauss-Legendre nodes")

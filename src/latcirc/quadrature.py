@@ -125,6 +125,8 @@ def refined(evaluate, n: int, rtol: float | None, what: str, fine_n: int | None 
     """``evaluate(fine_n)`` (fine_n = 2 n by default), or QuadratureNotConverged if it is
     more than rtol * scale from ``evaluate(n)``, scale = max(|coarse|, 1e-300) by default.
     With ``rtol`` None, the coarse ``evaluate(n)`` unchecked."""
+    if rtol is not None and not 0 <= rtol < math.inf:  # NaN fails too
+        raise ValueError(f"{what}: rtol must be nonnegative and finite, got {rtol}")
     coarse = evaluate(n)
     if rtol is None:
         return coarse

@@ -80,8 +80,11 @@ class RenormProblem:
         object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
         if len(self.observables) != len(self.targets):
             raise ValueError("need one target per observable")
-        if self.eta <= 0 or self.fd_step <= 0:
-            raise ValueError("eta and fd_step must be positive")
+        for key in ("eta", "fd_step", "tol"):
+            if not 0 < getattr(self, key) < math.inf:  # NaN fails too
+                raise ValueError(f"{key}={getattr(self, key)!r} must be positive and finite")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters={self.max_iters!r} must be nonnegative")
         bad = set(self.init) - set(TUNABLE)
         if bad:
             raise ValueError(f"tunable parameters are {TUNABLE}, got extra {sorted(bad)}")

@@ -80,7 +80,7 @@ def test_criterion_3_symplectic_causality():
     params = LatticeParams(a=0.1, m=1.0)
     worst_defect = 0.0
     for kind in ("Shift", "Strang"):
-        step = realspace_map(params, 16, kind).matrix
+        step = realspace_map(params, 16, kind)
         power = np.eye(32)
         for _ in range(10):
             power = step @ power

@@ -31,12 +31,12 @@ def zone_sample(rng, params, n):
 
 
 def test_shift_block_entries():
-    blk = shift_block(P1, 0.0).matrix
+    blk = shift_block(P1, 0.0)
     expected = np.array([[0.995, (0.995**2 - 1.0) / 0.1], [0.1, 0.995]])
     np.testing.assert_allclose(blk, expected, rtol=1e-14)
     assert expected[0, 1] == pytest.approx(-0.09975)
     # c = 0: quarter rotation scaled
-    blk0 = shift_block(P1, math.pi / (2 * P1.a)).matrix
+    blk0 = shift_block(P1, math.pi / (2 * P1.a))
     np.testing.assert_allclose(blk0, [[0.0, -1.0 / 0.1], [0.1, 0.0]], atol=1e-14)
 
 
@@ -44,17 +44,17 @@ def test_shift_block_determinant_and_phase():
     rng = np.random.default_rng(11)
     for p in zone_sample(rng, P1, 50):
         blk = shift_block(P1, p)
-        assert np.linalg.det(blk.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.det(blk) == pytest.approx(1.0, abs=1e-12)
         # eigensolve oracle: eigenvalue phase equals dispersion theta * dt
         assert block_phase(blk) == pytest.approx(dispersion_theta(P1, p) * P1.dt, abs=1e-12)
-        eig = np.sort_complex(np.linalg.eigvals(blk.matrix))
+        eig = np.sort_complex(np.linalg.eigvals(blk))
         assert eig[0] == pytest.approx(np.conj(eig[1]), abs=1e-12)
 
 
 def test_strang_block_free_particle():
     params = LatticeParams(a=0.1, m=0.0)
     np.testing.assert_allclose(
-        strang_block(params, 0.0).matrix, [[1.0, 0.0], [0.1, 1.0]], atol=1e-15
+        strang_block(params, 0.0), [[1.0, 0.0], [0.1, 1.0]], atol=1e-15
     )
 
 
@@ -73,7 +73,7 @@ def test_strang_block_phase_to_lattice_dispersion():
     e_cont, _ = reference_energies(fine, 1.0)
     theta_strang = block_phase(strang_block(fine, 1.0)) / fine.dt
     assert abs(theta_strang - e_cont) / e_cont < 1e-3
-    assert np.linalg.det(strang_block(fine, 1.0).matrix) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.det(strang_block(fine, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_blocks_in_two_dimensions():
@@ -81,19 +81,19 @@ def test_blocks_in_two_dimensions():
     params = LatticeParams(a=0.15, d=2, m=0.8)
     p = (0.7, -1.1)
     blk = shift_block(params, p)
-    assert np.linalg.det(blk.matrix) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.det(blk) == pytest.approx(1.0, abs=1e-12)
     assert block_phase(blk) == pytest.approx(dispersion_theta(params, p) * params.dt, abs=1e-12)
     strang = strang_block(params, p)
-    assert np.linalg.det(strang.matrix) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.det(strang) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         realspace_map(params, 8, "Shift")  # real-space maps are d=1 only
 
 
 def test_bogoliubov_modes():
     # c = 0 (theta dt = pi/2): alpha = sqrt(1/(2 dt)), beta = i sqrt(dt/2)
-    md = bogoliubov_modes(P1, math.pi / (2 * P1.a))
-    assert md.alpha == pytest.approx(math.sqrt(1.0 / (2 * P1.dt)), rel=1e-14)
-    assert md.beta == pytest.approx(1j * math.sqrt(P1.dt / 2.0), rel=1e-14)
+    alpha, beta = bogoliubov_modes(P1, math.pi / (2 * P1.a))
+    assert alpha == pytest.approx(math.sqrt(1.0 / (2 * P1.dt)), rel=1e-14)
+    assert beta == pytest.approx(1j * math.sqrt(P1.dt / 2.0), rel=1e-14)
 
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -101,15 +101,15 @@ def test_bogoliubov_modes():
         m = rng.uniform(0.2, 2.0)
         params = LatticeParams(a=a, m=m)
         p = rng.uniform(-math.pi / a * 0.999, math.pi / a)
-        md = bogoliubov_modes(params, p)
+        alpha, beta = bogoliubov_modes(params, p)
         # commutator normalization
-        assert md.alpha * np.conj(md.beta) - np.conj(md.alpha) * md.beta == pytest.approx(
+        assert alpha * np.conj(beta) - np.conj(alpha) * beta == pytest.approx(
             -1j, abs=1e-12
         )
         # eigenvector of the block with eigenvalue exp(-i theta dt)
-        vec = np.array([md.alpha, md.beta])
-        blk = shift_block(params, p).matrix
-        residual = blk @ vec - np.exp(-1j * md.theta * params.dt) * vec
+        vec = np.array([alpha, beta])
+        blk = shift_block(params, p)
+        residual = blk @ vec - np.exp(-1j * dispersion_theta(params, p) * params.dt) * vec
         assert np.max(np.abs(residual)) < 1e-12
 
     with pytest.raises(DegenerateDispersion):
@@ -121,15 +121,15 @@ def test_realspace_map_matches_blocks():
     for params in (P1, anisotropic):
         for kind, builder in (("Shift", shift_block), ("Strang", strang_block)):
             rmap = realspace_map(params, 4, kind)
-            for p_k, blk in momentum_blocks_of_map(rmap):
+            for p_k, blk in momentum_blocks_of_map(params, rmap):
                 folded = p_k if p_k <= math.pi / params.a else p_k - 2 * math.pi / params.a
                 np.testing.assert_allclose(
-                    blk, builder(params, folded).matrix, atol=1e-12, err_msg=f"{kind} p={p_k}"
+                    blk, builder(params, folded), atol=1e-12, err_msg=f"{kind} p={p_k}"
                 )
 
 
 def test_realspace_map_block_circulant():
-    rmap = realspace_map(P1, 6, "Shift").matrix
+    rmap = realspace_map(P1, 6, "Shift")
     L = 6
     for bi in range(2):
         for bj in range(2):
@@ -142,7 +142,7 @@ def test_realspace_map_block_circulant():
 
 def test_symplectic_form_preserved():
     for kind in ("Shift", "Strang"):
-        mat = realspace_map(P1, 16, kind).matrix
+        mat = realspace_map(P1, 16, kind)
         power = np.eye(32)
         for _ in range(10):
             power = mat @ power
@@ -150,29 +150,21 @@ def test_symplectic_form_preserved():
 
 
 def test_identity_at_zero_steps():
-    mat = realspace_map(P1, 8, "Shift").matrix
+    mat = realspace_map(P1, 8, "Shift")
     np.testing.assert_allclose(np.linalg.matrix_power(mat, 0), np.eye(16), atol=0)
 
 
 def test_spectral_consistency_of_powers():
     # eigenphases of map powers equal tau * theta(p) * dt mod 2pi
     L, tau = 8, 4
-    power = np.linalg.matrix_power(realspace_map(P1, L, "Shift").matrix, tau)
-    for p_k, blk in momentum_blocks_of_map(RealMapStub(power, P1, L, "Shift")):
+    power = np.linalg.matrix_power(realspace_map(P1, L, "Shift"), tau)
+    for p_k, blk in momentum_blocks_of_map(P1, power):
         folded = p_k if p_k <= math.pi / P1.a else p_k - 2 * math.pi / P1.a
         theta = dispersion_theta(P1, folded)
         expected = (tau * theta * P1.dt) % (2 * math.pi)
         phase = np.angle(np.linalg.eigvals(blk))
         best = min(abs(((ph - expected + math.pi) % (2 * math.pi)) - math.pi) for ph in phase)
         assert best < 1e-10
-
-
-class RealMapStub:
-    def __init__(self, matrix, params, L, kind):
-        self.matrix = matrix
-        self.params = params
-        self.L = L
-        self.kind = kind
 
 
 def test_continuum_limit_order_two():
@@ -241,7 +233,7 @@ kinds = st.sampled_from(["Shift", "Strang"])
 
 def _dense_cone(params, L, kind, tau, observable):
     """Reference cone: columns of the dense S^tau and their circular site support."""
-    power = np.linalg.matrix_power(realspace_map(params, L, kind).matrix, tau)
+    power = np.linalg.matrix_power(realspace_map(params, L, kind), tau)
     n0 = L // 2
     radius = 0
     for col in {"phi": (n0,), "pi": (L + n0,), "both": (n0, L + n0)}[observable]:
@@ -263,7 +255,7 @@ def test_lightcone_matches_dense_power(params, kind, observable, tau, data):
 
 def _dense_mover_residual(params, L):
     """Reference residual: the dense map applied to each site's mover functional."""
-    smap = realspace_map(params, L, "Shift").matrix
+    smap = realspace_map(params, L, "Shift")
     res = 0.0
     for sign, step in ((1.0, 1), (-1.0, -1)):
         movers = np.zeros((L, 2 * L))
@@ -305,7 +297,7 @@ def test_site0_mover_residual_equals_all_sites(params, L):
 @settings(max_examples=25, deadline=None)
 @given(params=free_params, kind=kinds, L=st.integers(2, 40))
 def test_one_step_symplectic_defect(params, kind, L):
-    mat = realspace_map(params, L, kind).matrix
+    mat = realspace_map(params, L, kind)
     assert symplectic_defect(mat) <= 1e-14 * max(1.0, np.max(np.abs(mat))) ** 2
 
 
@@ -313,8 +305,8 @@ def test_one_step_symplectic_defect(params, kind, L):
 @given(params=free_params, kind=kinds, L=st.integers(2, 24))
 def test_momentum_blocks_match_builders(params, kind, L):
     builder = shift_block if kind == "Shift" else strang_block
-    pairs = momentum_blocks_of_map(realspace_map(params, L, kind))
+    pairs = momentum_blocks_of_map(params, realspace_map(params, L, kind))
     assert len(pairs) == L
     for p_k, blk in pairs:
-        ref = builder(params, _fold_to_zone(np.array(p_k), params.a)).matrix
+        ref = builder(params, _fold_to_zone(np.array(p_k), params.a))
         assert np.max(np.abs(blk - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))

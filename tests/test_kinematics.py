@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from latcirc.errors import DegenerateDispersion
 from latcirc.kinematics import (
     LatticeParams,
-    MomentumGrid,
     _fold_to_zone,
     cosine_symbol,
     dispersion_theta,
+    momentum_grid,
     omega,
     reference_energies,
     smear_form_factor,
@@ -195,8 +195,7 @@ def test_smear_sum_equals_product():
 
 
 def test_momentum_grid():
-    grid = MomentumGrid(P1, 8)
-    pts = grid.points.ravel()
+    pts = momentum_grid(P1, 8).ravel()
     assert len(set(np.round(pts, 12))) == 8
     assert pts.max() == pytest.approx(math.pi / P1.a)
     assert pts.min() > -math.pi / P1.a
@@ -217,7 +216,7 @@ def itertools_grid_points(params, L):
        m=st.floats(0.0, 2.0))
 def test_momentum_grid_equals_itertools_reference(d, L, a, m):
     params = LatticeParams(a=a, d=d, m=m)
-    points, reference = MomentumGrid(params, L).points, itertools_grid_points(params, L)
+    points, reference = momentum_grid(params, L), itertools_grid_points(params, L)
     assert points.shape == reference.shape and points.dtype == reference.dtype
     assert points.tobytes() == reference.tobytes()
 

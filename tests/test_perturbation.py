@@ -55,6 +55,12 @@ def test_one_loop_continuum_cutoff_closed_form():
     assert custom == pytest.approx(P1.lam / (4 * math.pi) * math.asinh(50.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, -1.0, 0.0, math.inf])
+def test_one_loop_continuum_cutoff_refuses_non_finite_or_non_positive_cutoff(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        one_loop_mass("ContinuumCutoff", P1, cutoff=cutoff)
+
+
 def test_one_loop_smeared_edge_momentum():
     # (1 + cos pi)^2 = 0 kills the leading log at the zone edge
     assert one_loop_mass("ShiftSmeared", P1, p_in=math.pi / P1.a) == pytest.approx(0.0, abs=1e-14)
