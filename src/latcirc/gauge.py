@@ -20,8 +20,8 @@ modulus only for N = 1; ``unitarity_report`` measures this instead of
 assuming it, and the equivalence identity does not depend on it.
 
 A gauge transform D(Omega) rolls the link index tensor along each shifted link
-axis. Site transforms commute, so the Gauss projector is applied as the product
-over sites of P_x = (1/N) sum_k D(e_x)^k, one roll per term, in O(sites N dim) work.
+axis. The Gauss projector only ever meets one basis ket |u>, so it is that ket's
+orbit average P_G|u> = N^-sites sum_Omega D(Omega)|u>: a histogram of N^sites images.
 
 The configuration space shares the state-vector cap ``errors.STATE_CAP``, and a
 Wilson sum over PATH_TERM_CAP terms is refused before the left side is built.
@@ -35,6 +35,7 @@ therefore N^{n_links} times the orthonormal-basis matrix element.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -196,8 +197,16 @@ def build_wmag(
     """Diagonal plaquette layer exp(-i (2 kappa/g^2) sum_ps cos(2 pi h/N))."""
     coeff_s, _ = _couplings(g, kappa)
     dim = _state_dim(lat, group)
+    return GaugeOperator(dim, diag=_wmag_diag(lat, group, coeff_s))
+
+
+@functools.lru_cache(maxsize=1)
+def _wmag_diag(lat: GaugeLattice, group: GaugeGroupZN, coeff_s: float) -> np.ndarray:
+    """W_mag's diagonal, read-only and cached on its only inputs: one build per run."""
     action = _plaquette_action(lat, group, np.ix_(*[np.arange(group.N)] * lat.n_links))
-    return GaugeOperator(dim, diag=np.exp(-1j * coeff_s * action).ravel())
+    diag = np.exp(-1j * coeff_s * action).ravel()
+    diag.setflags(write=False)
+    return diag
 
 
 def wel_link_matrix(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> np.ndarray:
@@ -260,16 +269,13 @@ def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOpera
     return GaugeOperator(dim, perm=_roll_links(lat, index, omega, group.N).ravel())
 
 
-def _apply_gauss_projector(
-    lat: GaugeLattice, group: GaugeGroupZN, vec: np.ndarray
-) -> np.ndarray:
-    """P_G vec as the product over sites of P_x = (1/N) sum_k D(e_x)^k, each term a roll."""
-    for site in np.eye(lat.n_sites, dtype=int):
-        tensor, total = vec.reshape((group.N,) * lat.n_links), vec
-        for k in range(1, group.N):
-            total = total + _roll_links(lat, tensor, -k * site, group.N).ravel()
-        vec = total / group.N
-    return vec
+def _gauss_orbit_average(lat: GaugeLattice, group: GaugeGroupZN, config) -> np.ndarray:
+    """P_G|config> = N^-sites sum_Omega D(Omega)|config>, one image per site assignment."""
+    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
+    omegas = np.indices((group.N,) * lat.n_sites).reshape(lat.n_sites, -1)
+    images = (config[:, None] + omegas[ends[:, 0]] - omegas[ends[:, 1]]) % group.N
+    index = group.N ** np.arange(lat.n_links - 1, -1, -1) @ images  # row-major ravel
+    return np.bincount(index, minlength=_state_dim(lat, group)) / len(index)
 
 
 def gauss_commutator_max(
@@ -330,11 +336,9 @@ def amplitude_equiv_check(
     n_vars = lat.n_links * (tau - 1) + n_temporal_vars
     blocks = _path_blocks(n, u_i, u_f, tau, n_temporal_vars, chunk=1 << 16)  # BruteForceCap first
 
-    # left side: matrix-free projector, then T = W_el W_mag built once, applied tau times
+    # left side: the projected ket, then T = W_el W_mag applied tau times
     wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
-    psi = np.zeros(wmag.dim, dtype=complex)
-    psi[config_index(lat, group, u_i)] = 1.0
-    psi = _apply_gauss_projector(lat, group, psi)
+    psi = _gauss_orbit_average(lat, group, u_i)
     for _ in range(tau):
         psi = wel.apply(wmag.apply(psi))
     lhs = complex(psi[config_index(lat, group, u_f)]) * n**lat.n_links

@@ -45,9 +45,17 @@ __all__ = [
 CONE_THRESHOLD = 1e-13  # double-precision noise floor with safety margin
 
 
+def _one_momentum(params: LatticeParams, p) -> np.ndarray:
+    """``p`` checked as one d-component momentum: blocks and modes are per momentum."""
+    arr = validate_momentum(params, p)
+    if arr.shape != (params.d,):
+        raise ValueError(f"expected one {params.d}-component momentum, got shape {arr.shape}")
+    return arr
+
+
 def shift_block(params: LatticeParams, p) -> np.ndarray:
     """Free Shift-circuit block [[c, (c^2-1)/dt], [dt, c]] acting on (phi(p), pi(p))."""
-    c = cosine_symbol(params, p)
+    c = cosine_symbol(params, _one_momentum(params, p))
     dt = params.dt
     return np.array([[c, (c * c - 1.0) / dt], [dt, c]])
 
@@ -58,7 +66,7 @@ def strang_block(params: LatticeParams, p) -> np.ndarray:
     The X-shear curvature is the lattice-Laplacian symbol
     m^2 + sum_i 4 sin^2(p_i a / 2)/a^2.
     """
-    arr = validate_momentum(params, p)
+    arr = _one_momentum(params, p)
     dt = params.dt
     curv = params.m**2 + float(np.sum(4.0 * np.sin(arr * params.a / 2.0) ** 2)) / params.a**2
     x_half = np.array([[1.0, -0.5 * dt * curv], [0.0, 1.0]])
@@ -81,7 +89,7 @@ def bogoliubov_modes(params: LatticeParams, p) -> tuple[float, complex]:
     These satisfy alpha*conj(beta) - conj(alpha)*beta = -i and are an
     eigenvector of :func:`shift_block` with eigenvalue exp(-i theta dt).
     """
-    theta = dispersion_theta(params, p)  # raises DegenerateDispersion at |c| >= 1
+    theta = dispersion_theta(params, _one_momentum(params, p))  # DegenerateDispersion at |c| >= 1
     s = math.sin(theta * params.dt)
     return math.sqrt(s / (2.0 * params.dt)), 1j * math.sqrt(params.dt / (2.0 * s))
 

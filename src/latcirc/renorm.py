@@ -80,6 +80,9 @@ class RenormProblem:
         object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
         if len(self.observables) != len(self.targets):
             raise ValueError("need one target per observable")
+        for index, target in enumerate(self.targets):
+            if not math.isfinite(target):
+                raise ValueError(f"'targets' entry {index} is {target!r}; targets must be finite")
         for key in ("eta", "fd_step", "tol"):
             if not 0 < getattr(self, key) < math.inf:  # NaN fails too
                 raise ValueError(f"{key}={getattr(self, key)!r} must be positive and finite")

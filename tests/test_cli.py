@@ -371,6 +371,7 @@ SMALL_PROBLEM = {"a": 0.1, "m": 1.0, "observables": [{"kind": "dispersion_theta"
     ("a", True), ("m", None), ("eta", "0.1"), ("max_iters", 2.5), ("init", [1.3]),
     ("backtracking", 1), ("init", {"m": [1]}), ("init", {"m": True}),
     ("tol", math.nan), ("eta", math.nan), ("max_iters", -3), ("fd_step", math.inf),
+    ("targets", [math.nan]), ("targets", [math.inf]),
 ])
 def test_renorm_problem_checked(tmp_path, capsys, key, value):
     problem = dict(SMALL_PROBLEM)

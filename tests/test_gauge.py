@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 
 from test_statevector import _time_slices, blocks_of, divisor_chunks
 
+from latcirc import cli
 from latcirc import gauge as gauge_mod
 from latcirc.errors import BruteForceCap, DimensionCap, OddLattice
 from latcirc.gauge import (
     GaugeGroupZN,
     GaugeLattice,
-    _apply_gauss_projector,
     _couplings,
+    _gauss_orbit_average,
     _plaquette_action,
+    _roll_links,
+    _wmag_diag,
     amplitude_equiv_check,
     apply_transfer,
     build_wel,
@@ -158,7 +162,8 @@ def test_transfer_gauge_covariance_sampled_n34():
 
 
 def test_gauss_projector():
-    columns = [_apply_gauss_projector(LAT, Z2, col) for col in np.eye(256, dtype=complex)]
+    configs = np.stack(np.unravel_index(np.arange(256), (2,) * 8), axis=1)
+    columns = [_gauss_orbit_average(LAT, Z2, config) for config in configs]
     proj = np.column_stack(columns)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     assert np.max(np.abs(proj - proj.conj().T)) < 1e-12
@@ -263,7 +268,7 @@ def test_equiv_check_refuses_wilson_sum_before_left_side(monkeypatch):
 
     monkeypatch.setattr(gauge_mod, "build_wmag", no_state)
     monkeypatch.setattr(gauge_mod, "build_wel", no_state)
-    monkeypatch.setattr(gauge_mod, "_apply_gauss_projector", no_state)
+    monkeypatch.setattr(gauge_mod, "_gauss_orbit_average", no_state)
     with pytest.raises(BruteForceCap):
         amplitude_equiv_check(LAT, Z2, 1.0, 1.0, np.zeros(8, int), np.zeros(8, int), 3)
 
@@ -358,7 +363,7 @@ def test_factorized_projector_equals_enumeration(case):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=n**lat.n_links) + 1j * rng.normal(size=n**lat.n_links)
     expected = enumerated_projector(lat, group, vec)
-    assert np.max(np.abs(_apply_gauss_projector(lat, group, vec) - expected)) < 1e-14
+    assert np.max(np.abs(roll_projector_reference(lat, group, vec) - expected)) < 1e-14
 
 
 @settings(max_examples=20, deadline=None)
@@ -382,6 +387,16 @@ def test_couplings_rejected(g, kappa):
                   lambda: amplitude_equiv_check(LAT, Z2, g, kappa, u0, u0, 1)):
         with pytest.raises(ValueError, match="finite and positive"):
             build()
+
+
+def roll_projector_reference(lat, group, vec):
+    """P_G vec as the product over sites of P_x = (1/N) sum_k D(e_x)^k, each term a roll."""
+    for site in np.eye(lat.n_sites, dtype=int):
+        tensor, total = vec.reshape((group.N,) * lat.n_links), vec
+        for k in range(1, group.N):
+            total = total + _roll_links(lat, tensor, -k * site, group.N).ravel()
+        vec = total / group.N
+    return vec
 
 
 def perm_projector_reference(lat, group, vec):
@@ -420,10 +435,53 @@ def test_rolled_generators_equal_perm_reference(shape, seed, g, kappa):
     lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=n**lat.n_links) + 1j * rng.normal(size=n**lat.n_links)
-    assert np.array_equal(_apply_gauss_projector(lat, group, vec),
+    assert np.array_equal(roll_projector_reference(lat, group, vec),
                           perm_projector_reference(lat, group, vec))
     assert gauss_commutator_max(lat, group, g, kappa) == perm_commutator_reference(
         lat, group, g, kappa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.one_of(st.sampled_from(roll_shapes),
+                       gauge_cases.map(lambda case: (case[0], *case[1]))),
+       seed=st.integers(0, 2**32 - 1))
+def test_orbit_average_equals_projector_references(shape, seed):
+    n, lx, ly = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    config = np.random.default_rng(seed).integers(0, n, lat.n_links)
+    ket = np.zeros(n**lat.n_links, dtype=complex)
+    ket[config_index(lat, group, config)] = 1.0
+    projected = _gauss_orbit_average(lat, group, config)
+    for reference in (roll_projector_reference, perm_projector_reference):
+        expected = reference(lat, group, ket)
+        if n <= 4:
+            assert np.array_equal(projected, expected)
+        else:
+            assert np.max(np.abs(projected - expected)) <= 1e-15
+
+
+def test_orbit_average_holds_about_one_state_vector():
+    lat = GaugeLattice(2, 4)  # 16 links: dim 2^16
+    config = np.random.default_rng(8).integers(0, 2, lat.n_links)
+    tracemalloc.start()
+    try:
+        _gauss_orbit_average(lat, Z2, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * 2**16  # complex state vectors
+
+
+def test_gauge_check_builds_wmag_once(tmp_path):
+    _wmag_diag.cache_clear()
+    argv = ["gauge-check", "--g", "1.0", "--kappa", "1.0", "--pairs", "4"]
+    assert cli.run([*argv, "--out", str(tmp_path / "g.json")]) == 0
+    info = _wmag_diag.cache_info()
+    assert (info.misses, info.hits) == (1, 4)  # four pairs and the commutator diagnostic
+    diag = build_wmag(LAT, Z2, 1.0, 1.0).diag
+    assert _wmag_diag.cache_info().misses == 1
+    with pytest.raises(ValueError, match="read-only"):
+        diag[0] = 0.0
 
 
 def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk):

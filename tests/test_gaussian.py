@@ -20,7 +20,13 @@ from latcirc.gaussian import (
     strang_block,
     symplectic_defect,
 )
-from latcirc.kinematics import LatticeParams, _fold_to_zone, dispersion_theta, reference_energies
+from latcirc.kinematics import (
+    LatticeParams,
+    _fold_to_zone,
+    cosine_symbol,
+    dispersion_theta,
+    reference_energies,
+)
 
 P1 = LatticeParams(a=0.1, m=1.0)
 MASSLESS = LatticeParams(a=0.1, m=0.0)
@@ -114,6 +120,32 @@ def test_bogoliubov_modes():
 
     with pytest.raises(DegenerateDispersion):
         bogoliubov_modes(MASSLESS, 0.0)
+
+
+def single_point_reference(params, p):
+    """Shift block, Strang block and mode pair at one momentum, as built before the shape check."""
+    c, dt = cosine_symbol(params, p), params.dt
+    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    curv = params.m**2 + float(np.sum(4.0 * np.sin(arr * params.a / 2.0) ** 2)) / params.a**2
+    x_half = np.array([[1.0, -0.5 * dt * curv], [0.0, 1.0]])
+    strang = x_half @ np.array([[1.0, 0.0], [dt, 1.0]]) @ x_half
+    s = math.sin(dispersion_theta(params, p) * dt)
+    modes = (math.sqrt(s / (2.0 * dt)), 1j * math.sqrt(dt / (2.0 * s)))
+    return np.array([[c, (c * c - 1.0) / dt], [dt, c]]), strang, modes
+
+
+def test_blocks_and_modes_take_one_momentum():
+    for fn in (shift_block, strang_block, bogoliubov_modes):
+        with pytest.raises(ValueError, match="one 1-component momentum, got shape"):
+            fn(P1, [[0.3], [0.5]])
+    rng = np.random.default_rng(17)
+    for params in (P1, LatticeParams(a=0.15, dt=0.1, m=0.8), LatticeParams(a=0.2, d=2, m=1.1)):
+        for p in zone_sample(rng, params, 6 * params.d).reshape(-1, params.d):
+            point = p[0] if params.d == 1 else tuple(p)  # a scalar in d = 1
+            shift, strang, modes = single_point_reference(params, point)
+            assert np.array_equal(shift_block(params, point), shift)
+            assert np.array_equal(strang_block(params, point), strang)
+            assert bogoliubov_modes(params, point) == modes
 
 
 def test_realspace_map_matches_blocks():
