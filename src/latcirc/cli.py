@@ -162,6 +162,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with open(args.config) as handle:
             file_values = json.load(handle)
+        if not isinstance(file_values, dict):
+            raise ValueError("config file must hold a JSON object, "
+                             f"got {type(file_values).__name__}")
         unknown = set(file_values) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys for {sub}: {sorted(unknown)}")

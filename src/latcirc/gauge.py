@@ -131,7 +131,10 @@ def _state_dim(lat: GaugeLattice, group: GaugeGroupZN) -> int:
 
 
 def config_index(lat: GaugeLattice, group: GaugeGroupZN, config) -> int:
-    return int(np.ravel_multi_index(tuple(int(c) for c in config), (group.N,) * lat.n_links))
+    """Row-major index of a link configuration: a Horner sum in Python ints, any link count."""
+    if len(config) != lat.n_links or not all(0 <= u < group.N for u in config):
+        raise ValueError(f"a configuration holds {lat.n_links} link values in [0, {group.N})")
+    return functools.reduce(lambda index, u: index * group.N + int(u), config, 0)
 
 
 @dataclass

@@ -8,6 +8,7 @@ vacuum bubbles and external-leg loops are excluded by construction.
 One-loop mass corrections are evaluated for three regulators in D = 2:
 
 * ``ContinuumCutoff``: (lambda/(8 pi)) * integral_{-L}^{L} dp / sqrt(p^2+m^2)
+                       = (lambda/(4 pi)) * asinh(L/m), in closed form
 * ``ShiftPlain``:      (lambda/4) * integral dp/(2 pi) a / sqrt(1 - M^2 cos^2(pa))
 * ``ShiftSmeared``:    the same with vertex form factors on all four legs
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, require
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import PropagatorQuery, feynman_momentum
-from .quadrature import fsum_complex, fsum_real, gauss_legendre_panels, midpoint_nodes, refined
+from .quadrature import fsum_complex, fsum_real, midpoint_nodes, refined
 
 __all__ = [
     "DiagramSpec",
@@ -131,45 +132,35 @@ def _shift_loop_integral(params: LatticeParams, n: int, smeared: bool) -> float:
 
 def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
                   resolution: int = 8192, cutoff: float | None = None) -> float:
-    """Real one-loop mass correction Pi for the chosen regulator (D = 2), refined once."""
+    """Real one-loop mass correction Pi for the chosen regulator (D = 2).
+
+    ``ContinuumCutoff`` is the closed form (lambda/(4 pi)) asinh(L/m), L = ``cutoff`` or
+    pi/a. The Shift regulators integrate on ``resolution`` zone nodes, refined once.
+    """
     _require_two_dimensional(params)
     if not math.isfinite(p_in):
         raise ValueError(f"p_in must be finite, got {p_in}")
     lam, m, a = params.lam, params.m, params.a
-
     if regulator == "ContinuumCutoff":
         if cutoff is not None and not 0 < cutoff < math.inf:  # NaN fails too
             raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-        n, fine_n = resolution // 256 + 16, resolution // 128 + 32  # not always 2 n
-        # leggauss diagonalizes an n x n companion matrix and holds one copy of it
-        require(2 * 8 * fine_n**2, BYTE_BUDGET, f"bytes for {fine_n} Gauss-Legendre nodes")
-        lim = math.pi / a if cutoff is None else cutoff
-
-        def correction(n):
-            panels = [0.0, min(m, lim)]
-            while panels[-1] < lim:
-                panels.append(min(2.0 * panels[-1], lim))
-            return lam / (8.0 * math.pi) * (2.0 * gauss_legendre_panels(
-                lambda p: 1.0 / np.sqrt(p * p + m * m), 0.0, lim, n, panels))
-    elif regulator in ("ShiftPlain", "ShiftSmeared"):
-        # 1/sqrt(1 - M^2 cos^2) is real only for |M| < 1; an M that overflows stays a
-        # non-finite result, refused where it is written
-        if math.isfinite(params.M) and params.M <= -1.0:
-            raise ValueError(f"the Shift regulators need |M| < 1, i.e. m a < 2, got m a = {m * a}")
-        n, fine_n = resolution, 2 * resolution
-        # the fine grid: the cached cos^2 and weights of both grids and the
-        # integrand's temporaries make about eight arrays of it
-        require(8 * 8 * fine_n, BYTE_BUDGET, f"bytes for the Shift zone grid of {fine_n} nodes")
-        smeared = regulator == "ShiftSmeared"
-        prefactor = lam / 4.0
-        if smeared:
-            prefactor *= (1.0 + math.cos(p_in * a)) ** 2 / 16.0
-
-        def correction(n):
-            return prefactor * _shift_loop_integral(params, n, smeared)
-    else:
+        return lam / (4.0 * math.pi) * math.asinh((math.pi / a if cutoff is None else cutoff) / m)
+    if regulator not in ("ShiftPlain", "ShiftSmeared"):
         raise ValueError(f"regulator must be one of {REGULATORS}, got {regulator!r}")
-    return refined(correction, n, _CONV_RTOL, regulator, fine_n)
+    # 1/sqrt(1 - M^2 cos^2) is real only for |M| < 1; an M that overflows stays a
+    # non-finite result, refused where it is written
+    if math.isfinite(params.M) and params.M <= -1.0:
+        raise ValueError(f"the Shift regulators need |M| < 1, i.e. m a < 2, got m a = {m * a}")
+    # the fine grid: the cached cos^2 and weights of both grids and the
+    # integrand's temporaries make about eight arrays of it
+    require(8 * 8 * 2 * resolution, BYTE_BUDGET,
+            f"bytes for the Shift zone grid of {2 * resolution} nodes")
+    smeared = regulator == "ShiftSmeared"
+    prefactor = lam / 4.0
+    if smeared:
+        prefactor *= (1.0 + math.cos(p_in * a)) ** 2 / 16.0
+    return refined(lambda n: prefactor * _shift_loop_integral(params, n, smeared),
+                   resolution, _CONV_RTOL, regulator)
 
 
 def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:

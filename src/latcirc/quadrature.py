@@ -1,8 +1,7 @@
 """Deterministic quadrature primitives.
 
 Periodic integrands use the trapezoid rule on uniform midpoint-offset nodes
-(spectrally accurate on the torus); non-periodic finite intervals use
-composite Gauss-Legendre panels. Reductions are correctly rounded: each
+(spectrally accurate on the torus). Reductions are correctly rounded: each
 returns the double nearest the exact sum of its terms, the same double as
 ``math.fsum``, and so independent of evaluation order. Large arrays are summed
 exactly from their integer significands in numpy; small, non-finite or
@@ -14,14 +13,13 @@ than its tolerance between two node counts raises ``QuadratureNotConverged``.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .errors import QuadratureNotConverged
 
-__all__ = ["midpoint_nodes", "fsum_complex", "fsum_real", "gauss_legendre_panels", "refined"]
+__all__ = ["midpoint_nodes", "fsum_complex", "fsum_real", "refined"]
 
 _CROSSOVER = 1536  # below this many terms math.fsum of a list is the faster route
 _CHUNK = 16384  # terms per numpy pass, so the pass's temporaries stay in cache
@@ -97,43 +95,18 @@ def fsum_complex(values) -> complex:
     return complex(_fsum(arr.real), _fsum(arr.imag))
 
 
-@functools.lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def gauss_legendre_panels(f, lo: float, hi: float, n_per_panel: int = 32, panels=None) -> float:
-    """Integrate a smooth real function over [lo, hi] on explicit panels.
-
-    ``panels`` is a sorted list of breakpoints including lo and hi; default is
-    the single panel [lo, hi].
-    """
-    if panels is None:
-        panels = [lo, hi]
-    nodes, weights = _leggauss(n_per_panel)
-    pieces = []
-    for left, right in zip(panels[:-1], panels[1:]):
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        pieces.append(half * weights * f(mid + half * nodes))
-    return fsum_real(pieces)
-
-
-def refined(evaluate, n: int, rtol: float | None, what: str, fine_n: int | None = None,
-            scale: float | None = None):
-    """``evaluate(fine_n)`` (fine_n = 2 n by default), or QuadratureNotConverged if it is
-    more than rtol * scale from ``evaluate(n)``, scale = max(|coarse|, 1e-300) by default.
-    With ``rtol`` None, the coarse ``evaluate(n)`` unchecked."""
+def refined(evaluate, n: int, rtol: float | None, what: str, scale: float | None = None):
+    """``evaluate(2 n)``, or QuadratureNotConverged if it is more than rtol * scale from
+    ``evaluate(n)``, scale = max(|coarse|, 1e-300) by default. With ``rtol`` None, the
+    coarse ``evaluate(n)`` unchecked."""
     if rtol is not None and not 0 <= rtol < math.inf:  # NaN fails too
         raise ValueError(f"{what}: rtol must be nonnegative and finite, got {rtol}")
     coarse = evaluate(n)
     if rtol is None:
         return coarse
-    fine_n = 2 * n if fine_n is None else fine_n
-    fine = evaluate(fine_n)
+    fine = evaluate(2 * n)
     scale = max(abs(coarse), 1e-300) if scale is None else scale
     if abs(fine - coarse) > rtol * scale:
-        raise QuadratureNotConverged(f"{what}: refining {n} to {fine_n} nodes moved the value "
+        raise QuadratureNotConverged(f"{what}: refining {n} to {2 * n} nodes moved the value "
                                      f"by {abs(fine - coarse) / scale:.3e} relative")
     return fine

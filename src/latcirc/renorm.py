@@ -56,7 +56,12 @@ def make_observable(kind: str, **kwargs):
     if kind == "one_loop":
         regulator = kwargs["regulator"]
         p_in = float(kwargs.get("p_in", 0.0))
-        resolution = int(kwargs.get("resolution", 4096))
+        resolution = kwargs.get("resolution", 4096)
+        if isinstance(resolution, float) and resolution.is_integer():  # NaN and inf are not
+            resolution = int(resolution)
+        if isinstance(resolution, bool) or not isinstance(resolution, int):
+            raise ValueError(f"a one_loop entry of 'observables' needs an integer 'resolution', "
+                             f"got {resolution!r}")
         return lambda params: one_loop_mass(regulator, params, p_in=p_in, resolution=resolution)
     raise ValueError(f"unknown observable kind {kind!r}")
 

@@ -255,6 +255,19 @@ def test_gauge_check_n1_link_axes(tmp_path, capsys):
     assert payload["deviation"] < 1e-13
 
 
+@pytest.mark.parametrize("tau", [1, 2])
+def test_gauge_check_n1_at_64_links(tmp_path, tau):
+    # 4 x 8 sites carry 64 links, as many axes as numpy allows; the one configuration's
+    # index is a Python-int sum, so the run needs no numpy index call of 64 arrays
+    out = tmp_path / "g.json"
+    assert run(["gauge-check", "--N", "1", "--lx", "4", "--ly", "8", "--tau", str(tau),
+                "--out", str(out)]) == 0
+    payload = json.loads(read_hash_and_body(out)[1])
+    expected = np.exp(-2j * (tau * 32 * 1.0 + tau * 64 / 1.0))  # 32 plaquettes, 64 links
+    assert complex(*payload["lhs"]) == pytest.approx(expected, rel=1e-12)
+    assert payload["deviation"] < 1e-13
+
+
 def test_renorm_cli(tmp_path):
     from latcirc.kinematics import LatticeParams, dispersion_theta
 
@@ -337,7 +350,7 @@ def test_byte_identical_reruns(tmp_path):
 
 @pytest.mark.parametrize("values", [
     {"L": "abc"}, {"L": 8.0}, {"L": True}, {"a": "0.1"}, {"m": False}, {"dt": [0.1]},
-    {"dt": "x"},
+    {"dt": "x"}, 5, None, "a", [{}], [],
 ])
 def test_config_value_types_checked(tmp_path, capsys, values):
     cfg = tmp_path / "cfg.json"
@@ -372,6 +385,8 @@ SMALL_PROBLEM = {"a": 0.1, "m": 1.0, "observables": [{"kind": "dispersion_theta"
     ("backtracking", 1), ("init", {"m": [1]}), ("init", {"m": True}),
     ("tol", math.nan), ("eta", math.nan), ("max_iters", -3), ("fd_step", math.inf),
     ("targets", [math.nan]), ("targets", [math.inf]),
+    *[("observables", [{"kind": "one_loop", "regulator": "ShiftPlain", "resolution": bad}])
+      for bad in (math.inf, -math.inf, math.nan, 4096.5, "4096", True)],
 ])
 def test_renorm_problem_checked(tmp_path, capsys, key, value):
     problem = dict(SMALL_PROBLEM)
@@ -448,7 +463,6 @@ def _zone_artifacts(workdir: Path) -> dict:
     problem = workdir / "problem.json"
     problem.write_text(json.dumps(README_PROBLEM))
     perturbation._shift_grid.cache_clear()
-    quadrature._leggauss.cache_clear()
     cases = {
         "renorm": ["renorm", "--problem", str(problem)],
         "oneloop": ["oneloop"],

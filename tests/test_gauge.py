@@ -294,6 +294,9 @@ def test_config_index_roundtrip():
     idx = config_index(LAT, Z2, cfg)
     back = np.unravel_index(idx, (2,) * 8)
     assert list(back) == cfg
+    for bad in ([1, 0, 2, 1, 0, 0, 1, 0], [1, 0, -1, 1, 0, 0, 1, 0], cfg[:7], cfg + [0]):
+        with pytest.raises(ValueError, match="8 link values in"):
+            config_index(LAT, Z2, bad)
 
 
 # digit-table references: every configuration spelled out as (dim, n_links) digits

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc.errors import DomainError, IllConditionedFit, UnknownDiagram
 from latcirc.kinematics import LatticeParams
@@ -12,7 +14,7 @@ from latcirc.perturbation import (
     log_slope,
     one_loop_mass,
 )
-from latcirc.quadrature import fsum_complex, gauss_legendre_panels, midpoint_nodes
+from latcirc.quadrature import fsum_complex, midpoint_nodes
 
 P1 = LatticeParams(a=0.1, m=1.0, lam=1.0)
 A_SERIES = (0.2, 0.1, 0.05, 0.025, 0.0125)
@@ -20,10 +22,10 @@ A_SERIES = (0.2, 0.1, 0.05, 0.025, 0.0125)
 
 def test_elliptic_K_known_values():
     assert elliptic_K(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    # quadrature oracle at x = 0.9
-    direct = gauss_legendre_panels(
-        lambda t: 1.0 / np.sqrt(1.0 - 0.81 * np.sin(t) ** 2), 0.0, math.pi / 2, 64
-    )
+    # 64-node Gauss-Legendre oracle at x = 0.9 on [0, pi/2]
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    t = math.pi / 4 * (1.0 + nodes)
+    direct = math.pi / 4 * math.fsum(weights / np.sqrt(1.0 - 0.81 * np.sin(t) ** 2))
     assert elliptic_K(0.9) == pytest.approx(direct, abs=1e-12)
     with pytest.raises(DomainError):
         elliptic_K(1.0)
@@ -47,12 +49,51 @@ def test_one_loop_shift_plain_equals_elliptic():
     assert quad == pytest.approx(P1.lam / (2 * math.pi) * elliptic_K(P1.M), abs=1e-10)
 
 
+def cutoff_panels_reference(params, cutoff=None, resolution=8192):
+    """The quadrature one_loop_mass("ContinuumCutoff") used before its closed form: the
+    fine rule of resolution // 128 + 32 Gauss-Legendre nodes on panels doubling from m to
+    the cutoff, all weighted values added by math.fsum."""
+    lim = math.pi / params.a if cutoff is None else cutoff
+    m = params.m
+    panels = [0.0, min(m, lim)]
+    while panels[-1] < lim:
+        panels.append(min(2.0 * panels[-1], lim))
+    nodes, weights = np.polynomial.legendre.leggauss(resolution // 128 + 32)
+    pieces = []
+    for left, right in zip(panels[:-1], panels[1:]):
+        mid, half = 0.5 * (left + right), 0.5 * (right - left)
+        p = mid + half * nodes
+        pieces.extend((half * weights * (1.0 / np.sqrt(p * p + m * m))).tolist())
+    return params.lam / (8.0 * math.pi) * (2.0 * math.fsum(pieces))
+
+
 def test_one_loop_continuum_cutoff_closed_form():
     # analytic antiderivative oracle: (lam/4pi) asinh(Lambda/m)
     quad = one_loop_mass("ContinuumCutoff", P1)
     assert quad == pytest.approx(P1.lam / (4 * math.pi) * math.asinh(math.pi / P1.a), abs=1e-10)
     custom = one_loop_mass("ContinuumCutoff", P1, cutoff=50.0)
     assert custom == pytest.approx(P1.lam / (4 * math.pi) * math.asinh(50.0), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.01, 2.0), m=st.floats(0.05, 20.0), lam=st.floats(0.01, 10.0),
+       cutoff=st.one_of(st.none(), st.floats(0.01, 1e4)))
+def test_one_loop_continuum_cutoff_equals_panel_quadrature(a, m, lam, cutoff):
+    params = LatticeParams(a=a, m=m, lam=lam)
+    closed = one_loop_mass("ContinuumCutoff", params, cutoff=cutoff)
+    reference = cutoff_panels_reference(params, cutoff)
+    assert abs(closed - reference) <= 8 * np.finfo(float).eps * abs(reference)
+
+
+def test_one_loop_continuum_cutoff_at_extreme_masses():
+    # the panel rule loses both ends: m * m underflows to a 1/0 node at m = 1e-300 and
+    # overflows to a zero integrand at m = 1e300; asinh(Lambda/m) keeps both finite
+    tiny, huge = LatticeParams(a=0.1, m=1e-300, lam=1.0), LatticeParams(a=0.1, m=1e300, lam=1.0)
+    with np.errstate(divide="ignore"):
+        assert cutoff_panels_reference(tiny) == math.inf
+    assert cutoff_panels_reference(huge) == 0.0
+    assert one_loop_mass("ContinuumCutoff", tiny) == pytest.approx(55.29965742563, rel=1e-12)
+    assert one_loop_mass("ContinuumCutoff", huge) == pytest.approx(2.5e-300, rel=1e-15)
 
 
 @pytest.mark.parametrize("cutoff", [math.nan, -1.0, 0.0, math.inf])

@@ -9,7 +9,7 @@ from latcirc import quadrature
 from latcirc.errors import QuadratureNotConverged
 from latcirc.kinematics import LatticeParams
 from latcirc.perturbation import _shift_grid, one_loop_mass
-from latcirc.quadrature import fsum_complex, fsum_real, gauss_legendre_panels
+from latcirc.quadrature import fsum_complex, fsum_real
 
 DBL_MIN = 2.2250738585072014e-308  # smallest normal double
 
@@ -104,26 +104,6 @@ def test_fsum_complex_componentwise(values, size, seed):
                                                     reference(z.imag).hex())
 
 
-def _panels_reference(f, lo, hi, n, panels):
-    # an uncached rule and math.fsum over one Python list of every weighted value
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    pieces = []
-    for left, right in zip(panels[:-1], panels[1:]):
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        pieces.extend((half * weights * f(mid + half * nodes)).tolist())
-    return math.fsum(pieces)
-
-
-@pytest.mark.parametrize("n", [16, 96, 400])  # 400 * 6 panels passes the crossover
-def test_gauss_legendre_panels_bitwise_as_list_fsum(n):
-    panels = [0.0, 0.7]
-    while panels[-1] < 31.4:
-        panels.append(min(2.0 * panels[-1], 31.4))
-    f = lambda p: 1.0 / np.sqrt(p * p + 0.49)  # noqa: E731
-    assert gauss_legendre_panels(f, 0.0, 31.4, n, panels) == _panels_reference(
-        f, 0.0, 31.4, n, panels)
-
-
 def test_cached_grids_are_read_only():
     for smeared in (False, True):
         one_loop_mass("ShiftSmeared" if smeared else "ShiftPlain",
@@ -133,8 +113,6 @@ def test_cached_grids_are_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-    nodes, weights = quadrature._leggauss(32)
-    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_refined_returns_coarse_unchecked_without_rtol():
@@ -156,8 +134,7 @@ def test_refined_returns_fine_value_at_the_default_and_explicit_counts():
         return 1.0 + 1.0 / n**4
 
     assert quadrature.refined(evaluate, 10, 1e-3, "f") == evaluate(20)
-    assert quadrature.refined(evaluate, 10, 1e-3, "f", fine_n=33) == evaluate(33)
-    assert calls == [10, 20, 20, 10, 33, 33]
+    assert calls == [10, 20, 20]
 
 
 def test_refined_raises_above_rtol_times_scale():

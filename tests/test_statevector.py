@@ -613,6 +613,30 @@ def test_path_sum_equals_digit_table_reference(case, kind, lam):
         1e-14 * abs(expected) + 64 * np.finfo(float).eps * moduli)
 
 
+@st.composite
+def circuit_cases(draw):
+    """A lattice on a dual or mass grid, a tau with at most 2^16 paths, and both ends."""
+    n, L = draw(st.sampled_from((8, 10, 12, 16))), draw(st.sampled_from((2, 3)))
+    tau = draw(st.sampled_from([t for t in (1, 2, 3) if n ** (L * (t - 1)) <= 2**16]))
+    a, m = draw(st.floats(0.1, 1.5)), draw(st.floats(0.1, 2.0))
+    grid = FieldGrid.dual(n) if draw(st.booleans()) else FieldGrid.for_mass(m, n)
+    config = st.tuples(*[st.integers(0, n - 1)] * L)
+    return TruncatedLattice(L, grid, LatticeParams(a=a, m=m)), tau, draw(config), draw(config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=circuit_cases(), kind=st.sampled_from(KINDS), lam=st.floats(0.0, 2.0))
+def test_circuit_equals_path_sum_over_random_inputs(case, kind, lam):
+    # <phi_f|U^tau|phi_i> by tau matrix-free steps equals the sum over every path of the
+    # products of its step elements; both round within a few eps of sum|term|, and
+    # sum|term| rather than |amplitude| bounds them, since amplitudes can cancel
+    lat, tau, phi_i, phi_f = case
+    _, moduli = path_sum_reference(lat, kind, lam, phi_i, phi_f, tau)
+    circuit = amplitude_circuit(lat, kind, lam, phi_i, phi_f, tau)
+    path = amplitude_path_sum(lat, kind, lam, phi_i, phi_f, tau)
+    assert abs(circuit - path) <= 64 * np.finfo(float).eps * moduli
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from((8, 10, 12, 16)), shape=st.sampled_from(((2, 2), (2, 3), (3, 2))),
        a=st.floats(0.2, 1.0), kappa=st.floats(0.5, 1.5), m=st.floats(0.1, 2.0),
