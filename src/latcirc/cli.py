@@ -268,8 +268,9 @@ def _run_pathint_check(cfg: dict, out: str) -> None:
     if cfg["kind"] == "Strang":
         action = statevector.amplitude_action_form(lat, params.lam, phi_i, phi_f, cfg["tau"])
         payload["action_amp"] = _complex_pair(action)
-        # the action form carries the metaplectic phase (-i)^(tau L) of the Fresnel kernels
-        expected = (-1j) ** (cfg["tau"] * cfg["L"]) * circuit
+        # the circuit carries the metaplectic phase (-i)^(tau L) of its Fresnel kernels, which
+        # the action form has not: the action form is i^(tau L) times the circuit
+        expected = 1j ** (cfg["tau"] * cfg["L"]) * circuit
         payload["rel_errors"]["action"] = abs(expected - action) / scale
     _write_json(out, cfg, payload)
 

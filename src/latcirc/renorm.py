@@ -121,10 +121,10 @@ def simulate_observables(g0, problem: RenormProblem) -> np.ndarray:
         try:
             out.append(float(obs(params)))
         except (LatcircError, ValueError) as exc:
-            raise ObservableFailure(
-                f"observable failed at {dict(zip(problem.names, map(float, g0)))}: {exc}",
-                point=list(map(float, g0)),
-            ) from exc
+            message = f"observable failed at {dict(zip(problem.names, map(float, g0)))}: {exc}"
+            if getattr(exc, "exit_code", 1) != 1:  # a cap or convergence failure keeps its code
+                raise type(exc)(message) from exc
+            raise ObservableFailure(message, point=list(map(float, g0))) from exc
     return np.array(out)
 
 

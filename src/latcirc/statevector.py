@@ -149,7 +149,17 @@ class TruncatedLattice:
         object.__setattr__(self, "dim", dim)
 
     def config_index(self, config) -> int:
-        return int(np.ravel_multi_index(tuple(config), (self.grid.n_points,) * self.L))
+        """Row-major index of a configuration of L grid indices, each in [0, n_points).
+
+        Anything else, a wrong length or an index out of range (negative ones too), is a
+        ValueError, never a wrapped index.
+        """
+        n = self.grid.n_points
+        try:
+            return int(np.ravel_multi_index(tuple(config), (n,) * self.L))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"configuration {tuple(config)} is not {self.L} grid indices "
+                             f"in [0, {n})") from exc
 
 
 def _quartic_sum(lat: TruncatedLattice) -> np.ndarray:
@@ -260,8 +270,14 @@ def build_step(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
     return step.reshape(lat.dim, lat.dim)
 
 
+def _end_indices(lat: TruncatedLattice, phi_i, phi_f) -> tuple[int, int]:
+    """Indices of both ends of an amplitude; a bad end is refused (ValueError), never wrapped."""
+    return lat.config_index(phi_i), lat.config_index(phi_f)
+
+
 def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
     """<phi_f | U^tau | phi_i> by repeated matrix-free application."""
+    _end_indices(lat, phi_i, phi_f)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     psi = np.zeros(lat.dim, dtype=complex)
@@ -279,6 +295,7 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
     of its tau step elements, so this really is the brute-force
     insertion-of-identity sum, not a matrix-product shortcut.
     """
+    _end_indices(lat, phi_i, phi_f)
     if tau < 1:
         raise ValueError("path sum needs tau >= 1")
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
@@ -335,12 +352,15 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     delta-normalized field states of the continuum identity into the grid's
     orthonormal configuration kets.
 
-    On :meth:`FieldGrid.dual` grids (kappa = 1) this equals
-    (-i)^(tau*L) * amplitude_circuit exactly, the constant being the
-    metaplectic phase of the discrete Fresnel kernel. On generic grids the
+    On :meth:`FieldGrid.dual` grids (kappa = 1) amplitude_circuit equals
+    (-i)^(tau*L) times this exactly, the constant being the metaplectic phase
+    of the tau*L discrete Fresnel kernels; so this is i^(tau*L) times the
+    circuit amplitude, which is (-i)^(tau*L) times it only when tau*L is even.
+    On generic grids the
     two differ by wrap-around image interference that does not vanish at
     fixed extent (real-time kernels have distance-independent modulus).
     """
+    _end_indices(lat, phi_i, phi_f)
     if tau < 1:
         raise ValueError("action form needs tau >= 1")
     L, kappa = lat.L, lat.params.kappa

@@ -416,6 +416,19 @@ def test_renorm_problem_malformed_entries(tmp_path, capsys, key, value):
     assert err.startswith("error: renorm problem is malformed") and err.count("\n") == 1
 
 
+def test_renorm_observable_keeps_its_exit_code(tmp_path, capsys):
+    # a one_loop observable past the Shift grid's byte cap ends in exit 3, as `oneloop` does
+    # on the same cap, not in the exit 1 of a validation error
+    observable = {"kind": "one_loop", "regulator": "ShiftPlain", "resolution": 10**80}
+    path, out = tmp_path / "problem.json", tmp_path / "r.json"
+    path.write_text(json.dumps({**SMALL_PROBLEM, "observables": [observable]}))
+    assert run(["renorm", "--problem", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: observable failed at {'m': 1.3}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _cli_bytes(workdir: Path, argv: list[str], name: str) -> bytes:
     out = workdir / name
     assert run(argv + ["--out", str(out)]) == 0
@@ -591,6 +604,18 @@ def test_pathint_check_action_error_carries_the_metaplectic_phase(tmp_path):
     # tau L = 6: the action form is (-i)^6 = -1 times the circuit amplitude
     out = tmp_path / "pathint.json"
     assert run(["pathint-check", "--L", "2", "--n-points", "16", "--tau", "3",
+                "--out", str(out)]) == 0
+    payload = json.loads(read_hash_and_body(out)[1])
+    assert payload["rel_errors"]["action"] < 1e-10
+    assert payload["rel_errors"]["path"] < 1e-12
+
+
+@pytest.mark.parametrize("L, tau", [(3, 1), (5, 1), (3, 3)])
+def test_pathint_check_action_error_at_odd_tau_l(tmp_path, L, tau):
+    # tau L odd: the action form is i^(tau L) = -i or +i times the circuit amplitude, not
+    # (-i)^(tau L), which differs from it by a sign
+    out = tmp_path / "pathint.json"
+    assert run(["pathint-check", "--L", str(L), "--n-points", "8", "--tau", str(tau),
                 "--out", str(out)]) == 0
     payload = json.loads(read_hash_and_body(out)[1])
     assert payload["rel_errors"]["action"] < 1e-10

@@ -162,6 +162,25 @@ def test_brute_force_cap_before_any_state(monkeypatch):
         amplitude_action_form(lat, 0.1, (8, 8), (9, 7), 6)
 
 
+AMPLITUDE_ROUTES = {
+    "circuit": lambda lat, ends, tau: amplitude_circuit(lat, "Strang", 0.1, *ends, tau),
+    "path sum": lambda lat, ends, tau: amplitude_path_sum(lat, "Strang", 0.1, *ends, tau),
+    "action form": lambda lat, ends, tau: amplitude_action_form(lat, 0.1, *ends, tau),
+}
+
+
+@pytest.mark.parametrize("route", AMPLITUDE_ROUTES)
+@pytest.mark.parametrize("bad", [(3,), (-1, 3), (8, 3)], ids=["length", "negative", "past_n"])
+def test_amplitude_ends_are_refused_not_wrapped(route, bad):
+    # (-1, 3) would wrap to (7, 3) in an index gather; every route refuses it first, at
+    # either end and at tau = 0 too
+    lat = TruncatedLattice(2, FieldGrid.dual(8), PARAMS)
+    for tau in (0, 1):
+        for ends in ((bad, (7, 3)), ((7, 3), bad)):
+            with pytest.raises(ValueError, match=r"is not 2 grid indices in \[0, 8\)"):
+                AMPLITUDE_ROUTES[route](lat, ends, tau)
+
+
 @pytest.mark.parametrize("sites, n_points, admitted", [
     (7, 8, True), (2, 2048, True), (8, 8, False), (2, 2050, False), (11, 8, False),
 ])
@@ -614,12 +633,12 @@ def test_path_sum_equals_digit_table_reference(case, kind, lam):
 
 
 @st.composite
-def circuit_cases(draw):
+def circuit_cases(draw, dual=st.booleans()):
     """A lattice on a dual or mass grid, a tau with at most 2^16 paths, and both ends."""
     n, L = draw(st.sampled_from((8, 10, 12, 16))), draw(st.sampled_from((2, 3)))
     tau = draw(st.sampled_from([t for t in (1, 2, 3) if n ** (L * (t - 1)) <= 2**16]))
     a, m = draw(st.floats(0.1, 1.5)), draw(st.floats(0.1, 2.0))
-    grid = FieldGrid.dual(n) if draw(st.booleans()) else FieldGrid.for_mass(m, n)
+    grid = FieldGrid.dual(n) if draw(dual) else FieldGrid.for_mass(m, n)
     config = st.tuples(*[st.integers(0, n - 1)] * L)
     return TruncatedLattice(L, grid, LatticeParams(a=a, m=m)), tau, draw(config), draw(config)
 
@@ -635,6 +654,33 @@ def test_circuit_equals_path_sum_over_random_inputs(case, kind, lam):
     circuit = amplitude_circuit(lat, kind, lam, phi_i, phi_f, tau)
     path = amplitude_path_sum(lat, kind, lam, phi_i, phi_f, tau)
     assert abs(circuit - path) <= 64 * np.finfo(float).eps * moduli
+
+
+def action_bound(lat, lam, tau):
+    """The largest |S| of any path: tau L times the largest kinetic term plus kappa times the
+    largest site potential, each part bounded on its own over the grid."""
+    kappa, x = lat.params.kappa, np.abs(lat.grid.values).max()
+    span_sq = (lat.grid.n_points - 1) ** 2 * lat.grid.delta_phi**2  # the largest (x' - x)^2
+    site = 0.5 * span_sq + 0.5 * (lat.params.m * lat.params.a * x) ** 2 + (
+        lam * lat.params.a**2 / 24.0 * x**4)
+    return tau * lat.L * (span_sq / (2.0 * kappa) + kappa * site)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=circuit_cases(dual=st.just(True)), lam=st.floats(0.0, 2.0))
+def test_action_form_equals_circuit_over_random_inputs(case, lam):
+    # On dual grids at kappa = 1 the Strang circuit amplitude is the Riemann sum of e^{iS}
+    # times the metaplectic phase (-i)^(tau L) of its tau L Fresnel kernels, so the action
+    # form is i^(tau L) times the circuit. Every action term has the modulus of the matching
+    # path term. Each side rounds a term's phase to a few eps of the phase's size (S, or the
+    # X-layer angles, which add up to the potential part of S), so the bound is
+    # 64 eps sum|term| scaled by 1 + the largest |S| any path can reach.
+    lat, tau, phi_i, phi_f = case
+    _, moduli = path_sum_reference(lat, "Strang", lam, phi_i, phi_f, tau)
+    circuit = amplitude_circuit(lat, "Strang", lam, phi_i, phi_f, tau)
+    action = amplitude_action_form(lat, lam, phi_i, phi_f, tau)
+    assert abs(action - 1j ** (tau * lat.L) * circuit) <= (
+        64 * np.finfo(float).eps * moduli * (1.0 + action_bound(lat, lam, tau)))
 
 
 @settings(max_examples=25, deadline=None)
