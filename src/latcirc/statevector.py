@@ -13,12 +13,20 @@ The Shift circuit's X-layer is exp(+i[(M/2) sum x_n x_{n+1} +
 (lambda a^2/24) sum x_n^4]) and its momentum layer the quarter rotation
 exp(-i pi (X^2 + P^2)/4), built by dense per-site diagonalization.
 
-A step is built once (``CircuitStep``): the X layer as a product of one n x n
-bond table over neighbours, and the per-site momentum kernel K, cached on
-(grid, kind, kappa) and applied by one GEMM per site that contracts the trailing
-axis and returns it as the leading one. Its elements
-layer[y] prod_s K[y_s, x_s] layer[x] give the dense step on the open index grid
-and each brute-force path-sum term as a product over time slices.
+A step (``CircuitStep``) holds the X layer's n x n bond table over neighbours
+and the per-site momentum kernel K, cached on (grid, kind, kappa) and applied by
+one GEMM per site that contracts the trailing axis and returns it as the leading
+one. The layer is the product of a configuration's bond factors; its ``dim``
+values are built only when a whole state is stepped. The step's elements
+layer[y] prod_s K[y_s, x_s] layer[x], gathered from the table, give the dense
+step on the open index grid and each brute-force path-sum term as a product
+over time slices.
+
+Circuit amplitudes start from one basis ket and end on one basis bra, so
+``amplitude_circuit`` works from its ends: U|x> is the product state
+(x)_s K[:, x_s] times the layer and layer[x], <y|U|psi> is one shrinking
+contraction per site with the kernel rows K[y_s, :], and one step is a single
+element, O(L) from the table.
 
 The brute-force sums (the path sum, the action form and the gauge Wilson sum)
 take their terms from ``_path_blocks``: blocks of consecutive terms whose
@@ -182,12 +190,11 @@ def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> n
     raise ValueError(f"unknown circuit kind {kind!r}")
 
 
-def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """Diagonal of one X layer (the half layer for Strang and Shift), flattened.
+def _bond_table(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
+    """The n x n table exp(i angle(x_n, x_{n+1})) of one X layer's bond factor.
 
-    Every term of the phase couples only x_n and x_{n+1} (on-site terms ride
-    on x_n), so the layer is the product over bonds of one n x n table
-    exp(i angle(x_n, x_{n+1})), gathered on the open configuration grid.
+    Every term of the layer's phase couples only x_n and x_{n+1} (on-site terms ride
+    on x_n), so the layer at a configuration is the product of its L bond factors.
     """
     x, y = lat.grid.values[:, None], lat.grid.values[None, :]
     quartic = lam * lat.params.a**2 / 24.0 * x**4
@@ -199,10 +206,29 @@ def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
         angle = 0.5 * lat.params.M * x * y + quartic
     else:
         raise ValueError(f"unknown circuit kind {kind!r}")
-    table = np.exp(1j * angle)
-    sites = np.ix_(*[np.arange(lat.grid.n_points)] * lat.L)
-    bonds = [table[sites[s], sites[(s + 1) % lat.L]] for s in range(lat.L)]
-    return functools.reduce(operator.mul, bonds).ravel()
+    return np.exp(1j * angle)
+
+
+def _layer_at(bonds: np.ndarray, config) -> np.ndarray:
+    """The X layer at configurations given per site as broadcastable index arrays: the
+    bond factors gathered from ``bonds`` and multiplied in site order.
+
+    ``np.multiply`` keeps single configurations on the array loop, which rounds complex
+    products unlike the scalar ``*``, so every value is bitwise the full layer's.
+    """
+    L = len(config)
+    return functools.reduce(np.multiply, [bonds[config[s], config[(s + 1) % L]]
+                                          for s in range(L)])
+
+
+def _full_layer(bonds: np.ndarray, L: int) -> np.ndarray:
+    """The X layer at every configuration, flattened: ``dim`` values."""
+    return _layer_at(bonds, np.ix_(*[np.arange(len(bonds))] * L)).ravel()
+
+
+def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
+    """Diagonal of one X layer (the half layer for Strang and Shift), flattened."""
+    return _full_layer(_bond_table(lat, kind, lam), lat.L)
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,13 +262,22 @@ def _apply_site_kernel(kernel: np.ndarray, vec: np.ndarray, sites: int) -> np.nd
 
 
 class CircuitStep:
-    """One circuit step, built once: layer * K * layer for Strang and Shift,
-    K * layer for Trotter, with K the momentum kernel on every site."""
+    """One circuit step: layer * K * layer for Strang and Shift, K * layer for Trotter,
+    with K the momentum kernel on every site.
+
+    It holds the X layer's n x n bond table and the kernel. The ``dim``-sized layer is
+    built on first use by a method that steps a whole state (``apply``, ``from_ket``,
+    ``to_bra``), so an element costs O(L).
+    """
 
     def __init__(self, lat: TruncatedLattice, kind: str, lam: float):
         self.lat, self.kind = lat, kind
-        self.layer = _x_layer(lat, kind, lam)
+        self.bonds = _bond_table(lat, kind, lam)
         self.kernel = _momentum_kernel(lat.grid, kind, lat.params.kappa)
+
+    @functools.cached_property
+    def layer(self) -> np.ndarray:
+        return _full_layer(self.bonds, self.lat.L)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         out = _apply_site_kernel(self.kernel, self.layer * psi, self.lat.L)
@@ -250,11 +285,29 @@ class CircuitStep:
 
     def element(self, y, x) -> np.ndarray:
         """<y|U|x> for configurations given per site as broadcastable index arrays."""
-        layer = self.layer.reshape((self.lat.grid.n_points,) * self.lat.L)
         out = functools.reduce(operator.mul, [self.kernel[ys, xs] for ys, xs in zip(y, x)])
         if self.kind != "Trotter":
-            out = layer[tuple(y)] * out
-        return out * layer[tuple(x)]
+            out = _layer_at(self.bonds, y) * out
+        return out * _layer_at(self.bonds, x)
+
+    def from_ket(self, x) -> np.ndarray:
+        """U|x> for one configuration x: the kernel columns K[:, x_s] as one product state,
+        times the layer at x and, but for Trotter, the full layer."""
+        columns = [self.kernel[:, xs] for xs in x]
+        columns[0] = columns[0] * _layer_at(self.bonds, x)
+        out = functools.reduce(np.multiply.outer, columns).ravel()
+        if self.kind != "Trotter":
+            out *= self.layer
+        return out
+
+    def to_bra(self, y, psi: np.ndarray) -> complex:
+        """<y|U|psi> for one configuration y: the layer on psi (in place, so psi is
+        overwritten), then one shrinking contraction per site with the kernel row K[y_s, :],
+        then, but for Trotter, the layer at y."""
+        psi *= self.layer
+        for ys in y:
+            psi = self.kernel[ys] @ psi.reshape(len(self.kernel), -1)
+        return complex(psi[0] if self.kind == "Trotter" else _layer_at(self.bonds, y) * psi[0])
 
 
 def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) -> np.ndarray:
@@ -276,16 +329,25 @@ def _end_indices(lat: TruncatedLattice, phi_i, phi_f) -> tuple[int, int]:
 
 
 def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
-    """<phi_f | U^tau | phi_i> by repeated matrix-free application."""
-    _end_indices(lat, phi_i, phi_f)
+    """<phi_f | U^tau | phi_i> from its basis-ket ends.
+
+    tau = 0 is a Kronecker delta and tau = 1 one step element, read from the bond table
+    and K at O(L) cost. For tau >= 2 the first step is a product state times the layer,
+    the tau - 2 middle steps are matrix-free applications, and the last step is read
+    against the basis bra by shrinking site contractions; both ends cost O(dim).
+    """
+    start, end = _end_indices(lat, phi_i, phi_f)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    psi = np.zeros(lat.dim, dtype=complex)
-    psi[lat.config_index(phi_i)] = 1.0
+    if tau == 0:
+        return complex(start == end)
     step = CircuitStep(lat, kind, lam)
-    for _ in range(tau):
+    if tau == 1:
+        return complex(step.element(phi_f, phi_i))
+    psi = step.from_ket(phi_i)
+    for _ in range(tau - 2):
         psi = step.apply(psi)
-    return complex(psi[lat.config_index(phi_f)])
+    return step.to_bra(phi_f, psi)
 
 
 def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:

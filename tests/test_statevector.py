@@ -656,6 +656,57 @@ def test_circuit_equals_path_sum_over_random_inputs(case, kind, lam):
     assert abs(circuit - path) <= 64 * np.finfo(float).eps * moduli
 
 
+def full_apply_reference(lat, kind, lam, phi_i, phi_f, tau):
+    """<phi_f|U^tau|phi_i> by tau matrix-free steps on the full basis-ket state."""
+    psi = np.zeros(lat.dim, dtype=complex)
+    psi[lat.config_index(phi_i)] = 1.0
+    step = CircuitStep(lat, kind, lam)
+    for _ in range(tau):
+        psi = step.apply(psi)
+    return complex(psi[lat.config_index(phi_f)])
+
+
+def path_moduli(lat, kind, phi_i, phi_f, tau):
+    """sum|term| over every path of tau steps. The X layers have modulus one, so it is
+    <phi_f|(|K| kron ... kron |K|)^tau|phi_i>, with |K| the kernel's elementwise modulus."""
+    kernel = np.abs(statevector._momentum_kernel(lat.grid, kind, lat.params.kappa))
+    vec = np.zeros(lat.dim)
+    vec[lat.config_index(phi_i)] = 1.0
+    for _ in range(tau):
+        vec = statevector._apply_site_kernel(kernel, vec, lat.L)
+    return float(vec[lat.config_index(phi_f)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=circuit_cases(), kind=st.sampled_from(KINDS), lam=st.floats(0.0, 2.0),
+       tau=st.integers(0, 4))
+def test_circuit_from_its_ends_equals_full_apply_reference(case, kind, lam, tau):
+    # both routes multiply the same layer and kernel values; they group the products and
+    # sums differently, so they agree within a few eps of sum|term| (exactly at tau = 0)
+    lat, _, phi_i, phi_f = case
+    expected = full_apply_reference(lat, kind, lam, phi_i, phi_f, tau)
+    assert abs(amplitude_circuit(lat, kind, lam, phi_i, phi_f, tau) - expected) <= (
+        64 * np.finfo(float).eps * path_moduli(lat, kind, phi_i, phi_f, tau))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_circuit_builds_no_full_layer_up_to_one_step(kind, monkeypatch):
+    # n = 512, L = 2: the bond table alone has dim entries, the amplitude reads L + 2 of them
+    lat = TruncatedLattice(2, FieldGrid.for_mass(1.0, 512), PARAMS)
+    ends = (256, 256), (258, 251)
+    expected = [full_apply_reference(lat, kind, 0.3, *ends, tau) for tau in (0, 1)]
+    bound = 64 * np.finfo(float).eps * path_moduli(lat, kind, *ends, 1)
+
+    def no_layer(*args):
+        raise AssertionError("the full X layer was built")
+
+    monkeypatch.setattr(statevector, "_full_layer", no_layer)
+    assert amplitude_circuit(lat, kind, 0.3, *ends, 0) == expected[0] == 0.0
+    assert abs(amplitude_circuit(lat, kind, 0.3, *ends, 1) - expected[1]) <= bound
+    with pytest.raises(AssertionError, match="full X layer"):
+        amplitude_circuit(lat, kind, 0.3, *ends, 2)
+
+
 def action_bound(lat, lam, tau):
     """The largest |S| of any path: tau L times the largest kinetic term plus kappa times the
     largest site potential, each part bounded on its own over the grid."""
