@@ -16,17 +16,12 @@ exp(-i pi (X^2 + P^2)/4), built by dense per-site diagonalization.
 A step (``CircuitStep``) holds the X layer's n x n bond table over neighbours
 and the per-site momentum kernel K, cached on (grid, kind, kappa) and applied by
 one GEMM per site that contracts the trailing axis and returns it as the leading
-one. The layer is the product of a configuration's bond factors; its ``dim``
-values are built only when a whole state is stepped. The step's elements
-layer[y] prod_s K[y_s, x_s] layer[x], gathered from the table, give the dense
-step on the open index grid and each brute-force path-sum term as a product
-over time slices.
-
-Circuit amplitudes start from one basis ket and end on one basis bra, so
-``amplitude_circuit`` works from its ends: U|x> is the product state
-(x)_s K[:, x_s] times the layer and layer[x], <y|U|psi> is one shrinking
-contraction per site with the kernel rows K[y_s, :], and one step is a single
-element, O(L) from the table.
+one; the layer's ``dim`` values are built only when a whole state is stepped.
+The step's elements layer[y] prod_s K[y_s, x_s] layer[x], gathered from the
+table, give the dense step on the open index grid and each brute-force path-sum
+term as a product over time slices. Circuit amplitudes work from their basis-ket
+ends: U|x> is a product state of kernel columns times the layer, <y|U|psi> one
+shrinking contraction per site with the kernel rows, and one step one element.
 
 The brute-force sums (the path sum, the action form and the gauge Wilson sum)
 take their terms from ``_path_blocks``: blocks of consecutive terms whose
@@ -157,11 +152,8 @@ class TruncatedLattice:
         object.__setattr__(self, "dim", dim)
 
     def config_index(self, config) -> int:
-        """Row-major index of a configuration of L grid indices, each in [0, n_points).
-
-        Anything else, a wrong length or an index out of range (negative ones too), is a
-        ValueError, never a wrapped index.
-        """
+        """Row-major index of L grid indices in [0, n_points); anything else (a wrong length,
+        a negative index) is a ValueError, never a wrapped index."""
         n = self.grid.n_points
         try:
             return int(np.ravel_multi_index(tuple(config), (n,) * self.L))
@@ -263,11 +255,8 @@ def _apply_site_kernel(kernel: np.ndarray, vec: np.ndarray, sites: int) -> np.nd
 
 class CircuitStep:
     """One circuit step: layer * K * layer for Strang and Shift, K * layer for Trotter,
-    with K the momentum kernel on every site.
-
-    It holds the X layer's n x n bond table and the kernel. The ``dim``-sized layer is
-    built on first use by a method that steps a whole state (``apply``, ``from_ket``,
-    ``to_bra``), so an element costs O(L).
+    with K the momentum kernel on every site. It holds the layer's bond table; the
+    ``dim``-sized layer is built on first use by a whole-state method, never by ``element``.
     """
 
     def __init__(self, lat: TruncatedLattice, kind: str, lam: float):
@@ -329,13 +318,8 @@ def _end_indices(lat: TruncatedLattice, phi_i, phi_f) -> tuple[int, int]:
 
 
 def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
-    """<phi_f | U^tau | phi_i> from its basis-ket ends.
-
-    tau = 0 is a Kronecker delta and tau = 1 one step element, read from the bond table
-    and K at O(L) cost. For tau >= 2 the first step is a product state times the layer,
-    the tau - 2 middle steps are matrix-free applications, and the last step is read
-    against the basis bra by shrinking site contractions; both ends cost O(dim).
-    """
+    """<phi_f | U^tau | phi_i> from its basis-ket ends: a Kronecker delta at tau = 0, one
+    step element (O(L)) at tau = 1, else ``from_ket``, tau - 2 full steps and ``to_bra``."""
     start, end = _end_indices(lat, phi_i, phi_f)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
