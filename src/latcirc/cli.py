@@ -83,7 +83,7 @@ DEFAULTS = {
                   "tau": 3, "observable": "phi"},
     "propagator": {"a": 0.1, "dt": None, "m": 1.0, "lam": 0.0, "L": 32, "epsilon": 1e-3},
     "oneloop": {"a": 0.1, "dt": None, "m": 1.0, "lam": 1.0,
-                "a_series": "0.2,0.1,0.05,0.025", "p_in": 0.0, "resolution": 8192},
+                "a_series": "0.2,0.1,0.05,0.025", "p_in": 0.0},
     "pathint-check": {"a": 0.5, "dt": None, "m": 1.0, "lam": 0.1, "L": 2, "n_points": 16,
                       "tau": 2, "kind": "Strang", "grid": "dual"},
     "gauge-check": {"N": 2, "lx": 2, "ly": 2, "g": 1.0, "kappa": 1.0, "tau": 1,
@@ -105,7 +105,7 @@ _HELP = {
     "kind": "circuit kind", "tau": "number of steps", "observable": "cone observable",
     "epsilon": "i*epsilon regulator (dimensionless)",
     "a_series": "comma-separated lattice spacings", "p_in": "incoming momentum",
-    "resolution": "quadrature nodes", "n_points": "field grid points",
+    "n_points": "field grid points",
     "grid": "field grid family (dual enables the exact action-form check)",
     "N": "gauge group order", "lx": "lattice extent in x", "ly": "lattice extent in y",
     "g": "gauge coupling", "kappa": "dt/a anisotropy", "pairs": "number of (U_i, U_f) pairs",
@@ -231,7 +231,7 @@ def _run_oneloop(cfg: dict, out: str) -> None:
         raise ValueError("a-series must contain at least one lattice spacing")
     table = np.array([
         [perturbation.one_loop_mass(reg, LatticeParams(a=a, m=cfg["m"], lam=cfg["lam"]),
-                                    p_in=cfg["p_in"], resolution=cfg["resolution"])
+                                    p_in=cfg["p_in"])
          for reg in perturbation.REGULATORS]
         for a in spacings
     ])

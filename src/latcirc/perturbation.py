@@ -10,25 +10,27 @@ One-loop mass corrections are evaluated for three regulators in D = 2:
 * ``ContinuumCutoff``: (lambda/(8 pi)) * integral_{-L}^{L} dp / sqrt(p^2+m^2)
                        = (lambda/(4 pi)) * asinh(L/m), in closed form
 * ``ShiftPlain``:      (lambda/4) * integral dp/(2 pi) a / sqrt(1 - M^2 cos^2(pa))
+                       = (lambda/(2 pi)) K(M)
 * ``ShiftSmeared``:    the same with vertex form factors on all four legs
+                       = (lambda/4) ((1 + cos p_in a)^2/16) (2/pi) [K(M) + D(M)]
 
-The plain Shift integral equals (lambda/(2 pi)) K(M) with K the complete
-elliptic integral of the first kind, which gives the slope-doubling pathology
-its clean closed form.
+K is the complete elliptic integral of the first kind, E of the second and
+D = (K - E)/M^2; the smeared weight (1 + cos)^2 = 1 + 2 cos + cos^2 gives K, zero
+and D. Both come from one AGM pass (Abramowitz & Stegun 17.5-17.6), which gives
+the slope-doubling pathology its clean closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, require
+from .errors import DomainError, IllConditionedFit, UnknownDiagram
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import PropagatorQuery, feynman_momentum
-from .quadrature import fsum_complex, fsum_real, midpoint_nodes, refined
+from .quadrature import fsum_complex, midpoint_nodes
 
 __all__ = [
     "DiagramSpec",
@@ -43,7 +45,6 @@ __all__ = [
 REGULATORS = ("ContinuumCutoff", "ShiftPlain", "ShiftSmeared")
 _INCOMING = {"Tree2to2": 2, "TadpoleMass": 1, "BubbleSChannel": 2}  # kind -> incoming momenta
 _ROWS = 32  # q0 rows summed per chunk by numpy; fsum adds the chunk totals
-_CONV_RTOL = 1e-9  # largest relative change of Pi when one_loop_mass refines its nodes
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,27 @@ def vertex_factor(params: LatticeParams, line_momenta, smeared: bool = False) ->
     return value
 
 
+def _elliptic_KD(k2: float, kc: float) -> tuple[float, float]:
+    """K and D = (K - E)/k^2 of modulus k = sqrt(k2), from one AGM pass of (1, kc), kc the
+    complementary modulus sqrt(1 - k^2) (A&S 17.6).
+
+    K = pi / (2 agm(1, kc)) and K - E = K sum_n 2^(n-1) c_n^2 with c_0^2 = k2 and
+    c_(n+1) = c_n^2 / (4 a_(n+1)), so c_1 = k2 / (2 (1 + kc)) and every term of D is
+    formed from k2 and kc without cancellation; D(0) = pi/4.
+    """
+    a, b = 1.0, kc
+    c2, term, weight, total = k2, 1.0, 0.5, 0.5  # c_n^2, c_n^2 / k2, 2^(n-1), the sum
+    for _ in range(64):  # quadratic convergence; stops at the roundoff plateau
+        if abs(a - b) <= 1e-15 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        ratio = c2 / (16.0 * a * a)
+        c2, term, weight = c2 * ratio, term * ratio, 2.0 * weight
+        total += weight * term
+    k = math.pi / (2.0 * a)
+    return k, k * total
+
+
 def elliptic_K(x: float) -> float:
     """Complete elliptic integral of the first kind via the AGM iteration.
 
@@ -95,12 +117,7 @@ def elliptic_K(x: float) -> float:
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"elliptic_K requires 0 <= x < 1, got {x}")
-    a, b = 1.0, math.sqrt(1.0 - x * x)
-    for _ in range(64):  # quadratic convergence; stops at the roundoff plateau
-        if abs(a - b) <= 1e-15 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return _elliptic_KD(x * x, math.sqrt(1.0 - x * x))[0]
 
 
 def _require_two_dimensional(params: LatticeParams):
@@ -110,32 +127,13 @@ def _require_two_dimensional(params: LatticeParams):
         raise ValueError("one-loop corrections require m > 0")
 
 
-@functools.lru_cache(maxsize=8)
-def _shift_grid(n: int, smeared: bool):
-    """The M-independent parts of the Shift integrand on n zone nodes, read-only."""
-    cos = np.cos(midpoint_nodes(n, math.pi))
-    cos2 = cos**2
-    cos2.flags.writeable = False
-    if not smeared:
-        return 1.0, cos2
-    weight = (1.0 + cos) ** 2
-    weight.flags.writeable = False
-    return weight, cos2
-
-
-def _shift_loop_integral(params: LatticeParams, n: int, smeared: bool) -> float:
-    """Zone integral of 1/sqrt(1 - M^2 cos^2), optionally weighted by (1+cos)^2."""
-    weight, cos2 = _shift_grid(n, smeared)
-    vals = weight / np.sqrt(1.0 - params.M**2 * cos2)
-    return fsum_real(vals) / n
-
-
 def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
-                  resolution: int = 8192, cutoff: float | None = None) -> float:
-    """Real one-loop mass correction Pi for the chosen regulator (D = 2).
+                  cutoff: float | None = None) -> float:
+    """Real one-loop mass correction Pi for the chosen regulator (D = 2), in closed form.
 
-    ``ContinuumCutoff`` is the closed form (lambda/(4 pi)) asinh(L/m), L = ``cutoff`` or
-    pi/a. The Shift regulators integrate on ``resolution`` zone nodes, refined once.
+    ``ContinuumCutoff`` is (lambda/(4 pi)) asinh(L/m), L = ``cutoff`` or pi/a. The Shift
+    regulators are K and D of modulus M = 1 - (m a)^2/2, with the complementary modulus
+    taken from m a, sqrt(1 - M^2) = m a sqrt(1 - (m a)^2/4), so a tiny m a keeps it.
     """
     _require_two_dimensional(params)
     if not math.isfinite(p_in):
@@ -147,20 +145,19 @@ def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
         return lam / (4.0 * math.pi) * math.asinh((math.pi / a if cutoff is None else cutoff) / m)
     if regulator not in ("ShiftPlain", "ShiftSmeared"):
         raise ValueError(f"regulator must be one of {REGULATORS}, got {regulator!r}")
-    # 1/sqrt(1 - M^2 cos^2) is real only for |M| < 1; an M that overflows stays a
-    # non-finite result, refused where it is written
-    if math.isfinite(params.M) and params.M <= -1.0:
-        raise ValueError(f"the Shift regulators need |M| < 1, i.e. m a < 2, got m a = {m * a}")
-    # the fine grid: the cached cos^2 and weights of both grids and the
-    # integrand's temporaries make about eight arrays of it
-    require(8 * 8 * 2 * resolution, BYTE_BUDGET,
-            f"bytes for the Shift zone grid of {2 * resolution} nodes")
-    smeared = regulator == "ShiftSmeared"
-    prefactor = lam / 4.0
-    if smeared:
-        prefactor *= (1.0 + math.cos(p_in * a)) ** 2 / 16.0
-    return refined(lambda n: prefactor * _shift_loop_integral(params, n, smeared),
-                   resolution, _CONV_RTOL, regulator)
+    ma = m * a
+    big_m = 1.0 - 0.5 * ma * ma
+    # an m a that underflows to 0 (K diverges) or overflows when squared has no finite
+    # moduli: the result is non-finite, refused where it is written
+    if ma == 0.0 or not math.isfinite(big_m):
+        return math.nan
+    # 1/sqrt(1 - M^2 cos^2) is real only for |M| < 1
+    if big_m <= -1.0:
+        raise ValueError(f"the Shift regulators need |M| < 1, i.e. m a < 2, got m a = {ma}")
+    k, d = _elliptic_KD(big_m * big_m, ma * math.sqrt(1.0 - 0.25 * ma * ma))
+    if regulator == "ShiftPlain":
+        return lam / (2.0 * math.pi) * k
+    return lam / 4.0 * (1.0 + math.cos(p_in * a)) ** 2 / 16.0 * (2.0 / math.pi) * (k + d)
 
 
 def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:

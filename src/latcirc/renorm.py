@@ -41,29 +41,28 @@ def _require_massive(params: LatticeParams) -> LatticeParams:
     return params
 
 
+# the keys each observable kind reads, besides "kind"
+_OBSERVABLE_KEYS = {"dispersion_theta": ("p",), "omega": ("p",), "one_loop": ("regulator", "p_in")}
+
+
 def make_observable(kind: str, **kwargs):
     """Named observable factory used by the CLI problem files.
 
-    Kinds: ``dispersion_theta`` / ``omega`` (needs ``p``), ``one_loop``
-    (needs ``regulator``, optional ``p_in``, ``resolution``).
+    Kinds: ``dispersion_theta`` / ``omega`` (needs ``p``), ``one_loop`` (needs
+    ``regulator``, optional ``p_in``). A key the kind does not read is refused.
     """
-    if kind == "dispersion_theta":
-        p = float(kwargs["p"])
-        return lambda params: dispersion_theta(_require_massive(params), p)
-    if kind == "omega":
-        p = float(kwargs["p"])
-        return lambda params: omega(_require_massive(params), p)
+    if kind not in _OBSERVABLE_KEYS:
+        raise ValueError(f"unknown observable kind {kind!r}")
+    unread = sorted(set(kwargs) - set(_OBSERVABLE_KEYS[kind]))
+    if unread:
+        raise ValueError(f"a {kind} entry of 'observables' has the key {unread[0]!r}, "
+                         f"which it does not read")
     if kind == "one_loop":
-        regulator = kwargs["regulator"]
-        p_in = float(kwargs.get("p_in", 0.0))
-        resolution = kwargs.get("resolution", 4096)
-        if isinstance(resolution, float) and resolution.is_integer():  # NaN and inf are not
-            resolution = int(resolution)
-        if isinstance(resolution, bool) or not isinstance(resolution, int):
-            raise ValueError(f"a one_loop entry of 'observables' needs an integer 'resolution', "
-                             f"got {resolution!r}")
-        return lambda params: one_loop_mass(regulator, params, p_in=p_in, resolution=resolution)
-    raise ValueError(f"unknown observable kind {kind!r}")
+        regulator, p_in = kwargs["regulator"], float(kwargs.get("p_in", 0.0))
+        return lambda params: one_loop_mass(regulator, params, p_in=p_in)
+    p = float(kwargs["p"])
+    function = dispersion_theta if kind == "dispersion_theta" else omega
+    return lambda params: function(_require_massive(params), p)
 
 
 @dataclass(frozen=True)

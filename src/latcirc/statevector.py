@@ -13,15 +13,15 @@ The Shift circuit's X-layer is exp(+i[(M/2) sum x_n x_{n+1} +
 (lambda a^2/24) sum x_n^4]) and its momentum layer the quarter rotation
 exp(-i pi (X^2 + P^2)/4), built by dense per-site diagonalization.
 
-A step (``CircuitStep``) holds the X layer's n x n bond table over neighbours
-and the per-site momentum kernel K, cached on (grid, kind, kappa) and applied by
-one GEMM per site that contracts the trailing axis and returns it as the leading
-one; the layer's ``dim`` values are built only when a whole state is stepped.
-The step's elements layer[y] prod_s K[y_s, x_s] layer[x], gathered from the
-table, give the dense step on the open index grid and each brute-force path-sum
-term as a product over time slices. Circuit amplitudes work from their basis-ket
-ends: U|x> is a product state of kernel columns times the layer, <y|U|psi> one
-shrinking contraction per site with the kernel rows, and one step one element.
+A step (``CircuitStep``) holds the X layer's bond angle over neighbours and the
+per-site momentum kernel K, cached on (grid, kind, kappa) and applied by one GEMM
+per site that contracts the trailing axis and returns it as the leading one; the
+layer's ``dim`` values are built only when a whole state is stepped. The step's
+elements layer[y] prod_s K[y_s, x_s] layer[x], each layer from the bond factors at
+its own indices, give the dense step on the open index grid and each brute-force
+path-sum term as a product over time slices. Circuit amplitudes work from their
+basis-ket ends: U|x> is a product state of kernel columns times the layer, <y|U|psi>
+one shrinking contraction per site with the kernel rows, and one step one element.
 
 The brute-force sums (the path sum, the action form and the gauge Wilson sum)
 take their terms from ``_path_blocks``: blocks of consecutive terms whose
@@ -182,45 +182,46 @@ def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> n
     raise ValueError(f"unknown circuit kind {kind!r}")
 
 
-def _bond_table(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """The n x n table exp(i angle(x_n, x_{n+1})) of one X layer's bond factor.
+def _bond_angle(lat: TruncatedLattice, kind: str, lam: float):
+    """angle(i, j) of one X layer's bond factor exp(i angle(x_i, x_j)) at grid indices i, j,
+    ints or broadcastable index arrays.
 
     Every term of the layer's phase couples only x_n and x_{n+1} (on-site terms ride
-    on x_n), so the layer at a configuration is the product of its L bond factors.
+    on x_n), so the layer at a configuration is the product of its L bond factors. Squares
+    are products and x^4 is tabulated, so an angle rounds alike at every array shape.
     """
-    x, y = lat.grid.values[:, None], lat.grid.values[None, :]
+    x = lat.grid.values
     quartic = lam * lat.params.a**2 / 24.0 * x**4
-    if kind in ("Strang", "Trotter"):
-        weight = 0.5 * lat.params.kappa if kind == "Strang" else lat.params.kappa
-        msq = (lat.params.m * lat.params.a) ** 2
-        angle = -weight * (0.5 * (y - x) ** 2 + 0.5 * msq * x**2 + quartic)
-    elif kind == "Shift":
-        angle = 0.5 * lat.params.M * x * y + quartic
-    else:
+    if kind == "Shift":
+        return lambda i, j: 0.5 * lat.params.M * x[i] * x[j] + quartic[i]
+    if kind not in ("Strang", "Trotter"):
         raise ValueError(f"unknown circuit kind {kind!r}")
-    return np.exp(1j * angle)
+    weight = 0.5 * lat.params.kappa if kind == "Strang" else lat.params.kappa
+    msq = (lat.params.m * lat.params.a) ** 2
+    return lambda i, j: -weight * (0.5 * ((x[j] - x[i]) * (x[j] - x[i]))
+                                   + 0.5 * msq * (x[i] * x[i]) + quartic[i])
 
 
-def _layer_at(bonds: np.ndarray, config) -> np.ndarray:
+def _layer_at(angle, config) -> np.ndarray:
     """The X layer at configurations given per site as broadcastable index arrays: the
-    bond factors gathered from ``bonds`` and multiplied in site order.
+    L bond factors evaluated there and multiplied in site order.
 
     ``np.multiply`` keeps single configurations on the array loop, which rounds complex
     products unlike the scalar ``*``, so every value is bitwise the full layer's.
     """
     L = len(config)
-    return functools.reduce(np.multiply, [bonds[config[s], config[(s + 1) % L]]
+    return functools.reduce(np.multiply, [np.exp(1j * angle(config[s], config[(s + 1) % L]))
                                           for s in range(L)])
 
 
-def _full_layer(bonds: np.ndarray, L: int) -> np.ndarray:
-    """The X layer at every configuration, flattened: ``dim`` values."""
-    return _layer_at(bonds, np.ix_(*[np.arange(len(bonds))] * L)).ravel()
+def _full_layer(angle, n: int, L: int) -> np.ndarray:
+    """The X layer at every configuration of L sites with n grid values, flattened."""
+    return _layer_at(angle, np.ix_(*[np.arange(n)] * L)).ravel()
 
 
 def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
     """Diagonal of one X layer (the half layer for Strang and Shift), flattened."""
-    return _full_layer(_bond_table(lat, kind, lam), lat.L)
+    return _full_layer(_bond_angle(lat, kind, lam), lat.grid.n_points, lat.L)
 
 
 @functools.lru_cache(maxsize=8)
@@ -255,18 +256,18 @@ def _apply_site_kernel(kernel: np.ndarray, vec: np.ndarray, sites: int) -> np.nd
 
 class CircuitStep:
     """One circuit step: layer * K * layer for Strang and Shift, K * layer for Trotter,
-    with K the momentum kernel on every site. It holds the layer's bond table; the
+    with K the momentum kernel on every site. It holds the layer's bond angle; the
     ``dim``-sized layer is built on first use by a whole-state method, never by ``element``.
     """
 
     def __init__(self, lat: TruncatedLattice, kind: str, lam: float):
         self.lat, self.kind = lat, kind
-        self.bonds = _bond_table(lat, kind, lam)
+        self.angle = _bond_angle(lat, kind, lam)
         self.kernel = _momentum_kernel(lat.grid, kind, lat.params.kappa)
 
     @functools.cached_property
     def layer(self) -> np.ndarray:
-        return _full_layer(self.bonds, self.lat.L)
+        return _full_layer(self.angle, self.lat.grid.n_points, self.lat.L)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         out = _apply_site_kernel(self.kernel, self.layer * psi, self.lat.L)
@@ -276,14 +277,14 @@ class CircuitStep:
         """<y|U|x> for configurations given per site as broadcastable index arrays."""
         out = functools.reduce(operator.mul, [self.kernel[ys, xs] for ys, xs in zip(y, x)])
         if self.kind != "Trotter":
-            out = _layer_at(self.bonds, y) * out
-        return out * _layer_at(self.bonds, x)
+            out = _layer_at(self.angle, y) * out
+        return out * _layer_at(self.angle, x)
 
     def from_ket(self, x) -> np.ndarray:
         """U|x> for one configuration x: the kernel columns K[:, x_s] as one product state,
         times the layer at x and, but for Trotter, the full layer."""
         columns = [self.kernel[:, xs] for xs in x]
-        columns[0] = columns[0] * _layer_at(self.bonds, x)
+        columns[0] = columns[0] * _layer_at(self.angle, x)
         out = functools.reduce(np.multiply.outer, columns).ravel()
         if self.kind != "Trotter":
             out *= self.layer
@@ -296,7 +297,7 @@ class CircuitStep:
         psi *= self.layer
         for ys in y:
             psi = self.kernel[ys] @ psi.reshape(len(self.kernel), -1)
-        return complex(psi[0] if self.kind == "Trotter" else _layer_at(self.bonds, y) * psi[0])
+        return complex(psi[0] if self.kind == "Trotter" else _layer_at(self.angle, y) * psi[0])
 
 
 def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) -> np.ndarray:

@@ -274,8 +274,8 @@ def test_criterion_9_renormalization_round_trip():
 
     base2 = LatticeParams(a=0.1, m=1.0, lam=0.5)
     obs2 = theta_obs + [
-        make_observable("one_loop", regulator="ShiftSmeared", p_in=0.0, resolution=2048),
-        make_observable("one_loop", regulator="ShiftSmeared", p_in=10.0, resolution=2048),
+        make_observable("one_loop", regulator="ShiftSmeared", p_in=0.0),
+        make_observable("one_loop", regulator="ShiftSmeared", p_in=10.0),
     ]
     helper2 = RenormProblem(base2, obs2, [0.0] * 5, {"m": 1.0, "lam": 0.5})
     targets2 = simulate_observables([0.5, 1.0], helper2)

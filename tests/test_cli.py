@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcirc import cli, perturbation, quadrature, statevector
+from latcirc import cli, quadrature, statevector
 from latcirc.cli import run
 from latcirc.errors import EXIT_PREFIXES, NonFinite
 
@@ -110,14 +110,17 @@ def test_pathint_check_beyond_dense_cap(tmp_path):
     assert json.loads(read_hash_and_body(out)[1])["rel_errors"]["path"] <= 1e-12
 
 
-# The child reads its own peak: RUSAGE_CHILDREN in this process would also count
-# every earlier child. ru_maxrss is in KiB on Linux.
+# The child reads its own peak, VmHWM (in KiB), which counts only the address space it
+# built after exec: Linux carries ru_maxrss over from the forking process, so a large
+# test process would set the child's ru_maxrss.
 PEAK_RSS_CHILD = """
-import resource, sys
+import sys
 from latcirc import perturbation, quadrature
 from latcirc.cli import run
 code = run(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    (peak,) = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+print(code, peak)
 """
 
 
@@ -144,7 +147,6 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv", [
-    ["oneloop", "--resolution", "100000000"],
     ["movers", "--L", "1000000000"],
     ["dispersion", "--L", "1000000000"],
     ["lightcone", "--L", "1000000000"],
@@ -402,6 +404,8 @@ def test_renorm_problem_checked(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"'{key}'" in err or f" {key}=" in err  # names the key
+    if key == "observables" and value is not DROP:  # a key the one_loop kind does not read
+        assert "'resolution'" in err
     assert not (tmp_path / "bad.json").exists()
 
 
@@ -414,19 +418,6 @@ def test_renorm_problem_malformed_entries(tmp_path, capsys, key, value):
     assert run(["renorm", "--problem", str(path), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: renorm problem is malformed") and err.count("\n") == 1
-
-
-def test_renorm_observable_keeps_its_exit_code(tmp_path, capsys):
-    # a one_loop observable past the Shift grid's byte cap ends in exit 3, as `oneloop` does
-    # on the same cap, not in the exit 1 of a validation error
-    observable = {"kind": "one_loop", "regulator": "ShiftPlain", "resolution": 10**80}
-    path, out = tmp_path / "problem.json", tmp_path / "r.json"
-    path.write_text(json.dumps({**SMALL_PROBLEM, "observables": [observable]}))
-    assert run(["renorm", "--problem", str(path), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource cap exceeded: observable failed at {'m': 1.3}: ")
-    assert err.count("\n") == 1
-    assert not out.exists()
 
 
 def _cli_bytes(workdir: Path, argv: list[str], name: str) -> bytes:
@@ -475,7 +466,6 @@ README_PROBLEM = {
 def _zone_artifacts(workdir: Path) -> dict:
     problem = workdir / "problem.json"
     problem.write_text(json.dumps(README_PROBLEM))
-    perturbation._shift_grid.cache_clear()
     cases = {
         "renorm": ["renorm", "--problem", str(problem)],
         "oneloop": ["oneloop"],
@@ -504,7 +494,7 @@ FLAG_INVENTORY = {
                   "--observable", "--out", "--tau"],
     "propagator": ["--L", "--a", "--config", "--dt", "--epsilon", "--lambda", "--m", "--out"],
     "oneloop": ["--a", "--a-series", "--config", "--dt", "--lambda", "--m", "--out",
-                "--p-in", "--resolution"],
+                "--p-in"],
     "pathint-check": ["--L", "--a", "--config", "--dt", "--grid", "--kind", "--lambda", "--m",
                       "--n-points", "--out", "--tau"],
     "gauge-check": ["--N", "--config", "--g", "--kappa", "--lx", "--ly", "--out", "--pairs",
@@ -620,6 +610,17 @@ def test_pathint_check_action_error_at_odd_tau_l(tmp_path, L, tau):
     payload = json.loads(read_hash_and_body(out)[1])
     assert payload["rel_errors"]["action"] < 1e-10
     assert payload["rel_errors"]["path"] < 1e-12
+
+
+def test_oneloop_answers_fine_spacings(tmp_path):
+    # at a = 0.001 the Shift integrand peaks within m a of the zone ends, where a trapezoid
+    # rule of 8192 nodes had not converged; the closed form needs no nodes. Pi_plain grows
+    # by (lambda/(2 pi)) ln 10 per decade of 1/a, to O((m a)^2)
+    out = tmp_path / "oneloop.csv"
+    assert run(["oneloop", "--a-series", "0.2,0.1,0.01,0.001", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert rows[:, 0].tolist() == [0.2, 0.1, 0.01, 0.001]
+    assert rows[3, 2] - rows[2, 2] == pytest.approx(math.log(10.0) / (2.0 * math.pi), rel=1e-4)
 
 
 def test_oneloop_refuses_shift_regulators_past_m_a_two(tmp_path, capsys):

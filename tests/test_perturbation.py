@@ -49,6 +49,72 @@ def test_one_loop_shift_plain_equals_elliptic():
     assert quad == pytest.approx(P1.lam / (2 * math.pi) * elliptic_K(P1.M), abs=1e-10)
 
 
+def shift_trapezoid_reference(regulator, params, p_in=0.0, resolution=8192):
+    """The quadrature one_loop_mass used for the Shift regulators before their closed forms:
+    the trapezoid rule on resolution / 2 and resolution midpoint nodes of the zone, each sum
+    added by math.fsum, and the fine value returned once it is within 1e-9 of the coarse."""
+
+    def zone_mean(n):
+        cos = np.cos(midpoint_nodes(n, math.pi))
+        weight = 1.0 if regulator == "ShiftPlain" else (1.0 + cos) ** 2
+        return math.fsum((weight / np.sqrt(1.0 - params.M**2 * cos**2)).tolist()) / n
+
+    prefactor = params.lam / 4.0
+    if regulator == "ShiftSmeared":
+        prefactor *= (1.0 + math.cos(p_in * params.a)) ** 2 / 16.0
+    coarse, fine = (prefactor * zone_mean(n) for n in (resolution // 2, resolution))
+    assert abs(fine - coarse) <= 1e-9 * abs(coarse)
+    return fine
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.01, 2.0), m_a=st.floats(0.05, 1.95), lam=st.floats(0.01, 10.0),
+       zone_fraction=st.floats(-1.0, 1.0))
+def test_shift_regulators_equal_trapezoid_quadrature(a, m_a, lam, zone_fraction):
+    params = LatticeParams(a=a, m=m_a / a, lam=lam)
+    p_in = zone_fraction * math.pi / a
+    for regulator in ("ShiftPlain", "ShiftSmeared"):
+        closed = one_loop_mass(regulator, params, p_in=p_in)
+        reference = shift_trapezoid_reference(regulator, params, p_in)
+        assert abs(closed - reference) <= 1e-12 * abs(reference)
+
+
+def test_shift_regulators_where_M_vanishes():
+    # m a = sqrt(2) puts M at 0 (to roundoff): K = pi/2 and D = (K - E)/M^2 takes its
+    # limit pi/4, so Pi_plain = lambda/4 and Pi_smeared = (lambda/4)(1/4)(2/pi)(3 pi/4)
+    params = LatticeParams(a=1.0, m=math.sqrt(2.0), lam=1.0)
+    assert abs(params.M) < 1e-15
+    plain, smeared = (one_loop_mass(reg, params) for reg in ("ShiftPlain", "ShiftSmeared"))
+    assert plain == pytest.approx(0.25, rel=1e-15)
+    assert smeared == pytest.approx(3.0 / 32.0, rel=1e-15)
+    assert plain == pytest.approx(shift_trapezoid_reference("ShiftPlain", params), rel=1e-12)
+    assert smeared == pytest.approx(shift_trapezoid_reference("ShiftSmeared", params), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-3, 1e-9])
+def test_shift_regulators_at_tiny_spacing(a):
+    # M = 1 - a^2/2 rounds to 1 at a = 1e-9, but k' = m a sqrt(1 - (m a)^2/4) keeps its
+    # value; to O(k'^4 ln k'), K = l + (k'^2/4)(l - 1) and E = 1 + (k'^2/2)(l - 1/2), l = ln(4/k')
+    params = LatticeParams(a=a, m=1.0, lam=1.0)
+    k_c = a * math.sqrt(1.0 - a * a / 4.0)
+    log = math.log(4.0 / k_c)
+    k = log + k_c**2 / 4.0 * (log - 1.0)
+    e = 1.0 + k_c**2 / 2.0 * (log - 0.5)
+    plain, smeared = (one_loop_mass(reg, params) for reg in ("ShiftPlain", "ShiftSmeared"))
+    assert 0.0 < plain < math.inf and 0.0 < smeared < math.inf
+    assert plain == pytest.approx(k / (2.0 * math.pi), rel=1e-11)
+    assert smeared == pytest.approx((k + (k - e) / params.M**2) / (8.0 * math.pi), rel=1e-11)
+
+
+@pytest.mark.parametrize("a, m", [(0.1, 1e200), (1e300, 1.0), (1e-200, 1e-200)])
+def test_shift_regulators_without_finite_moduli_are_non_finite(a, m):
+    # (m a)^2 overflows, or m a underflows to 0 where K diverges: a NaN for the writers
+    # to refuse (exit 2), not a math domain error
+    params = LatticeParams(a=a, m=m, lam=1.0)
+    for regulator in ("ShiftPlain", "ShiftSmeared"):
+        assert math.isnan(one_loop_mass(regulator, params))
+
+
 def cutoff_panels_reference(params, cutoff=None, resolution=8192):
     """The quadrature one_loop_mass("ContinuumCutoff") used before its closed form: the
     fine rule of resolution // 128 + 32 Gauss-Legendre nodes on panels doubling from m to

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from latcirc import quadrature
 from latcirc.errors import QuadratureNotConverged
-from latcirc.kinematics import LatticeParams
-from latcirc.perturbation import _shift_grid, one_loop_mass
 from latcirc.quadrature import fsum_complex, fsum_real
 
 DBL_MIN = 2.2250738585072014e-308  # smallest normal double
@@ -102,17 +100,6 @@ def test_fsum_complex_componentwise(values, size, seed):
     total = fsum_complex(z)
     assert (total.real.hex(), total.imag.hex()) == (reference(z.real).hex(),
                                                     reference(z.imag).hex())
-
-
-def test_cached_grids_are_read_only():
-    for smeared in (False, True):
-        one_loop_mass("ShiftSmeared" if smeared else "ShiftPlain",
-                      LatticeParams(a=0.1, m=1.0, lam=1.0), resolution=1024)
-        weight, cos2 = _shift_grid(1024, smeared)
-        for arr in (cos2, weight) if smeared else (cos2,):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
 
 
 def test_refined_returns_coarse_unchecked_without_rtol():

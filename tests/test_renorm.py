@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from latcirc.errors import Diverged, NonFinite, ObservableFailure
+from latcirc.errors import (
+    DimensionCap,
+    Diverged,
+    NonFinite,
+    ObservableFailure,
+    QuadratureNotConverged,
+)
 from latcirc.kinematics import LatticeParams, dispersion_theta
 from latcirc.renorm import (
     RenormProblem,
@@ -95,8 +101,8 @@ def test_already_converged_needs_no_steps():
 def test_two_parameter_round_trip():
     base = LatticeParams(a=0.1, m=1.0, lam=0.5)
     observables = THETA_OBS + [
-        make_observable("one_loop", regulator="ShiftSmeared", p_in=0.0, resolution=2048),
-        make_observable("one_loop", regulator="ShiftSmeared", p_in=10.0, resolution=2048),
+        make_observable("one_loop", regulator="ShiftSmeared", p_in=0.0),
+        make_observable("one_loop", regulator="ShiftSmeared", p_in=10.0),
     ]
     helper = RenormProblem(base, observables, [0.0] * 5, {"m": 1.0, "lam": 0.5})
     targets = simulate_observables([0.5, 1.0], helper)  # names sorted: (lam, m)
@@ -138,6 +144,22 @@ def test_backtracking_rescues_large_eta():
     final, trace = calibrate(prob)
     assert abs(final[0] - 1.0) < 1e-3
     assert any(t["event"] == "backtrack" for t in trace)
+
+
+def test_renorm_observable_keeps_its_exit_code():
+    # a cap or a convergence failure inside an observable leaves calibrate as itself, with
+    # its own exit code and the point named, not as the exit 1 of an ObservableFailure
+    for error, code in ((DimensionCap, 3), (QuadratureNotConverged, 2)):
+
+        def failing(params, error=error):
+            raise error("the observable's own message")
+
+        problem = RenormProblem(BASE, [failing], [0.0], {"m": 1.3})
+        with pytest.raises(error) as caught:
+            calibrate(problem)
+        assert caught.value.exit_code == code
+        assert str(caught.value) == ("observable failed at {'m': 1.3}: "
+                                     "the observable's own message")
 
 
 def calibrate_reference(problem):

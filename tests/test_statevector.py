@@ -707,6 +707,61 @@ def test_circuit_builds_no_full_layer_up_to_one_step(kind, monkeypatch):
         amplitude_circuit(lat, kind, 0.3, *ends, 2)
 
 
+def bond_table_reference(lat, kind, lam):
+    """The n x n table of one X layer's bond factors exp(i angle(x_n, x_{n+1})) on the whole
+    grid, as the step held it before one element evaluated its own 2L factors."""
+    x, y = lat.grid.values[:, None], lat.grid.values[None, :]
+    quartic = lam * lat.params.a**2 / 24.0 * x**4
+    if kind == "Shift":
+        angle = 0.5 * lat.params.M * x * y + quartic
+    else:
+        weight = 0.5 * lat.params.kappa if kind == "Strang" else lat.params.kappa
+        msq = (lat.params.m * lat.params.a) ** 2
+        angle = -weight * (0.5 * (y - x) ** 2 + 0.5 * msq * x**2 + quartic)
+    return np.exp(1j * angle)
+
+
+def element_from_table(lat, kind, lam, y, x):
+    """<y|U|x> with both layers gathered from the full bond table, multiplied in site order."""
+    table, L = bond_table_reference(lat, kind, lam), lat.L
+    kernel = statevector._momentum_kernel(lat.grid, kind, lat.params.kappa)
+
+    def layer(config):
+        return functools.reduce(np.multiply, [table[config[s], config[(s + 1) % L]]
+                                              for s in range(L)])
+
+    out = functools.reduce(operator.mul, [kernel[ys, xs] for ys, xs in zip(y, x)])
+    if kind != "Trotter":
+        out = layer(y) * out
+    return complex(out * layer(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=circuit_cases(), kind=st.sampled_from(KINDS), lam=st.floats(0.0, 2.0))
+def test_one_step_element_is_bitwise_the_full_table_gather(case, kind, lam):
+    lat, _, phi_i, phi_f = case
+    expected = element_from_table(lat, kind, lam, phi_f, phi_i)
+    assert amplitude_circuit(lat, kind, lam, phi_i, phi_f, 1) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_step_element_evaluates_only_its_bonds(kind, monkeypatch):
+    # n = 512: the full bond table would take n^2 exponentials, one element takes 2L (L
+    # for Trotter); the reference has already cached the kernel and its exponentials
+    lat = TruncatedLattice(2, FieldGrid.for_mass(1.0, 512), PARAMS)
+    ends = (256, 256), (258, 251)
+    expected = element_from_table(lat, kind, 0.3, ends[1], ends[0])
+    exp, sizes = np.exp, []
+
+    def counted_exp(z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return exp(z, *args, **kwargs)
+
+    monkeypatch.setattr(statevector.np, "exp", counted_exp)
+    assert amplitude_circuit(lat, kind, 0.3, *ends, 1) == expected
+    assert sizes == [1] * (2 * lat.L if kind != "Trotter" else lat.L)
+
+
 def action_bound(lat, lam, tau):
     """The largest |S| of any path: tau L times the largest kinetic term plus kappa times the
     largest site potential, each part bounded on its own over the grid."""
