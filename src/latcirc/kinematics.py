@@ -79,7 +79,7 @@ class LatticeParams:
 
     @property
     def M(self) -> float:
-        return 1.0 - 0.5 * self.m * self.m * self.a * self.a
+        return 1.0 - 0.5 * (self.m * self.a) * (self.m * self.a)  # no m^2 a^2 over/underflow
 
     @property
     def kappa(self) -> float:
@@ -136,11 +136,15 @@ def momentum_grid(params: LatticeParams, L: int) -> np.ndarray:
 def cosine_symbol(params: LatticeParams, p):
     """c(p) = M * prod_i cos(p_i a); even in every momentum component."""
     arr = validate_momentum(params, p)
-    return _unwrap(params.M * np.cos(arr * params.a).prod(axis=-1))
+    return _unwrap(_symbol(params, (arr[..., i] for i in range(params.d))))
 
 
-def _nondegenerate_symbol(params: LatticeParams, p):
-    c = cosine_symbol(params, p)
+def _symbol(params: LatticeParams, axes):
+    """c from each axis' momenta, in axis order: a point array's columns or np.ix_ grid lines."""
+    return params.M * math.prod(np.cos(x * params.a) for x in axes)
+
+
+def _nondegenerate(c):
     worst = np.abs(c).max()
     if worst >= 1.0:
         raise DegenerateDispersion(f"|c(p)| = {worst} >= 1; real theta requires m > 0")
@@ -155,12 +159,12 @@ def dispersion_theta(params: LatticeParams, p):
     DegenerateDispersion
         If any |c(p)| >= 1, which happens at m = 0 where theta touches zero.
     """
-    return _unwrap(np.arccos(_nondegenerate_symbol(params, p)) / params.dt)
+    return _unwrap(np.arccos(_nondegenerate(cosine_symbol(params, p))) / params.dt)
 
 
 def omega(params: LatticeParams, p):
     """Equal-time energy factor omega(p) = sin(theta dt)/dt = sqrt(1-c^2)/dt."""
-    c = _nondegenerate_symbol(params, p)
+    c = _nondegenerate(cosine_symbol(params, p))
     return _unwrap(np.sqrt(1.0 - c * c) / params.dt)
 
 
@@ -170,9 +174,8 @@ def reference_energies(params: LatticeParams, p) -> tuple:
     E = sqrt(|p|^2 + m^2); E_latt = sqrt(m^2 + sum_i 4 sin^2(p_i a/2)/a^2).
     """
     arr = validate_momentum(params, p)
-    e_cont = np.sqrt((arr * arr).sum(axis=-1) + params.m**2)
-    lap = (4.0 * np.sin(arr * params.a / 2.0) ** 2).sum(axis=-1) / params.a**2
-    return _unwrap(e_cont), _unwrap(np.sqrt(params.m**2 + lap))
+    lattice = 2.0 * np.sin(arr * params.a / 2.0) / params.a  # hypots: no square overflows
+    return tuple(_unwrap(np.hypot(np.hypot.reduce(k, axis=-1), params.m)) for k in (arr, lattice))
 
 
 def smear_form_factor(params: LatticeParams, p):

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedFit, UnknownDiagram
+from .errors import BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, require
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import PropagatorQuery, feynman_momentum
-from .quadrature import fsum_complex, midpoint_nodes
+from .quadrature import folded_nodes, fsum_complex, midpoint_nodes
 
 __all__ = [
     "DiagramSpec",
@@ -145,8 +145,7 @@ def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
         return lam / (4.0 * math.pi) * math.asinh((math.pi / a if cutoff is None else cutoff) / m)
     if regulator not in ("ShiftPlain", "ShiftSmeared"):
         raise ValueError(f"regulator must be one of {REGULATORS}, got {regulator!r}")
-    ma = m * a
-    big_m = 1.0 - 0.5 * ma * ma
+    ma, big_m = m * a, params.M
     # an m a that underflows to 0 (K diverges) or overflows when squared has no finite
     # moduli: the result is non-finite, refused where it is written
     if ma == 0.0 or not math.isfinite(big_m):
@@ -164,8 +163,8 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
     """Value of one catalog diagram under the discrete Feynman rules.
 
     Tree2to2 is the bare vertex -i*lambda (times form factors when smeared).
-    TadpoleMass and BubbleSChannel integrate over the undetermined loop
-    momentum with the zone measure d^D q / (2 pi)^D on a trapezoid grid.
+    TadpoleMass and BubbleSChannel integrate over the undetermined loop momentum with the zone
+    measure d^D q / (2 pi)^D on a trapezoid grid; the tadpole, even in q0, q1, on q0, q1 >= 0 only.
     """
     lam, n_in = params.lam, _INCOMING[spec.kind]
     if len(spec.incoming) != n_in:
@@ -175,8 +174,8 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
 
     _require_two_dimensional(params)
     n, eps = spec.resolution, spec.epsilon
-    q0 = midpoint_nodes(n, math.pi / params.dt)[:, None]  # one row per loop energy
-    q1 = midpoint_nodes(n, math.pi / params.a)[:, None]  # n one-component momenta
+    # memory is bounded by chunks of _ROWS rows: ~70 bytes per chunk term (measured)
+    require(96 * _ROWS * n, BYTE_BUDGET, f"bytes for {_ROWS} loop-integral rows of {n} nodes")
     measure = 1.0 / (n * params.dt) / (n * params.a)
 
     def form(p):
@@ -185,13 +184,16 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
     external = float(np.prod(form(np.asarray(_external_legs(spec))[:, 1:])))
     if spec.kind == "TadpoleMass":
         factor = -1j * lam / 2.0 * external
-        weight = form(q1) ** 2
+        (q0, w0), (q1, w1) = (folded_nodes(n, math.pi / s) for s in (params.dt, params.a))
+        q0, q1, w0, weight = q0[:, None], q1[:, None], w0[:, None], w1 * form(q1[:, None]) ** 2
 
         def chunk(rows):
-            return feynman_momentum(PropagatorQuery(params, q0[rows], q1, eps)) * weight
+            return feynman_momentum(PropagatorQuery(params, q0[rows], q1, eps)) * weight * w0[rows]
 
     else:  # BubbleSChannel
         factor = (-1j * lam) ** 2 / 2.0 * external
+        q0 = midpoint_nodes(n, math.pi / params.dt)[:, None]  # one row per loop energy
+        q1 = midpoint_nodes(n, math.pi / params.a)[:, None]  # n one-component momenta
         back0 = _fold_to_zone(spec.incoming[0][0] + spec.incoming[1][0] - q0, params.dt)
         back1 = _fold_to_zone(spec.incoming[0][1] + spec.incoming[1][1] - q1, params.a)
         weight = (form(q1) * form(back1)) ** 2
@@ -201,9 +203,8 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
             back = feynman_momentum(PropagatorQuery(params, back0[rows], back1, eps))
             return fwd * back * weight
 
-    # numpy's pairwise sum within a fixed chunk of rows, fsum over the chunk
-    # totals: deterministic, and memory bounded by _ROWS * n
-    totals = [np.sum(chunk(slice(start, start + _ROWS))) for start in range(0, n, _ROWS)]
+    # numpy's pairwise sum within a fixed chunk of rows, fsum over the totals: deterministic
+    totals = [np.sum(chunk(slice(start, start + _ROWS))) for start in range(0, len(q0), _ROWS)]
     return factor * fsum_complex(totals) * measure
 
 

@@ -1,9 +1,10 @@
 """Discrete-spacetime Feynman propagator of the Shift circuit.
 
-Two i*epsilon prescriptions are provided, matching the two closed forms the
-free solution admits: ``feynman_momentum`` puts +i*epsilon in the denominator,
-while the contour identity uses the complexified phase theta - i*epsilon. They
-agree as epsilon -> 0+.
+Two i*epsilon prescriptions are provided, matching the two closed forms the free solution
+admits: ``feynman_momentum`` puts +i*epsilon in the denominator, while the contour identity
+uses the complexified phase theta - i*epsilon. They agree as epsilon -> 0+. The contour and
+equal-time integrands are even in every momentum component, so their zone sums run over
+the nodes p >= 0 only (``quadrature.folded_nodes``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import (LatticeParams, _require_zone, _unwrap, cosine_symbol, dispersion_theta,
-                         omega, validate_momentum)
-from .quadrature import fsum_complex, midpoint_nodes, refined
+from .errors import BYTE_BUDGET, require
+from .kinematics import (LatticeParams, _nondegenerate, _require_zone, _symbol, _unwrap,
+                         cosine_symbol, dispersion_theta, validate_momentum)
+from .quadrature import folded_nodes, fsum_complex, fsum_real, refined
 
 __all__ = [
     "PropagatorQuery",
@@ -63,10 +65,9 @@ def feynman_momentum(query: PropagatorQuery):
 
 
 def _contour_rhs(params: LatticeParams, ctheta_eps: complex, t: float, n: int) -> complex:
-    dt = params.dt
-    p0 = midpoint_nodes(n, math.pi / dt)
-    terms = 1j * np.exp(-1j * p0 * t) / (ctheta_eps - np.cos(p0 * dt))
-    return fsum_complex(terms) / n
+    p0, weights = folded_nodes(n, math.pi / params.dt)
+    terms = weights * np.cos(p0 * t) / (ctheta_eps - np.cos(p0 * params.dt))
+    return 1j * fsum_complex(terms) / n
 
 
 def contour_identity_residual(
@@ -82,7 +83,7 @@ def contour_identity_residual(
     Left side: exp(-i theta_eps |t|)/sin(theta_eps dt) with theta_eps =
     theta - i*epsilon. Right side: dt * integral over p0 in (-pi/dt, pi/dt] of
     i exp(-i p0 t) / (cos(theta_eps dt) - cos(p0 dt)) / (2 pi), evaluated by
-    the periodic trapezoid rule with n_quad nodes.
+    the periodic trapezoid rule with n_quad nodes, summed over p0 >= 0 as 2i cos(p0 t).
 
     Raises QuadratureNotConverged when doubling n_quad moves the quadrature by
     more than conv_rtol relative to the left side (pass None to skip).
@@ -91,6 +92,8 @@ def contour_identity_residual(
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if n_quad < 2 or n_quad & (n_quad - 1):
         raise ValueError("n_quad must be a power of two")
+    fine = n_quad if conv_rtol is None else 2 * n_quad  # ~34 bytes per node (measured)
+    require(48 * fine, BYTE_BUDGET, "contour quadrature bytes")
     theta_eps = dispersion_theta(params, p) - 1j * epsilon  # requires m > 0
     dt = params.dt
     t = t_steps * dt
@@ -101,27 +104,29 @@ def contour_identity_residual(
     return abs(rhs - lhs) / abs(lhs)
 
 
-def _equal_time_sum(params: LatticeParams, offset: np.ndarray, n: int) -> complex:
-    d, a = params.d, params.a
-    line = midpoint_nodes(n, math.pi / a)
-    points = np.stack(np.meshgrid(*([line] * d), indexing="ij"), axis=-1)
-    terms = np.exp(1j * (points * (offset * a)).sum(axis=-1)) / (2.0 * omega(params, points))
-    return fsum_complex(terms) / (n * a) ** d
+def _equal_time_sum(params: LatticeParams, offset: np.ndarray, n: int) -> float:
+    a = params.a
+    line, weights = folded_nodes(n, math.pi / a)
+    c = _nondegenerate(_symbol(params, np.ix_(*[line] * params.d)))
+    numerator = math.prod(np.ix_(*[weights * np.cos(line * (x * a)) for x in offset]))
+    return fsum_real(numerator * params.dt / (2.0 * np.sqrt(1.0 - c * c))) / (n * a) ** params.d
 
 
 def equal_time(
     params: LatticeParams, x_minus_y, L_quad: int, conv_rtol: float | None = None
-) -> complex:
+) -> float:
     """Equal-time vacuum correlator as a zone integral of 1/(2 omega(p)).
 
-    ``x_minus_y`` is an integer site offset (scalar for d=1). The result is
-    real up to the p -> -p cancellation noise of the quadrature; the complex
-    value is returned so callers can assert that. ``conv_rtol`` refines it once.
+    ``x_minus_y`` is an integer site offset (scalar for d=1). The value is exactly
+    real, a float: the p -> -p pairs are summed as cosines, never as exponentials,
+    so it is also bitwise even in the offset. ``conv_rtol`` refines it once.
     """
     if params.m <= 0:
         raise ValueError("equal-time propagator requires m > 0")
     offset = np.atleast_1d(np.asarray(x_minus_y, dtype=float))
     if offset.shape != (params.d,):
         raise ValueError(f"offset must have {params.d} component(s)")
+    half = (L_quad + 1) // 2 if conv_rtol is None else L_quad  # the fine grid's folded half
+    require(40 * half**params.d, BYTE_BUDGET, "equal-time quadrature bytes")  # ~33 measured
     return refined(lambda n: _equal_time_sum(params, offset, n), L_quad, conv_rtol,
                    "equal-time quadrature")

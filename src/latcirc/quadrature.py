@@ -1,11 +1,12 @@
 """Deterministic quadrature primitives.
 
 Periodic integrands use the trapezoid rule on uniform midpoint-offset nodes
-(spectrally accurate on the torus). Reductions are correctly rounded: each
-returns the double nearest the exact sum of its terms, the same double as
-``math.fsum``, and so independent of evaluation order. Large arrays are summed
-exactly from their integer significands in numpy; small, non-finite or
-near-overflow ones go to ``math.fsum`` itself.
+(spectrally accurate on the torus); they are exactly antisymmetric, so the sum of
+an even integrand folds onto the nodes x >= 0 (``folded_nodes``). Reductions are
+correctly rounded: each returns the double nearest the exact sum of its terms,
+the same double as ``math.fsum``, and so independent of evaluation order. Large
+arrays are summed exactly from their integer significands in numpy; small,
+non-finite or near-overflow ones go to ``math.fsum`` itself.
 
 ``refined`` is the package's one refinement rule: a quadrature that moves by more
 than its tolerance between two node counts raises ``QuadratureNotConverged``.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import QuadratureNotConverged
 
-__all__ = ["midpoint_nodes", "fsum_complex", "fsum_real", "refined"]
+__all__ = ["midpoint_nodes", "folded_nodes", "fsum_complex", "fsum_real", "refined"]
 
 _CROSSOVER = 1536  # below this many terms math.fsum of a list is the faster route
 _CHUNK = 16384  # terms per numpy pass, so the pass's temporaries stay in cache
@@ -30,11 +31,16 @@ _BINS = _OFFSET + 1025
 
 
 def midpoint_nodes(n: int, halfwidth: float) -> np.ndarray:
-    """n uniform nodes on (-halfwidth, halfwidth), symmetric under negation."""
+    """n uniform nodes on (-halfwidth, halfwidth): x[::-1] == -x exactly, so odd n has 0.0."""
     if n < 1:
         raise ValueError("need at least one node")
-    step = 2.0 * halfwidth / n
-    return -halfwidth + step * (np.arange(n) + 0.5)
+    return (2.0 * halfwidth / n) * (np.arange(n) - (n - 1) / 2)
+
+
+def folded_nodes(n: int, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint nodes x >= 0 and their weights for an even integrand: 2, or 1 at x = 0."""
+    nodes = midpoint_nodes(n, halfwidth)[n // 2:]
+    return nodes, np.where(nodes == 0.0, 1.0, 2.0)
 
 
 def _exact_sum(x: np.ndarray) -> float | None:

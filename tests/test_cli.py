@@ -42,6 +42,18 @@ def test_dispersion_csv(tmp_path):
     assert rel_theta.max() < 0.05
 
 
+def test_dispersion_csv_at_m_a_one_with_extreme_m_and_a(tmp_path):
+    # m^2 and a^2 overflow and underflow on their own; M and the energies form m a and hypots
+    out = tmp_path / "disp.csv"
+    argv = ["dispersion", "--a", "1e-200", "--m", "1e200", "--L", "8", "--out", str(out)]
+    assert run(argv) == 0
+    _, body = read_hash_and_body(out)
+    rows = np.array([[float(v) for v in line.split(",")] for line in body.strip().split("\n")[1:]])
+    assert rows.shape == (8, 5) and np.isfinite(rows).all()
+    # theta(0) = arccos(M)/a with M = 1/2
+    assert rows[rows[:, 0] == 0.0][0, 1] == pytest.approx(math.pi / 3 * 1e200, rel=1e-14)
+
+
 def test_movers_json(tmp_path):
     out = tmp_path / "movers.json"
     assert run(["movers", "--L", "8", "--out", str(out)]) == 0

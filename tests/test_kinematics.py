@@ -10,6 +10,7 @@ from latcirc.errors import DegenerateDispersion
 from latcirc.kinematics import (
     LatticeParams,
     _fold_to_zone,
+    _symbol,
     cosine_symbol,
     dispersion_theta,
     momentum_grid,
@@ -42,6 +43,24 @@ def test_params_reject_non_finite(field, bad):
 def test_mass_parameter_recomputed():
     assert P1.M == 1.0 - 0.5 * 1.0 * 0.01
     assert abs(P1.M) < 1.0  # m*a < 2 keeps theta real
+
+
+def test_mass_parameter_from_the_product_m_a():
+    # m^2 overflows and a^2 underflows, but m a = 1: M = 1/2 and the energies stay finite
+    params = LatticeParams(a=1e-200, m=1e200)
+    assert params.M == pytest.approx(0.5, rel=1e-15)
+    e_cont, e_latt = reference_energies(params, math.pi / params.a)
+    assert e_cont == pytest.approx(math.hypot(math.pi, 1.0) * 1e200, rel=1e-14)
+    assert e_latt == pytest.approx(math.sqrt(5.0) * 1e200, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tensor_grid_symbol_is_bitwise_cosine_symbol(d):
+    params = LatticeParams(a=0.3, m=1.7, d=d)
+    line = np.random.default_rng(d).uniform(-0.999, 1.0, 9) * math.pi / params.a
+    grid = _symbol(params, np.ix_(*[line] * d))
+    points = np.stack(np.meshgrid(*[line] * d, indexing="ij"), axis=-1)
+    np.testing.assert_array_equal(grid, cosine_symbol(params, points))
 
 
 def test_momentum_zone_convention():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcirc.errors import DomainError, IllConditionedFit, UnknownDiagram
-from latcirc.kinematics import LatticeParams
+from latcirc.errors import DimensionCap, DomainError, IllConditionedFit, UnknownDiagram
+from latcirc.kinematics import LatticeParams, smear_form_factor
 from latcirc.perturbation import (
     DiagramSpec,
     elliptic_K,
@@ -14,6 +14,7 @@ from latcirc.perturbation import (
     log_slope,
     one_loop_mass,
 )
+from latcirc.propagator import PropagatorQuery, feynman_momentum
 from latcirc.quadrature import fsum_complex, midpoint_nodes
 
 P1 = LatticeParams(a=0.1, m=1.0, lam=1.0)
@@ -324,3 +325,43 @@ def test_pi_values_are_real():
     for reg in ("ContinuumCutoff", "ShiftPlain", "ShiftSmeared"):
         val = one_loop_mass(reg, P1, p_in=0.4)
         assert isinstance(val, float) and math.isfinite(val)
+
+
+def tadpole_full_zone_reference(spec, params):
+    """evaluate_diagram's tadpole before its fold onto q0, q1 >= 0: every node of the zone
+    grid, numpy sums of 32-row chunks and math.fsum over the chunk totals."""
+    n, eps = spec.resolution, spec.epsilon
+    q0 = midpoint_nodes(n, math.pi / params.dt)[:, None]
+    q1 = midpoint_nodes(n, math.pi / params.a)[:, None]
+
+    def form(p):
+        return smear_form_factor(params, p) if spec.smeared else 1.0
+
+    external = float(np.prod(form(np.asarray(spec.incoming * 2)[:, 1:])))
+    weight = form(q1) ** 2
+    totals = [np.sum(feynman_momentum(PropagatorQuery(params, q0[start:start + 32], q1, eps))
+                     * weight) for start in range(0, n, 32)]
+    measure = 1.0 / (n * params.dt) / (n * params.a)
+    return -1j * params.lam / 2.0 * external * fsum_complex(totals) * measure
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 300), a=st.floats(0.05, 1.0), m_a=st.floats(0.05, 1.9),
+       lam=st.floats(0.01, 10.0), eps=st.floats(1e-3, 0.2), smeared=st.booleans(),
+       zone_fraction=st.floats(-0.999, 1.0))
+def test_folded_tadpole_equals_full_zone_sum(n, a, m_a, lam, eps, smeared, zone_fraction):
+    params = LatticeParams(a=a, m=m_a / a, lam=lam)
+    p_in = zone_fraction * math.pi / a
+    spec = DiagramSpec("TadpoleMass", incoming=((0.0, p_in),), smeared=smeared,
+                       resolution=n, epsilon=eps)
+    reference = tadpole_full_zone_reference(spec, params)
+    assert abs(evaluate_diagram(spec, params) - reference) <= 1e-13 * abs(reference)
+
+
+@pytest.mark.parametrize("kind", ["TadpoleMass", "BubbleSChannel"])
+def test_loop_resolution_capped_before_allocation(kind):
+    # 2^62 nodes: numpy itself refuses the node line at once, so the call cannot allocate
+    legs = ((0.0, 0.1), (0.0, -0.2))[: 1 if kind == "TadpoleMass" else 2]
+    with pytest.raises(DimensionCap) as info:
+        evaluate_diagram(DiagramSpec(kind, incoming=legs, resolution=2**62), P1)
+    assert info.value.exit_code == 3

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcirc.errors import QuadratureNotConverged
-from latcirc.kinematics import LatticeParams, cosine_symbol, omega
+from latcirc import propagator
+from latcirc.errors import DegenerateDispersion, DimensionCap, QuadratureNotConverged
+from latcirc.kinematics import LatticeParams, cosine_symbol, dispersion_theta, omega
 from latcirc.propagator import (
     PropagatorQuery,
+    _contour_rhs,
     contour_identity_residual,
     equal_time,
     feynman_momentum,
 )
-from latcirc.quadrature import midpoint_nodes
+from latcirc.quadrature import fsum_complex, midpoint_nodes
 
 P1 = LatticeParams(a=0.1, m=1.0)
 EPS_DEFAULT = 1e-3 / P1.dt  # the standard regulator, 1e-3 in units of 1/dt
@@ -207,3 +210,114 @@ def test_array_feynman_momentum_equals_per_point(a, m, eps, p0_unit, p1_unit):
     points = [[feynman_momentum(PropagatorQuery(params, x0, x1, eps)) for x1 in p1] for x0 in p0]
     assert isinstance(points[0][0], complex)
     np.testing.assert_array_equal(grid, points)
+
+
+def equal_time_full_zone_reference(params, offset, n):
+    """The equal-time sum before its fold onto p >= 0: every node of the n^d zone grid, the
+    complex exponential of p.x over 2 omega, and the correctly rounded sums of both parts."""
+    d, a = params.d, params.a
+    line = midpoint_nodes(n, math.pi / a)
+    points = np.stack(np.meshgrid(*([line] * d), indexing="ij"), axis=-1)
+    phase = (points * (np.asarray(offset, dtype=float) * a)).sum(axis=-1)
+    terms = np.exp(1j * phase) / (2.0 * omega(params, points))
+    return fsum_complex(terms) / (n * a) ** d
+
+
+def contour_rhs_full_zone_reference(params, ctheta_eps, t, n):
+    """The contour identity's right side before its fold: all n nodes, i exp(-i p0 t)."""
+    dt = params.dt
+    p0 = midpoint_nodes(n, math.pi / dt)
+    terms = 1j * np.exp(-1j * p0 * t) / (ctheta_eps - np.cos(p0 * dt))
+    return fsum_complex(terms) / n
+
+
+OFFSETS = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 40), a=st.floats(0.05, 1.0),
+       m_a=st.floats(0.05, 1.9), offset=OFFSETS)
+def test_folded_equal_time_equals_full_zone_sum(d, n, a, m_a, offset):
+    params = LatticeParams(a=a, m=m_a / a, d=d)
+    x = tuple(offset[:d])
+    folded = equal_time(params, x, n)
+    assert isinstance(folded, float)
+    # the correlator is largest at x = 0, the sum of its positive terms; an x with an
+    # odd component cancels to roundoff, so the error is measured against G(0)
+    scale = equal_time_full_zone_reference(params, (0,) * d, n).real
+    assert abs(folded - equal_time_full_zone_reference(params, x, n)) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3000), a=st.floats(0.05, 1.0), m_a=st.floats(0.05, 1.9),
+       p_unit=st.floats(-0.999, 1.0), eps_dt=st.floats(1e-3, 0.1), t_steps=st.integers(-6, 6))
+def test_folded_contour_sum_equals_full_zone_sum(n, a, m_a, p_unit, eps_dt, t_steps):
+    params = LatticeParams(a=a, m=m_a / a)
+    theta_eps = dispersion_theta(params, p_unit * math.pi / a) - 1j * eps_dt / params.dt
+    ctheta = cmath.cos(theta_eps * params.dt)
+    t = t_steps * params.dt
+    reference = contour_rhs_full_zone_reference(params, ctheta, t, n)
+    # a t that the n nodes alias cancels the sum to roundoff, so the error is measured
+    # against the mean |term|, which the sum reaches when t = 0
+    p0 = midpoint_nodes(n, math.pi / params.dt)
+    scale = np.mean(np.abs(1.0 / (ctheta - np.cos(p0 * params.dt))))
+    assert abs(_contour_rhs(params, ctheta, t, n) - reference) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 40), a=st.floats(0.05, 1.0),
+       m_a=st.floats(0.05, 1.9), offset=OFFSETS)
+def test_equal_time_exactly_even(d, n, a, m_a, offset):
+    params = LatticeParams(a=a, m=m_a / a, d=d)
+    x = tuple(offset[:d])
+    assert equal_time(params, x, n) == equal_time(params, tuple(-v for v in x), n)
+    if d == 2:
+        assert equal_time(params, (1, 0), n) == equal_time(params, (0, 1), n)
+
+
+@pytest.mark.parametrize("t_steps", [1, 3, 7])
+def test_contour_residual_exactly_even_in_t(t_steps):
+    plus = contour_identity_residual(P1, 0.4, t_steps, EPS_DEFAULT, 2**12, conv_rtol=None)
+    assert plus == contour_identity_residual(P1, 0.4, -t_steps, EPS_DEFAULT, 2**12,
+                                             conv_rtol=None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 40), a=st.floats(0.05, 1.0),
+       m_a=st.floats(2.05, 20.0))
+def test_equal_time_degenerate_above_m_a_two(d, n, a, m_a):
+    # M < -1: |c| >= 1 on every grid that the full-zone sum refuses, and on all of n >= 16
+    params = LatticeParams(a=a, m=m_a / a, d=d)
+    try:
+        equal_time_full_zone_reference(params, (0,) * d, n)
+        refused = False
+    except DegenerateDispersion:
+        refused = True
+    assert refused or n < 16
+    if refused:
+        with pytest.raises(DegenerateDispersion):
+            equal_time(params, (0,) * d, n)
+    else:
+        equal_time(params, (0,) * d, n)
+
+
+def test_quadrature_node_counts_capped_before_allocation():
+    # 2^62 nodes: numpy itself refuses the node line at once, so no call here can allocate
+    huge = 2**62
+    with pytest.raises(DimensionCap) as info:
+        equal_time(LatticeParams(a=0.1, d=3, m=1.0), (0, 0, 0), huge)
+    assert info.value.exit_code == 3
+    with pytest.raises(DimensionCap):
+        contour_identity_residual(P1, 0.3, 1, EPS_DEFAULT, huge)
+
+
+def test_refinement_checked_at_its_fine_node_count(monkeypatch):
+    # a budget that holds 64 nodes but not the 128 that refining 64 evaluates
+    monkeypatch.setattr(propagator, "BYTE_BUDGET", 48 * 64)
+    contour_identity_residual(P1, 0.3, 1, EPS_DEFAULT, 64, conv_rtol=None)
+    with pytest.raises(DimensionCap):
+        contour_identity_residual(P1, 0.3, 1, EPS_DEFAULT, 64, conv_rtol=1.0)
+    monkeypatch.setattr(propagator, "BYTE_BUDGET", 40 * 32)
+    equal_time(P1, 0, 64)
+    with pytest.raises(DimensionCap):
+        equal_time(P1, 0, 64, conv_rtol=1.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latcirc import quadrature
 from latcirc.errors import QuadratureNotConverged
-from latcirc.quadrature import fsum_complex, fsum_real
+from latcirc.quadrature import folded_nodes, fsum_complex, fsum_real, midpoint_nodes
 
 DBL_MIN = 2.2250738585072014e-308  # smallest normal double
 
@@ -139,3 +139,14 @@ def test_refined_raises_above_rtol_times_scale():
     # a zero coarse value still has a positive scale, so any move raises
     with pytest.raises(QuadratureNotConverged):
         quadrature.refined(lambda n: 0.0 if n == 4 else 1e-290, 4, 1.0, "f")
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 256, 2**16, 2**17])
+def test_midpoint_nodes_exactly_antisymmetric(n):
+    x = midpoint_nodes(n, math.pi / 0.37)
+    np.testing.assert_array_equal(x, -x[::-1])
+    assert x[0] > -math.pi / 0.37 and x[-1] < math.pi / 0.37
+    nodes, weights = folded_nodes(n, math.pi / 0.37)
+    np.testing.assert_array_equal(nodes, x[n // 2:])
+    assert nodes[0] == 0.0 if n % 2 else nodes[0] > 0.0
+    assert weights.sum() == n and set(weights[1:]) <= {2.0}
