@@ -218,8 +218,7 @@ def _run_propagator(cfg: dict, out: str) -> None:
     require(80 * cfg["L"] ** 2, BYTE_BUDGET, f"bytes for a propagator table of {cfg['L']}^2 rows")
     p0, p1 = np.meshgrid(midpoint_nodes(cfg["L"], math.pi / params.dt),
                          midpoint_nodes(cfg["L"], math.pi / params.a), indexing="ij")
-    value = propagator.feynman_momentum(
-        propagator.PropagatorQuery(params, p0, p1[..., None], cfg["epsilon"]))
+    value = propagator.feynman_momentum(params, p0, p1[..., None], cfg["epsilon"])
     _write_csv(out, cfg, ["p0", "p1", "re", "im"],
                _finite((p0, p1, value.real, value.imag)))
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DENSE_CAP, STATE_CAP, OddLattice, require
 from .quadrature import fsum_complex
-from .statevector import _apply_site_kernel, _circulant, _path_blocks
+from .statevector import _apply_site_kernel, _circulant, _config_index, _path_blocks
 
 __all__ = [
     "GaugeGroupZN",
@@ -131,10 +131,8 @@ def _state_dim(lat: GaugeLattice, group: GaugeGroupZN) -> int:
 
 
 def config_index(lat: GaugeLattice, group: GaugeGroupZN, config) -> int:
-    """Row-major index of a link configuration: a Horner sum in Python ints, any link count."""
-    if len(config) != lat.n_links or not all(0 <= u < group.N for u in config):
-        raise ValueError(f"a configuration holds {lat.n_links} link values in [0, {group.N})")
-    return functools.reduce(lambda index, u: index * group.N + int(u), config, 0)
+    """Row-major index of n_links link values in [0, N) (``statevector._config_index``)."""
+    return _config_index(config, group.N, lat.n_links, f"{lat.n_links} link values")
 
 
 @dataclass
@@ -330,10 +328,8 @@ def amplitude_equiv_check(
         raise ValueError("tau must be >= 1")
     coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
-    u_i = np.asarray(u_i, dtype=int) % n
-    u_f = np.asarray(u_f, dtype=int) % n
-    if u_i.shape != (lat.n_links,) or u_f.shape != (lat.n_links,):
-        raise ValueError(f"configurations must assign one element per link ({lat.n_links})")
+    config_index(lat, group, u_i)  # both ends refused before any work, never wrapped
+    end = config_index(lat, group, u_f)
 
     n_temporal_vars = lat.n_sites * tau
     n_vars = lat.n_links * (tau - 1) + n_temporal_vars
@@ -341,10 +337,10 @@ def amplitude_equiv_check(
 
     # left side: the projected ket, then T = W_el W_mag applied tau times
     wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
-    psi = _gauss_orbit_average(lat, group, u_i)
+    psi = _gauss_orbit_average(lat, group, np.asarray(u_i, dtype=int))
     for _ in range(tau):
         psi = wel.apply(wmag.apply(psi))
-    lhs = complex(psi[config_index(lat, group, u_f)]) * n**lat.n_links
+    lhs = complex(psi[end]) * n**lat.n_links
 
     # right side: chunked enumeration of all summed link variables
     endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]

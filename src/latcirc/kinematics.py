@@ -51,7 +51,8 @@ class LatticeParams:
     lam : float
         Quartic coupling, >= 0.
     g : float
-        Gauge coupling (used by the gauge module only).
+        Gauge coupling. No module reads it; it is kept because ``movers``, ``lightcone``
+        and ``pathint-check`` write ``params`` into their artifacts through ``asdict``.
 
     The mass parameter M = 1 - m^2 a^2 / 2 and the anisotropy kappa = dt/a
     are always recomputed from the stored fields, never stored independently.
@@ -84,10 +85,6 @@ class LatticeParams:
     @property
     def kappa(self) -> float:
         return self.dt / self.a
-
-    @property
-    def D(self) -> int:
-        return self.d + 1
 
 
 def _require_zone(x: np.ndarray, spacing: float, what: str) -> None:
@@ -147,7 +144,7 @@ def _symbol(params: LatticeParams, axes):
 def _nondegenerate(c):
     worst = np.abs(c).max()
     if worst >= 1.0:
-        raise DegenerateDispersion(f"|c(p)| = {worst} >= 1; real theta requires m > 0")
+        raise DegenerateDispersion(f"|c(p)| = {worst} >= 1; real theta requires m > 0 and m a < 2")
     return c
 
 
@@ -157,7 +154,7 @@ def dispersion_theta(params: LatticeParams, p):
     Raises
     ------
     DegenerateDispersion
-        If any |c(p)| >= 1, which happens at m = 0 where theta touches zero.
+        If any |c(p)| >= 1, which happens at m = 0 and at m a >= 2 (|M| >= 1).
     """
     return _unwrap(np.arccos(_nondegenerate(cosine_symbol(params, p))) / params.dt)
 

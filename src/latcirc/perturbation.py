@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, require
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
-from .propagator import PropagatorQuery, feynman_momentum
+from .propagator import feynman_momentum
 from .quadrature import folded_nodes, fsum_complex, midpoint_nodes
 
 __all__ = [
@@ -66,8 +66,10 @@ class DiagramSpec:
     def __post_init__(self):
         if self.kind not in _INCOMING:
             raise UnknownDiagram(f"kind must be one of {tuple(_INCOMING)}, got {self.kind!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if type(self.resolution) is not int or self.resolution < 1:  # a bool is refused too
+            raise ValueError(f"resolution must be an int >= 1, got {self.resolution!r}")
         object.__setattr__(
             self, "incoming", tuple(tuple(float(c) for c in p) for p in self.incoming)
         )
@@ -188,7 +190,7 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
         q0, q1, w0, weight = q0[:, None], q1[:, None], w0[:, None], w1 * form(q1[:, None]) ** 2
 
         def chunk(rows):
-            return feynman_momentum(PropagatorQuery(params, q0[rows], q1, eps)) * weight * w0[rows]
+            return feynman_momentum(params, q0[rows], q1, eps) * weight * w0[rows]
 
     else:  # BubbleSChannel
         factor = (-1j * lam) ** 2 / 2.0 * external
@@ -199,8 +201,8 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
         weight = (form(q1) * form(back1)) ** 2
 
         def chunk(rows):
-            fwd = feynman_momentum(PropagatorQuery(params, q0[rows], q1, eps))
-            back = feynman_momentum(PropagatorQuery(params, back0[rows], back1, eps))
+            fwd = feynman_momentum(params, q0[rows], q1, eps)
+            back = feynman_momentum(params, back0[rows], back1, eps)
             return fwd * back * weight
 
     # numpy's pairwise sum within a fixed chunk of rows, fsum over the totals: deterministic

@@ -1,67 +1,47 @@
 """Discrete-spacetime Feynman propagator of the Shift circuit.
 
-Two i*epsilon prescriptions are provided, matching the two closed forms the free solution
-admits: ``feynman_momentum`` puts +i*epsilon in the denominator, while the contour identity
-uses the complexified phase theta - i*epsilon. They agree as epsilon -> 0+. The contour and
-equal-time integrands are even in every momentum component, so their zone sums run over
-the nodes p >= 0 only (``quadrature.folded_nodes``).
+Two i*epsilon prescriptions match the two closed forms the free solution admits:
+``feynman_momentum(params, p0, p, epsilon)`` puts +i*epsilon in the denominator and checks
+epsilon, p0 and p once each; the contour identity uses the phase theta - i*epsilon. They agree
+as epsilon -> 0+. The contour and equal-time integrands are even in every momentum component,
+so their zone sums run over the nodes p >= 0 only (``quadrature.folded_nodes``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BYTE_BUDGET, require
 from .kinematics import (LatticeParams, _nondegenerate, _require_zone, _symbol, _unwrap,
-                         cosine_symbol, dispersion_theta, validate_momentum)
+                         cosine_symbol, dispersion_theta)
 from .quadrature import folded_nodes, fsum_complex, fsum_real, refined
 
 __all__ = [
-    "PropagatorQuery",
     "feynman_momentum",
     "contour_identity_residual",
     "equal_time",
 ]
 
 
-@dataclass(frozen=True)
-class PropagatorQuery:
-    """Momentum-space evaluation points (p0, p) with an i*epsilon regulator.
-
-    ``p0`` has shape (...) and ``p`` shape (..., d) (a bare scalar is one d=1
-    momentum); the two broadcast against each other.
-    """
-
-    params: LatticeParams
-    p0: np.ndarray
-    p: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:  # NaN fails too
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        p0 = np.asarray(self.p0, dtype=float)
-        _require_zone(p0, self.params.dt, "p0 must lie in (-pi/dt, pi/dt]")
-        p = validate_momentum(self.params, self.p)
-        np.broadcast_shapes(p0.shape, p.shape[:-1])  # ValueError if they do not broadcast
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p", p)
-
-
-def feynman_momentum(query: PropagatorQuery):
+def feynman_momentum(params: LatticeParams, p0, p, epsilon: float):
     """D_F(p) = (dt^2/2) * i / (cos(theta dt) - cos(p0 dt) + i eps).
 
-    cos(theta(p) dt) is exactly the cosine symbol c(p), so the denominator is
-    evaluated without any inverse trigonometry. Even under p -> -p. Returns a
-    complex for a single point, else an array of the broadcast shape.
+    ``p0`` has shape (...) and ``p`` shape (..., d) (a bare scalar is one d=1
+    momentum); the two broadcast against each other. cos(theta(p) dt) is exactly
+    the cosine symbol c(p), so the denominator is evaluated without any inverse
+    trigonometry. Even under p -> -p. Returns a complex for a single point, else
+    an array of the broadcast shape.
     """
-    c = cosine_symbol(query.params, query.p)
-    dt = query.params.dt
-    return _unwrap((dt * dt / 2.0) * 1j / (c - np.cos(query.p0 * dt) + 1j * query.epsilon))
+    if not 0 < epsilon < math.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    p0 = np.asarray(p0, dtype=float)
+    _require_zone(p0, params.dt, "p0 must lie in (-pi/dt, pi/dt]")
+    c = cosine_symbol(params, p)  # checks p in the zone
+    dt = params.dt
+    return _unwrap((dt * dt / 2.0) * 1j / (c - np.cos(p0 * dt) + 1j * epsilon))
 
 
 def _contour_rhs(params: LatticeParams, ctheta_eps: complex, t: float, n: int) -> complex:

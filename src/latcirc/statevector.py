@@ -78,16 +78,12 @@ class FieldGrid:
             raise ValueError(f"delta_phi must be finite and positive, got {self.delta_phi}")
 
     @classmethod
-    def for_mass(cls, m: float, n_points: int, extent: float | None = None) -> "FieldGrid":
-        """Grid whose extent keeps the free ground state well interior.
-
-        Default half-width 6/sqrt(2m), roughly six ground-state widths.
-        """
-        if extent is None:
-            if m <= 0:
-                raise ValueError("automatic extent needs m > 0")
-            extent = 6.0 / math.sqrt(2.0 * m)
-        return cls(n_points, 2.0 * extent / n_points)
+    def for_mass(cls, m: float, n_points: int) -> "FieldGrid":
+        """Grid of half-width 6/sqrt(2m), roughly six ground-state widths, which keeps the free
+        ground state well interior; m must be positive."""
+        if m <= 0:
+            raise ValueError("a mass grid needs m > 0")
+        return cls(n_points, 2.0 * (6.0 / math.sqrt(2.0 * m)) / n_points)
 
     @classmethod
     def dual(cls, n_points: int) -> "FieldGrid":
@@ -152,14 +148,21 @@ class TruncatedLattice:
         object.__setattr__(self, "dim", dim)
 
     def config_index(self, config) -> int:
-        """Row-major index of L grid indices in [0, n_points); anything else (a wrong length,
-        a negative index) is a ValueError, never a wrapped index."""
-        n = self.grid.n_points
-        try:
-            return int(np.ravel_multi_index(tuple(config), (n,) * self.L))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"configuration {tuple(config)} is not {self.L} grid indices "
-                             f"in [0, {n})") from exc
+        """Row-major index of L grid indices in [0, n_points) (``_config_index``)."""
+        return _config_index(config, self.grid.n_points, self.L, f"{self.L} grid indices")
+
+
+def _config_index(config, n: int, length: int, what: str) -> int:
+    """Row-major index of ``length`` integers in [0, n): a Horner sum in Python ints, any
+    length. A wrong length, a non-integer or a value out of range is a ValueError naming
+    ``what``, never a wrapped or truncated index."""
+    try:
+        digits = [operator.index(v) for v in config]
+    except TypeError:  # a non-integer value, or no sequence at all
+        digits = None
+    if digits is None or len(digits) != length or not all(0 <= v < n for v in digits):
+        raise ValueError(f"configuration {config!r} is not {what} in [0, {n})")
+    return functools.reduce(lambda index, v: index * n + v, digits, 0)
 
 
 def _quartic_sum(lat: TruncatedLattice) -> np.ndarray:
@@ -217,11 +220,6 @@ def _layer_at(angle, config) -> np.ndarray:
 def _full_layer(angle, n: int, L: int) -> np.ndarray:
     """The X layer at every configuration of L sites with n grid values, flattened."""
     return _layer_at(angle, np.ix_(*[np.arange(n)] * L)).ravel()
-
-
-def _x_layer(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """Diagonal of one X layer (the half layer for Strang and Shift), flattened."""
-    return _full_layer(_bond_angle(lat, kind, lam), lat.grid.n_points, lat.L)
 
 
 @functools.lru_cache(maxsize=8)

@@ -174,9 +174,9 @@ def test_criterion_6_scalar_path_integral():
     lam, tau = 0.3, 3
     strang = build_step(lat16, "Strang", lam)
     trott = build_step(lat16, "Trotter", lam)
-    from latcirc.statevector import _momentum_kernel, _x_layer
+    from latcirc.statevector import CircuitStep, _momentum_kernel
 
-    half = _x_layer(lat16, "Strang", lam)
+    half = CircuitStep(lat16, "Strang", lam).layer
     kernel = _momentum_kernel(lat16.grid, "Strang", lat16.params.kappa)
     rearranged = (
         half[:, None] * np.linalg.matrix_power(trott, tau - 1) @ np.kron(kernel, kernel)

@@ -54,6 +54,17 @@ def test_dispersion_csv_at_m_a_one_with_extreme_m_and_a(tmp_path):
     assert rows[rows[:, 0] == 0.0][0, 1] == pytest.approx(math.pi / 3 * 1e200, rel=1e-14)
 
 
+@pytest.mark.parametrize("flags", [["--m", "0"], ["--m", "25", "--a", "0.1"]],
+                         ids=["massless", "m_a_above_two"])
+def test_degenerate_dispersion_names_both_conditions(tmp_path, capsys, flags):
+    # at m a = 2.5, M = -2.125: the line used to blame m > 0, which holds there
+    out = tmp_path / "disp.csv"
+    assert run(["dispersion", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("real theta requires m > 0 and m a < 2\n")
+    assert not out.exists()
+
+
 def test_movers_json(tmp_path):
     out = tmp_path / "movers.json"
     assert run(["movers", "--L", "8", "--out", str(out)]) == 0

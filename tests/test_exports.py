@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -44,3 +45,33 @@ def test_per_layer_metric_names_resolve():
         if not resolves:
             unresolved.append(f"{layer}.{fn}")
     assert not unresolved, f"per-layer metrics name no traced function: {unresolved}"
+
+
+def _unread_private_names(package: Path) -> list[str]:
+    """Module-level private names of ``package/*.py`` that no statement reads but the one
+    defining them; the cli's ``_run_*`` runners are read through ``RUNNERS``' lookup."""
+    defined, read = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {node.id for target in targets for node in ast.walk(target)
+                       if isinstance(node, ast.Name)}
+            else:
+                own = set()
+            defined |= {(path.stem, name) for name in own
+                        if name.startswith("_") and not name.startswith("__")}
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+                     or isinstance(node, ast.Attribute)} - own
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read and not (module == "cli" and name.startswith("_run_")))
+
+
+def test_every_private_name_is_read_in_src():
+    # a private helper that only tests call belongs in the tests, not in the package
+    unread = _unread_private_names(Path(latcirc.__file__).parent)
+    assert not unread, f"private names nothing in latcirc reads: {unread}"

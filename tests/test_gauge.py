@@ -294,9 +294,30 @@ def test_config_index_roundtrip():
     idx = config_index(LAT, Z2, cfg)
     back = np.unravel_index(idx, (2,) * 8)
     assert list(back) == cfg
-    for bad in ([1, 0, 2, 1, 0, 0, 1, 0], [1, 0, -1, 1, 0, 0, 1, 0], cfg[:7], cfg + [0]):
+    for bad in ([1, 0, 2, 1, 0, 0, 1, 0], [1, 0, -1, 1, 0, 0, 1, 0], cfg[:7], cfg + [0],
+                [1, 0, 1.5, 1, 0, 0, 1, 0], [1, 0, "1", 1, 0, 0, 1, 0]):
         with pytest.raises(ValueError, match="8 link values in"):
             config_index(LAT, Z2, bad)
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 2, 1.5], [0.7, 1, 2, 1], [0, 1, 2, "1"], [0, 1, 2, -1],
+                                 [0, 1, 2, 3], [0, 1, 2, 5], [0, 1, 2]],
+                         ids=["half", "fraction", "string", "negative", "N", "past_N", "length"])
+def test_equiv_check_refuses_bad_ends_before_any_work(monkeypatch, bad):
+    # a bad end was truncated ([0.7, 1, 2, 1] ran as [0, 1, 2, 1]) or wrapped mod N
+    # ([0, 1, 2, 5] as [0, 1, 2, 2]); now either end is refused before any state or sum
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before both ends were checked")
+
+    monkeypatch.setattr(gauge_mod, "_path_blocks", no_work)
+    monkeypatch.setattr(gauge_mod, "_gauss_orbit_average", no_work)
+    lat, group, good = GaugeLattice(1, 2), GaugeGroupZN(3), [0, 1, 2, 1]
+    assert config_index(lat, group, good) == 16
+    with pytest.raises(ValueError, match=r"4 link values in \[0, 3\)"):
+        config_index(lat, group, bad)
+    for ends in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=r"4 link values in \[0, 3\)"):
+            amplitude_equiv_check(lat, group, 1.0, 1.0, *ends, 1)
 
 
 # digit-table references: every configuration spelled out as (dim, n_links) digits

@@ -14,7 +14,7 @@ from latcirc.perturbation import (
     log_slope,
     one_loop_mass,
 )
-from latcirc.propagator import PropagatorQuery, feynman_momentum
+from latcirc.propagator import feynman_momentum
 from latcirc.quadrature import fsum_complex, midpoint_nodes
 
 P1 = LatticeParams(a=0.1, m=1.0, lam=1.0)
@@ -251,6 +251,17 @@ def test_unknown_diagram():
         DiagramSpec("PentagonLoop")
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", math.nan), ("epsilon", math.inf),
+    ("resolution", True), ("resolution", 64.0), ("resolution", 0), ("resolution", -8),
+])
+def test_diagram_spec_refuses_bad_fields(field, bad):
+    # NaN and inf regulators were left to the propagator call; resolution=True summed one
+    # node and 64.0 ended in a TypeError from a slice
+    with pytest.raises(ValueError, match=field):
+        DiagramSpec("TadpoleMass", incoming=((0.0, 0.0),), **{field: bad})
+
+
 def test_tadpole_matches_one_loop_as_regulator_shrinks():
     # -i * Pi_shift is the epsilon -> 0 limit of the tadpole value; the
     # approach is slow (the O(eps) regime needs eps << 1 - M^2), so assert
@@ -339,7 +350,7 @@ def tadpole_full_zone_reference(spec, params):
 
     external = float(np.prod(form(np.asarray(spec.incoming * 2)[:, 1:])))
     weight = form(q1) ** 2
-    totals = [np.sum(feynman_momentum(PropagatorQuery(params, q0[start:start + 32], q1, eps))
+    totals = [np.sum(feynman_momentum(params, q0[start:start + 32], q1, eps)
                      * weight) for start in range(0, n, 32)]
     measure = 1.0 / (n * params.dt) / (n * params.a)
     return -1j * params.lam / 2.0 * external * fsum_complex(totals) * measure

@@ -68,7 +68,7 @@ def test_field_grid_validation():
 
 
 def test_site_operators():
-    grid = FieldGrid.for_mass(1.0, 32, extent=6.0)
+    grid = FieldGrid(32, 12.0 / 32)
     x, p = build_site_operators(grid)
     assert np.max(np.abs(x - x.conj().T)) < 1e-12
     assert np.max(np.abs(p - p.conj().T)) < 1e-12
@@ -170,10 +170,11 @@ AMPLITUDE_ROUTES = {
 
 
 @pytest.mark.parametrize("route", AMPLITUDE_ROUTES)
-@pytest.mark.parametrize("bad", [(3,), (-1, 3), (8, 3)], ids=["length", "negative", "past_n"])
+@pytest.mark.parametrize("bad", [(3,), (-1, 3), (8, 3), (1.5, 3), ("1", 3)],
+                         ids=["length", "negative", "past_n", "non_integer", "string"])
 def test_amplitude_ends_are_refused_not_wrapped(route, bad):
-    # (-1, 3) would wrap to (7, 3) in an index gather; every route refuses it first, at
-    # either end and at tau = 0 too
+    # (-1, 3) would wrap to (7, 3) in an index gather and 1.5 truncate to 1; every route
+    # refuses them first, at either end and at tau = 0 too
     lat = TruncatedLattice(2, FieldGrid.dual(8), PARAMS)
     for tau in (0, 1):
         for ends in ((bad, (7, 3)), ((7, 3), bad)):
@@ -210,9 +211,9 @@ def test_strang_rearrangement_identity():
     lam, tau = 0.3, 3
     strang = build_step(lat, "Strang", lam)
     trott = build_step(lat, "Trotter", lam)
-    from latcirc.statevector import _momentum_kernel, _x_layer
+    from latcirc.statevector import _momentum_kernel
 
-    half = _x_layer(lat, "Strang", lam)
+    half = CircuitStep(lat, "Strang", lam).layer
     kernel = _momentum_kernel(lat.grid, "Strang", lat.params.kappa)
     full_kernel = np.kron(kernel, kernel)
     lhs = np.linalg.matrix_power(strang, tau)
@@ -352,7 +353,7 @@ def test_interaction_picture_identity():
 def test_shift_quarter_rotation_quality():
     # the grid quarter oscillator approximately swaps X and P on contained
     # states; measured, not assumed
-    grid = FieldGrid.for_mass(1.0, 64, extent=6.0)
+    grid = FieldGrid(64, 12.0 / 64)
     x, p = build_site_operators(grid)
     from latcirc.statevector import _momentum_kernel
 
@@ -402,7 +403,7 @@ def test_circulant_kernels_equal_dense_fourier_products(n):
 
 @pytest.mark.parametrize("n", (16, 64, 512))
 def test_shift_kernel_equals_dense_build_and_is_unitary(n):
-    grid = FieldGrid.for_mass(1.0, n, extent=6.0)
+    grid = FieldGrid(n, 12.0 / n)
     f = dense_dft(grid)
     x = np.diag(grid.values).astype(complex)
     p = f.conj().T @ np.diag(grid.momenta).astype(complex) @ f
