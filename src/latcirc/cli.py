@@ -145,8 +145,12 @@ _CONFIG_TYPES = {float: (int, float), type(None): (int, float, type(None))}
 
 
 def _check_types(values: dict, defaults: dict, what: str, subcommand: str = "") -> None:
-    """Refuse (ValueError) a value of the wrong type, or outside the subcommand's _CHOICES."""
-    for key in [key for key in values if key in defaults]:
+    """Refuse (ValueError) a key not in ``defaults``, a value of the wrong type, or one
+    outside the subcommand's _CHOICES."""
+    unknown = set(values) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in values:
         value, default = values[key], defaults[key]
         allowed = _CONFIG_TYPES.get(type(default), type(default))
         if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
@@ -165,9 +169,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object, "
                              f"got {type(file_values).__name__}")
-        unknown = set(file_values) - set(resolved)
-        if unknown:
-            raise ValueError(f"unknown config keys for {sub}: {sorted(unknown)}")
         _check_types(file_values, resolved, "config", sub)
         resolved.update(file_values)
     for key in resolved:
@@ -178,8 +179,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _params_from_config(cfg: dict, d: int = 1) -> LatticeParams:
-    return LatticeParams(a=cfg["a"], dt=cfg["dt"], d=d, m=cfg["m"], lam=cfg.get("lam", 0.0))
+def _params_from_config(cfg: dict) -> LatticeParams:
+    return LatticeParams(a=cfg["a"], dt=cfg["dt"], m=cfg["m"], lam=cfg["lam"])
 
 
 def _run_dispersion(cfg: dict, out: str) -> None:

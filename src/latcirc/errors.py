@@ -4,8 +4,11 @@ Every package error carries the exit code the CLI ends with (``exit_code``):
 1 for validation errors, 2 for numerical-convergence failures, 3 for resource
 caps; ``EXIT_PREFIXES`` holds the one-line message prefix of each code. The
 caps bound what one entry point may enumerate or allocate, and ``require``
-checks an amount against its cap before the work starts.
+checks an amount against its cap before the work starts; ``_require_int``
+refuses a size or node count that is not an integer.
 """
+
+import numbers
 
 STATE_CAP = 2**22  # amplitudes of one complex state vector (64 MiB), statevector and gauge alike
 DENSE_CAP = 4096  # largest dimension of an explicitly stored operator
@@ -68,10 +71,6 @@ class DomainError(LatcircError):
 class ObservableFailure(LatcircError):
     """An observable could not be evaluated at the given parameter point."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class Diverged(LatcircError):
     """Gradient descent cost increased for too many consecutive steps."""
@@ -90,3 +89,11 @@ def require(amount: int, cap: int, what: str, error: type[LatcircError] = Dimens
     if amount > cap:
         raise error(f"{what}: {amount} exceeds the cap {cap}")
     return amount
+
+
+def _require_int(value, least: int, what: str) -> int:
+    """A size or node count as an int, or ValueError unless it is an integer >= ``least``:
+    a numpy integer passes, a bool or an integral float does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)

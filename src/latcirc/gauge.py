@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DENSE_CAP, STATE_CAP, OddLattice, require
+from .errors import DENSE_CAP, STATE_CAP, OddLattice, _require_int, require
 from .quadrature import fsum_complex
 from .statevector import _apply_site_kernel, _circulant, _config_index, _path_blocks
 
@@ -68,8 +68,7 @@ class GaugeGroupZN:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("group order must be >= 1")
+        object.__setattr__(self, "N", _require_int(self.N, 1, "group order N"))
 
     def retrace(self, k) -> np.ndarray:
         """Re tr[U_k] = cos(2 pi k / N)."""
@@ -86,8 +85,8 @@ class GaugeLattice:
     n_links: int = field(init=False)
 
     def __post_init__(self):
-        if self.Lx < 1 or self.Ly < 1:
-            raise ValueError("lattice extents must be positive")
+        for name in ("Lx", "Ly"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), 1, name))
         object.__setattr__(self, "n_sites", self.Lx * self.Ly)
         object.__setattr__(self, "n_links", 2 * self.Lx * self.Ly)
 
@@ -140,8 +139,8 @@ class GaugeOperator:
     """Operator on the link configuration space in one of three shapes:
 
     diagonal phases (W_mag), an index permutation (D(Omega)), or a product of
-    one per-link factor (W_el). ``dense()`` materializes small operators for the
-    algebraic checks; ``apply`` works matrix-free in all three shapes.
+    one per-link factor (W_el). ``apply`` works matrix-free in all three shapes;
+    ``dense()`` applies it to each basis ket of a small operator.
     """
 
     dim: int
@@ -160,17 +159,12 @@ class GaugeOperator:
         return _apply_site_kernel(self.link_matrix, vec, self.lat.n_links)
 
     def dense(self) -> np.ndarray:
+        """The matrix of ``apply``: row i of one identity becomes the image of basis ket i."""
         require(self.dim, DENSE_CAP, "dense gauge operator dimension")
-        if self.diag is not None:
-            return np.diag(self.diag)
-        if self.perm is not None:
-            mat = np.zeros((self.dim, self.dim), dtype=complex)
-            mat[self.perm, np.arange(self.dim)] = 1.0
-            return mat
-        out = np.array([[1.0 + 0.0j]])
-        for _ in range(self.lat.n_links):
-            out = np.kron(out, self.link_matrix)
-        return out
+        mat = np.eye(self.dim, dtype=complex)
+        for row in mat:
+            row[:] = self.apply(row)
+        return mat.T
 
 
 def _plaquette_action(lat: GaugeLattice, group: GaugeGroupZN, links) -> np.ndarray:

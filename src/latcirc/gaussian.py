@@ -196,8 +196,6 @@ def mover_shift_check(params: LatticeParams, L: int) -> float:
         raise ValueError("mover shift is exact only at m = 0 (M = 1)")
     if params.kappa != 1.0:
         raise ValueError("mover shift is exact only at dt = a")
-    if params.d != 1:
-        raise ValueError("movers are defined on d=1 chains")
     return mover_shift_residual(params, L)
 
 

@@ -8,7 +8,7 @@ vacuum bubbles and external-leg loops are excluded by construction.
 One-loop mass corrections are evaluated for three regulators in D = 2:
 
 * ``ContinuumCutoff``: (lambda/(8 pi)) * integral_{-L}^{L} dp / sqrt(p^2+m^2)
-                       = (lambda/(4 pi)) * asinh(L/m), in closed form
+                       = (lambda/(4 pi)) * asinh(L/m), in closed form at L = pi/a
 * ``ShiftPlain``:      (lambda/4) * integral dp/(2 pi) a / sqrt(1 - M^2 cos^2(pa))
                        = (lambda/(2 pi)) K(M)
 * ``ShiftSmeared``:    the same with vertex form factors on all four legs
@@ -129,11 +129,10 @@ def _require_two_dimensional(params: LatticeParams):
         raise ValueError("one-loop corrections require m > 0")
 
 
-def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
-                  cutoff: float | None = None) -> float:
+def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0) -> float:
     """Real one-loop mass correction Pi for the chosen regulator (D = 2), in closed form.
 
-    ``ContinuumCutoff`` is (lambda/(4 pi)) asinh(L/m), L = ``cutoff`` or pi/a. The Shift
+    ``ContinuumCutoff`` is (lambda/(4 pi)) asinh(L/m) at the zone edge L = pi/a. The Shift
     regulators are K and D of modulus M = 1 - (m a)^2/2, with the complementary modulus
     taken from m a, sqrt(1 - M^2) = m a sqrt(1 - (m a)^2/4), so a tiny m a keeps it.
     """
@@ -142,9 +141,7 @@ def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0,
         raise ValueError(f"p_in must be finite, got {p_in}")
     lam, m, a = params.lam, params.m, params.a
     if regulator == "ContinuumCutoff":
-        if cutoff is not None and not 0 < cutoff < math.inf:  # NaN fails too
-            raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-        return lam / (4.0 * math.pi) * math.asinh((math.pi / a if cutoff is None else cutoff) / m)
+        return lam / (4.0 * math.pi) * math.asinh(math.pi / a / m)
     if regulator not in ("ShiftPlain", "ShiftSmeared"):
         raise ValueError(f"regulator must be one of {REGULATORS}, got {regulator!r}")
     ma, big_m = m * a, params.M

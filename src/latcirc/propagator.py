@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, require
+from .errors import BYTE_BUDGET, _require_int, require
 from .kinematics import (LatticeParams, _nondegenerate, _require_zone, _symbol, _unwrap,
                          cosine_symbol, dispersion_theta)
 from .quadrature import folded_nodes, fsum_complex, fsum_real, refined
@@ -70,7 +70,8 @@ def contour_identity_residual(
     """
     if not 0 < epsilon < math.inf:  # NaN fails too
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    if n_quad < 2 or n_quad & (n_quad - 1):
+    n_quad = _require_int(n_quad, 2, "n_quad")
+    if n_quad & (n_quad - 1):
         raise ValueError("n_quad must be a power of two")
     fine = n_quad if conv_rtol is None else 2 * n_quad  # ~34 bytes per node (measured)
     require(48 * fine, BYTE_BUDGET, "contour quadrature bytes")
@@ -106,6 +107,7 @@ def equal_time(
     offset = np.atleast_1d(np.asarray(x_minus_y, dtype=float))
     if offset.shape != (params.d,):
         raise ValueError(f"offset must have {params.d} component(s)")
+    L_quad = _require_int(L_quad, 1, "L_quad")
     half = (L_quad + 1) // 2 if conv_rtol is None else L_quad  # the fine grid's folded half
     require(40 * half**params.d, BYTE_BUDGET, "equal-time quadrature bytes")  # ~33 measured
     return refined(lambda n: _equal_time_sum(params, offset, n), L_quad, conv_rtol,

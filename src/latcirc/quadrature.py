@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureNotConverged
+from .errors import QuadratureNotConverged, _require_int
 
 __all__ = ["midpoint_nodes", "folded_nodes", "fsum_complex", "fsum_real", "refined"]
 
@@ -32,8 +32,7 @@ _BINS = _OFFSET + 1025
 
 def midpoint_nodes(n: int, halfwidth: float) -> np.ndarray:
     """n uniform nodes on (-halfwidth, halfwidth): x[::-1] == -x exactly, so odd n has 0.0."""
-    if n < 1:
-        raise ValueError("need at least one node")
+    n = _require_int(n, 1, "node count")
     return (2.0 * halfwidth / n) * (np.arange(n) - (n - 1) / 2)
 
 

@@ -12,7 +12,7 @@ max_iters) lands in the trace as one record of the point, cost, gradient and eta
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,21 +110,16 @@ class RenormProblem:
 
 
 def simulate_observables(g0, problem: RenormProblem) -> np.ndarray:
-    """Evaluate every observable at the bare point g0."""
+    """Evaluate every observable at the bare point g0; a failure names the point, and an
+    invalid point (a negative mass, say) fails like an observable."""
     try:
         params = problem.params_at(np.asarray(g0, dtype=float))
-    except ValueError as exc:
-        raise ObservableFailure(str(exc), point=list(map(float, g0))) from exc
-    out = []
-    for obs in problem.observables:
-        try:
-            out.append(float(obs(params)))
-        except (LatcircError, ValueError) as exc:
-            message = f"observable failed at {dict(zip(problem.names, map(float, g0)))}: {exc}"
-            if getattr(exc, "exit_code", 1) != 1:  # a cap or convergence failure keeps its code
-                raise type(exc)(message) from exc
-            raise ObservableFailure(message, point=list(map(float, g0))) from exc
-    return np.array(out)
+        return np.array([float(obs(params)) for obs in problem.observables])
+    except (LatcircError, ValueError) as exc:
+        message = f"observable failed at {dict(zip(problem.names, map(float, g0)))}: {exc}"
+        if getattr(exc, "exit_code", 1) != 1:  # a cap or convergence failure keeps its code
+            raise type(exc)(message) from exc
+        raise ObservableFailure(message) from exc
 
 
 def cost(g0, problem: RenormProblem) -> float:

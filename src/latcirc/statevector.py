@@ -44,13 +44,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, require
+from .errors import DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, _require_int, require
 from .kinematics import LatticeParams
 
 __all__ = [
     "FieldGrid",
     "TruncatedLattice",
-    "build_site_operators",
     "build_step",
     "apply_step",
     "amplitude_circuit",
@@ -72,8 +71,9 @@ class FieldGrid:
     delta_phi: float
 
     def __post_init__(self):
-        if self.n_points < 8 or self.n_points % 2:
-            raise ValueError("n_points must be an even integer >= 8")
+        object.__setattr__(self, "n_points", _require_int(self.n_points, 8, "n_points"))
+        if self.n_points % 2:
+            raise ValueError(f"n_points must be even, got {self.n_points}")
         if not 0 < self.delta_phi < math.inf:  # NaN fails too
             raise ValueError(f"delta_phi must be finite and positive, got {self.delta_phi}")
 
@@ -125,11 +125,6 @@ def _momentum_function(symbol: np.ndarray) -> np.ndarray:
     return _circulant(np.fft.ifft(symbol) * (-1.0) ** np.arange(len(symbol)))
 
 
-def build_site_operators(grid: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Dense Hermitian (X, P) for one site; P = F^dagger diag(momenta) F."""
-    return np.diag(grid.values).astype(complex), _momentum_function(grid.momenta)
-
-
 @dataclass(frozen=True)
 class TruncatedLattice:
     """Periodic d=1 chain of L sites with an on-site field grid."""
@@ -140,8 +135,7 @@ class TruncatedLattice:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("L must be >= 2 (L = 1 self-couples degenerately)")
+        object.__setattr__(self, "L", _require_int(self.L, 2, "L"))  # L = 1 is its own neighbour
         if self.params.d != 1:
             raise ValueError("the state-vector simulator is d=1 only")
         dim = require(self.grid.n_points**self.L, STATE_CAP, "state-vector dimension")
@@ -227,12 +221,10 @@ def _momentum_kernel(grid: FieldGrid, kind: str, kappa: float) -> np.ndarray:
     """One-site momentum-layer matrix, read-only and cached on its only inputs."""
     if kind in ("Strang", "Trotter"):
         kernel = _momentum_function(np.exp(-0.5j * kappa * grid.momenta**2))
-    elif kind == "Shift":
+    else:  # Shift: CircuitStep's _bond_angle has refused any other kind
         h = _momentum_function(grid.momenta**2) + np.diag(grid.values**2)
         w, v = np.linalg.eigh(h)
         kernel = (v * np.exp(-0.25j * math.pi * w)) @ v.conj().T
-    else:
-        raise ValueError(f"unknown circuit kind {kind!r}")
     kernel.setflags(write=False)
     return kernel
 
@@ -311,15 +303,10 @@ def build_step(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
     return step.reshape(lat.dim, lat.dim)
 
 
-def _end_indices(lat: TruncatedLattice, phi_i, phi_f) -> tuple[int, int]:
-    """Indices of both ends of an amplitude; a bad end is refused (ValueError), never wrapped."""
-    return lat.config_index(phi_i), lat.config_index(phi_f)
-
-
 def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
     """<phi_f | U^tau | phi_i> from its basis-ket ends: a Kronecker delta at tau = 0, one
     step element (O(L)) at tau = 1, else ``from_ket``, tau - 2 full steps and ``to_bra``."""
-    start, end = _end_indices(lat, phi_i, phi_f)
+    start, end = lat.config_index(phi_i), lat.config_index(phi_f)  # a bad end is refused
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if tau == 0:
@@ -340,7 +327,8 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
     of its tau step elements, so this really is the brute-force
     insertion-of-identity sum, not a matrix-product shortcut.
     """
-    _end_indices(lat, phi_i, phi_f)
+    lat.config_index(phi_i)  # both ends are refused before any work, never wrapped
+    lat.config_index(phi_f)
     if tau < 1:
         raise ValueError("path sum needs tau >= 1")
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
@@ -405,7 +393,8 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     two differ by wrap-around image interference that does not vanish at
     fixed extent (real-time kernels have distance-independent modulus).
     """
-    _end_indices(lat, phi_i, phi_f)
+    lat.config_index(phi_i)  # both ends are refused before any work, never wrapped
+    lat.config_index(phi_f)
     if tau < 1:
         raise ValueError("action form needs tau >= 1")
     L, kappa = lat.L, lat.params.kappa
@@ -471,6 +460,8 @@ def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     U_0^-k U^k must equal U_I(k)^s U_I(k-1) ... U_I(1) D^(1-s); U_0^k, U^k and the
     middle product are carried from step to step. Returns the max over k = 1..tau.
     """
+    if tau < 1:
+        raise ValueError("interaction-picture check needs tau >= 1")
     step, free = build_step(lat, kind, lam), build_step(lat, kind, 0.0)
     phase = quartic_interaction_phase(lat, kind, lam)
     s = 0.0 if kind == "Trotter" else 0.5

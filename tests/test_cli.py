@@ -412,6 +412,7 @@ SMALL_PROBLEM = {"a": 0.1, "m": 1.0, "observables": [{"kind": "dispersion_theta"
     ("targets", [math.nan]), ("targets", [math.inf]),
     *[("observables", [{"kind": "one_loop", "regulator": "ShiftPlain", "resolution": bad}])
       for bad in (math.inf, -math.inf, math.nan, 4096.5, "4096", True)],
+    ("backtrack", True),  # a typo for backtracking, refused as --config refuses one
 ])
 def test_renorm_problem_checked(tmp_path, capsys, key, value):
     problem = dict(SMALL_PROBLEM)

@@ -4,10 +4,16 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latcirc import cli, errors
 from latcirc.cli import run
+from latcirc.gauge import GaugeGroupZN, GaugeLattice
+from latcirc.kinematics import LatticeParams
+from latcirc.propagator import contour_identity_residual, equal_time
+from latcirc.quadrature import midpoint_nodes
+from latcirc.statevector import FieldGrid, TruncatedLattice
 
 # the exit codes the README documents for each error class
 DOCUMENTED_EXIT_CODES = {
@@ -65,6 +71,33 @@ def test_require():
         errors.require(6, 5, "terms")
     with pytest.raises(errors.BruteForceCap):
         errors.require(6, 5, "terms", errors.BruteForceCap)
+
+
+P1 = LatticeParams(a=0.1, m=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: midpoint_nodes(2.5, 1.0), lambda: midpoint_nodes(True, 1.0),
+    lambda: equal_time(P1, 0, 64.5), lambda: equal_time(P1, 0, True),
+    lambda: contour_identity_residual(P1, 0.3, 1, 1e-3, 64.0),
+    lambda: FieldGrid(8.0, 0.5), lambda: FieldGrid(True, 0.5),
+    lambda: GaugeGroupZN(2.5), lambda: GaugeGroupZN(True),
+    lambda: GaugeLattice(1.5, 2), lambda: GaugeLattice(2, False),
+    lambda: TruncatedLattice(2.0, FieldGrid(8, 0.5), P1),
+], ids=["nodes-2.5", "nodes-True", "equal_time-64.5", "equal_time-True", "contour-64.0",
+        "FieldGrid-8.0", "FieldGrid-True", "ZN-2.5", "ZN-True", "GaugeLattice-1.5",
+        "GaugeLattice-False", "TruncatedLattice-2.0"])
+def test_sizes_and_node_counts_must_be_integers(call):
+    # a float size would be accepted and fail later, or give a float n_links; a bool is
+    # refused too
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_sizes_are_ints():
+    assert np.array_equal(midpoint_nodes(np.int64(4), 1.0), midpoint_nodes(4, 1.0))
+    assert GaugeLattice(np.int32(1), 2).n_links == 4
+    assert type(FieldGrid(np.int64(8), 0.5).n_points) is int
 
 
 def _raised_name(node: ast.Raise) -> str | None:

@@ -75,3 +75,48 @@ def test_every_private_name_is_read_in_src():
     # a private helper that only tests call belongs in the tests, not in the package
     unread = _unread_private_names(Path(latcirc.__file__).parent)
     assert not unread, f"private names nothing in latcirc reads: {unread}"
+
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+def _unpassed_defaults(package: Path, callers: list[Path]) -> list[str]:
+    """Defaulted parameters of module-level functions in ``package/*.py`` that no call in
+    ``callers`` passes, by keyword or by position; a call with * or ** passes every one."""
+    passed = {}  # callee name -> [(positional count, keyword names, * or ** used)]
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                keywords = {kw.arg for kw in node.keywords}
+                every = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                passed.setdefault(name, []).append((len(node.args), keywords, every))
+    unpassed = []
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, ast.FunctionDef):
+                continue
+            args = stmt.args
+            ordered = args.posonlyargs + args.args
+            defaulted = [(i, arg.arg) for i, arg in enumerate(ordered)
+                         if i >= len(ordered) - len(args.defaults)]
+            defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs,
+                                                                  args.kw_defaults)
+                          if default is not None]
+            calls = passed.get(stmt.name, [])
+            unpassed += [f"{path.stem}.{stmt.name}({param})" for index, param in defaulted
+                         if not any(every or param in keywords
+                                    or (index is not None and positional > index)
+                                    for positional, keywords, every in calls)]
+    return unpassed
+
+
+@pytest.mark.skipif(not BENCHMARK.is_dir(), reason="benchmark/ is not in this checkout")
+def test_every_default_is_passed_outside_the_tests():
+    # a defaulted parameter that only tests set is a knob no caller needs; the acceptance
+    # criteria are the fixed reference, so their calls count as callers
+    package = Path(latcirc.__file__).parent
+    callers = [*sorted(package.glob("*.py")), *sorted(BENCHMARK.rglob("*.py")),
+               Path(__file__).with_name("test_acceptance.py")]
+    unpassed = _unpassed_defaults(package, callers)
+    assert not unpassed, f"defaulted parameters that no caller passes: {unpassed}"

@@ -139,6 +139,37 @@ def test_gauge_transform_properties():
         assert np.max(np.abs(composed - product)) < 1e-14
 
 
+def perm_reference(op):
+    """D(Omega) as the permutation matrix ``GaugeOperator.dense`` once built by hand."""
+    mat = np.zeros((op.dim, op.dim), dtype=complex)
+    mat[op.perm, np.arange(op.dim)] = 1.0
+    return mat
+
+
+def kron_reference(op):
+    """W_el as the n_links-fold Kronecker product ``GaugeOperator.dense`` once built."""
+    out = np.array([[1.0 + 0.0j]])
+    for _ in range(op.lat.n_links):
+        out = np.kron(out, op.link_matrix)
+    return out
+
+
+@pytest.mark.parametrize("lx, ly, n", [(2, 2, 2), (1, 2, 3), (1, 3, 4), (2, 2, 1), (1, 2, 5)])
+def test_dense_is_apply_on_basis_kets(lx, ly, n):
+    # against the hand-built matrices: bitwise for W_mag's diagonal and D(Omega)'s
+    # permutation, to 1e-15 for W_el's Kronecker product (1, 3, 4 is at DENSE_CAP)
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    wmag = build_wmag(lat, group, 1.3, 0.7)
+    assert np.array_equal(wmag.dense(), np.diag(wmag.diag))
+    d = gauge_transform(lat, group, np.arange(lat.n_sites) % n)
+    assert np.array_equal(d.dense(), perm_reference(d))
+    wel = build_wel(lat, group, 1.3, 0.7)
+    dense, reference = wel.dense(), kron_reference(wel)
+    # row blocks keep the difference's temporaries small beside two 256 MiB matrices
+    assert max(np.max(np.abs(dense[i : i + 256] - reference[i : i + 256]))
+               for i in range(0, wel.dim, 256)) <= 1e-15
+
+
 def test_transfer_commutes_with_all_gauge_transforms():
     wmag = build_wmag(LAT, Z2, 1.0)
     wel = build_wel(LAT, Z2, 1.0)

@@ -46,8 +46,8 @@ def test_simulate_observables():
     vals = simulate_observables([1.0], prob)
     assert vals[0] == pytest.approx(dispersion_theta(BASE, 0.3), rel=1e-14)
     assert simulate_observables([1.0], RenormProblem(BASE, [], [], {"m": 1.0})).size == 0
-    with pytest.raises(ObservableFailure):
-        simulate_observables([-0.5], prob)  # invalid mass point
+    with pytest.raises(ObservableFailure, match=r"at \{'m': -0\.5\}"):
+        simulate_observables([-0.5], prob)  # invalid mass point, named in the message
     with pytest.raises(ObservableFailure):
         simulate_observables([0.0], prob)  # m = 0 breaks the dispersion
 

@@ -18,12 +18,12 @@ from latcirc.statevector import (
     CircuitStep,
     FieldGrid,
     TruncatedLattice,
+    _momentum_function,
     _path_blocks,
     amplitude_action_form,
     amplitude_circuit,
     amplitude_path_sum,
     apply_step,
-    build_site_operators,
     build_step,
     interaction_picture_check,
     kernel_gaussian_check,
@@ -69,7 +69,7 @@ def test_field_grid_validation():
 
 def test_site_operators():
     grid = FieldGrid(32, 12.0 / 32)
-    x, p = build_site_operators(grid)
+    x, p = np.diag(grid.values), _momentum_function(grid.momenta)
     assert np.max(np.abs(x - x.conj().T)) < 1e-12
     assert np.max(np.abs(p - p.conj().T)) < 1e-12
     # X is diagonal with the grid values
@@ -350,11 +350,18 @@ def test_interaction_picture_identity():
     assert interaction_picture_check(lat, "Strang", 0.0, 2) < 1e-12
 
 
+@pytest.mark.parametrize("tau", [0, -1])
+def test_interaction_picture_check_refuses_no_steps(tau):
+    # with no step compared, the defect would read 0.0: a perfect identity never checked
+    with pytest.raises(ValueError, match="tau >= 1"):
+        interaction_picture_check(small_lattice(n_points=8), "Strang", 0.3, tau)
+
+
 def test_shift_quarter_rotation_quality():
     # the grid quarter oscillator approximately swaps X and P on contained
     # states; measured, not assumed
     grid = FieldGrid(64, 12.0 / 64)
-    x, p = build_site_operators(grid)
+    x, p = np.diag(grid.values), _momentum_function(grid.momenta)
     from latcirc.statevector import _momentum_kernel
 
     lat = TruncatedLattice(2, grid, PARAMS)
@@ -397,7 +404,7 @@ def test_circulant_kernels_equal_dense_fourier_products(n):
         assert np.max(np.abs(statevector._momentum_kernel(grid, "Strang", kappa) - dense)) < 1e-13
     if n <= 512:
         dense_p = f.conj().T @ (grid.momenta[:, None] * f)
-        _, p = build_site_operators(grid)
+        p = _momentum_function(grid.momenta)
         assert np.max(np.abs(p - dense_p)) < 1e-13 * np.max(np.abs(grid.momenta))
 
 
