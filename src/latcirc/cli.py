@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gauge as gauge_mod
 from . import gaussian, kinematics, perturbation, propagator, renorm, statevector
-from .errors import BYTE_BUDGET, EXIT_PREFIXES, LatcircError, NonFinite, require
+from .errors import BYTE_BUDGET, EXIT_PREFIXES, LatcircError, NonFinite, _require_int, require
 from .kinematics import LatticeParams
 from .quadrature import midpoint_nodes
 
@@ -44,22 +44,17 @@ def _config_hash(config: dict) -> str:
 
 def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
     """One row per entry of the equal-size ``columns``, which are flattened,
-    formatted and written _CSV_CHUNK_ROWS rows at a time rather than as one string."""
+    formatted and written _CSV_CHUNK_ROWS rows at a time rather than as one string;
+    NonFinite (exit 2) before the file opens if they hold NaN or inf."""
     columns = [np.ravel(c) for c in columns]
+    if not all(np.isfinite(c).all() for c in columns):
+        raise NonFinite("the table holds a NaN or infinite value")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# config_hash={_config_hash(config)}\n{','.join(header)}\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             chunk = np.column_stack([c[start : start + _CSV_CHUNK_ROWS] for c in columns])
             handle.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
-def _finite(columns):
-    """``columns``, or NonFinite (exit 2) if any value is NaN or infinite; the CSV runners
-    check here, as ``_write_csv`` itself formats NaN and inf like any other double."""
-    if not all(np.isfinite(c).all() for c in columns):
-        raise NonFinite("the table holds a NaN or infinite value")
-    return columns
 
 
 def _write_json(path: str, config: dict, payload: dict) -> None:
@@ -191,7 +186,7 @@ def _run_dispersion(cfg: dict, out: str) -> None:
     p = kinematics.momentum_grid(params, cfg["L"])
     columns = (p[:, 0], kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
                *kinematics.reference_energies(params, p))
-    _write_csv(out, cfg, ["p", "theta", "omega", "E", "E_latt"], _finite(columns))
+    _write_csv(out, cfg, ["p", "theta", "omega", "E", "E_latt"], columns)
 
 
 def _run_movers(cfg: dict, out: str) -> None:
@@ -220,8 +215,7 @@ def _run_propagator(cfg: dict, out: str) -> None:
     p0, p1 = np.meshgrid(midpoint_nodes(cfg["L"], math.pi / params.dt),
                          midpoint_nodes(cfg["L"], math.pi / params.a), indexing="ij")
     value = propagator.feynman_momentum(params, p0, p1[..., None], cfg["epsilon"])
-    _write_csv(out, cfg, ["p0", "p1", "re", "im"],
-               _finite((p0, p1, value.real, value.imag)))
+    _write_csv(out, cfg, ["p0", "p1", "re", "im"], (p0, p1, value.real, value.imag))
 
 
 def _run_oneloop(cfg: dict, out: str) -> None:
@@ -240,7 +234,7 @@ def _run_oneloop(cfg: dict, out: str) -> None:
         out, cfg,
         ["a", "pi_cont", "pi_shift_plain", "pi_shift_smeared",
          "pi_cont_norm", "pi_shift_plain_norm", "pi_shift_smeared_norm"],
-        _finite((spacings, *table.T, *norm.T)),
+        (spacings, *table.T, *norm.T),
     )
 
 
@@ -280,13 +274,12 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
     lat = gauge_mod.GaugeLattice(cfg["lx"], cfg["ly"])
     group = gauge_mod.GaugeGroupZN(cfg["N"])
     g, kappa, tau = cfg["g"], cfg["kappa"], cfg["tau"]
-    if cfg["pairs"] < 1:
-        raise ValueError("pairs must be >= 1")
+    n_pairs = _require_int(cfg["pairs"], 1, "pairs")
     rng = np.random.default_rng(cfg["seed"])
     identity = np.zeros(lat.n_links, dtype=int)
     pairs = [(identity, identity)] + [
         (rng.integers(0, group.N, lat.n_links), rng.integers(0, group.N, lat.n_links))
-        for _ in range(cfg["pairs"] - 1)]
+        for _ in range(n_pairs - 1)]
     checks = [gauge_mod.amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
               for u_i, u_f in pairs]
     lhs0, rhs0, _ = checks[0]

@@ -4,8 +4,14 @@ Every package error carries the exit code the CLI ends with (``exit_code``):
 1 for validation errors, 2 for numerical-convergence failures, 3 for resource
 caps; ``EXIT_PREFIXES`` holds the one-line message prefix of each code. The
 caps bound what one entry point may enumerate or allocate, and ``require``
-checks an amount against its cap before the work starts; ``_require_int``
-refuses a size or node count that is not an integer.
+checks an amount against its cap before the work starts.
+
+Every count (a step count tau, a chain length, a grid size, a node count, a
+lattice extent or dimension, an iteration budget) passes ``_require_int`` where
+it enters, before any arithmetic uses it: a Python or numpy integer at or above
+the count's least value is taken as an int; anything else, a bool and an
+integral float included, is a ValueError (exit 1) reading
+``<what> must be an integer >= k, got v``.
 """
 
 import numbers
@@ -92,8 +98,8 @@ def require(amount: int, cap: int, what: str, error: type[LatcircError] = Dimens
 
 
 def _require_int(value, least: int, what: str) -> int:
-    """A size or node count as an int, or ValueError unless it is an integer >= ``least``:
-    a numpy integer passes, a bool or an integral float does not."""
+    """A count as an int, or ValueError unless it is an integer >= ``least``: a numpy
+    integer passes, a bool or an integral float does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)

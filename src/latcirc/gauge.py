@@ -318,8 +318,7 @@ def amplitude_equiv_check(
     exp(-i (2/(kappa g^2)) cos) per temporal plaquette. Returns (lhs, rhs,
     |lhs - rhs|); the equality is exact for every finite N.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    tau = _require_int(tau, 1, "tau")
     coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
     config_index(lat, group, u_i)  # both ends refused before any work, never wrapped

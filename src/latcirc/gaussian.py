@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, DegenerateDispersion, LatticeTooSmall, require
+from .errors import BYTE_BUDGET, DegenerateDispersion, LatticeTooSmall, _require_int, require
 from .kinematics import LatticeParams, cosine_symbol, dispersion_theta, validate_momentum
 
 __all__ = [
@@ -97,8 +97,7 @@ def bogoliubov_modes(params: LatticeParams, p) -> tuple[float, complex]:
 def _check_chain(params: LatticeParams, L: int, kind: str = "Shift") -> None:
     if params.d != 1:
         raise ValueError("real-space maps are implemented for d=1 only")
-    if L < 2:
-        raise ValueError("need at least two sites")
+    _require_int(L, 2, "L")
     if kind not in ("Shift", "Strang"):
         raise ValueError(f"unknown circuit kind {kind!r}")
 
@@ -210,8 +209,7 @@ def lightcone_radius(
     both circuits: each step applies two range-1 X-layers and an on-site
     P-layer.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    tau = _require_int(tau, 0, "tau")
     if L <= 4 * tau + 2:
         raise LatticeTooSmall(f"need L > 4*tau + 2 = {4 * tau + 2} to rule out wrap-around")
     if observable not in ("phi", "pi", "both"):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDispersion
+from .errors import DegenerateDispersion, _require_int
 
 __all__ = [
     "LatticeParams",
@@ -74,9 +74,7 @@ class LatticeParams:
             raise ValueError("lattice spacing and timestep must be positive")
         if self.m < 0 or self.lam < 0:
             raise ValueError("mass and quartic coupling must be nonnegative")
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError("spatial dimension must be a positive integer")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _require_int(self.d, 1, "spatial dimension d"))
 
     @property
     def M(self) -> float:
@@ -123,8 +121,7 @@ def momentum_grid(params: LatticeParams, L: int) -> np.ndarray:
     The points have shape (L**d, d) and are sorted lexicographically, which
     makes every consumer of the grid deterministic.
     """
-    if L < 1:
-        raise ValueError("grid needs at least one momentum per dimension")
+    L = _require_int(L, 1, "L")
     line = _fold_to_zone(2.0 * math.pi * np.arange(L) / (L * params.a), params.a)
     axes = np.meshgrid(*[np.sort(line)] * params.d, indexing="ij")
     return np.stack([x.ravel() for x in axes], axis=-1)

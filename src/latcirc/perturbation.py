@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, require
+from .errors import (BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, _require_int,
+                     require)
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import feynman_momentum
 from .quadrature import folded_nodes, fsum_complex, midpoint_nodes
@@ -68,8 +69,7 @@ class DiagramSpec:
             raise UnknownDiagram(f"kind must be one of {tuple(_INCOMING)}, got {self.kind!r}")
         if not 0 < self.epsilon < math.inf:  # NaN fails too
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if type(self.resolution) is not int or self.resolution < 1:  # a bool is refused too
-            raise ValueError(f"resolution must be an int >= 1, got {self.resolution!r}")
+        object.__setattr__(self, "resolution", _require_int(self.resolution, 1, "resolution"))
         object.__setattr__(
             self, "incoming", tuple(tuple(float(c) for c in p) for p in self.incoming)
         )

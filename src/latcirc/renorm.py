@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Diverged, LatcircError, NonFinite, ObservableFailure
+from .errors import Diverged, LatcircError, NonFinite, ObservableFailure, _require_int
 from .kinematics import LatticeParams, dispersion_theta, omega
 from .perturbation import one_loop_mass
 
@@ -90,8 +90,7 @@ class RenormProblem:
         for key in ("eta", "fd_step", "tol"):
             if not 0 < getattr(self, key) < math.inf:  # NaN fails too
                 raise ValueError(f"{key}={getattr(self, key)!r} must be positive and finite")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters={self.max_iters!r} must be nonnegative")
+        object.__setattr__(self, "max_iters", _require_int(self.max_iters, 0, "'max_iters'"))
         bad = set(self.init) - set(TUNABLE)
         if bad:
             raise ValueError(f"tunable parameters are {TUNABLE}, got extra {sorted(bad)}")

@@ -83,6 +83,7 @@ class FieldGrid:
         ground state well interior; m must be positive."""
         if m <= 0:
             raise ValueError("a mass grid needs m > 0")
+        n_points = _require_int(n_points, 8, "n_points")
         return cls(n_points, 2.0 * (6.0 / math.sqrt(2.0 * m)) / n_points)
 
     @classmethod
@@ -96,6 +97,7 @@ class FieldGrid:
         refinement family on which the continuum-field limit of the
         path-integral identity can be tested to machine precision.
         """
+        n_points = _require_int(n_points, 8, "n_points")
         return cls(n_points, math.sqrt(2.0 * math.pi / n_points))
 
     @property
@@ -307,8 +309,7 @@ def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> com
     """<phi_f | U^tau | phi_i> from its basis-ket ends: a Kronecker delta at tau = 0, one
     step element (O(L)) at tau = 1, else ``from_ket``, tau - 2 full steps and ``to_bra``."""
     start, end = lat.config_index(phi_i), lat.config_index(phi_f)  # a bad end is refused
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    tau = _require_int(tau, 0, "tau")
     if tau == 0:
         return complex(start == end)
     step = CircuitStep(lat, kind, lam)
@@ -329,8 +330,7 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
     """
     lat.config_index(phi_i)  # both ends are refused before any work, never wrapped
     lat.config_index(phi_f)
-    if tau < 1:
-        raise ValueError("path sum needs tau >= 1")
+    tau = _require_int(tau, 1, "tau")
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     step = CircuitStep(lat, kind, lam)
     total = 0.0 + 0.0j
@@ -395,8 +395,7 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     """
     lat.config_index(phi_i)  # both ends are refused before any work, never wrapped
     lat.config_index(phi_f)
-    if tau < 1:
-        raise ValueError("action form needs tau >= 1")
+    tau = _require_int(tau, 1, "tau")
     L, kappa = lat.L, lat.params.kappa
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     vals = lat.grid.values
@@ -460,8 +459,7 @@ def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     U_0^-k U^k must equal U_I(k)^s U_I(k-1) ... U_I(1) D^(1-s); U_0^k, U^k and the
     middle product are carried from step to step. Returns the max over k = 1..tau.
     """
-    if tau < 1:
-        raise ValueError("interaction-picture check needs tau >= 1")
+    tau = _require_int(tau, 1, "tau")
     step, free = build_step(lat, kind, lam), build_step(lat, kind, 0.0)
     phase = quartic_interaction_phase(lat, kind, lam)
     s = 0.0 if kind == "Trotter" else 0.5

@@ -214,8 +214,9 @@ def joined_csv_reference(path, config, header, columns):
         handle.write("\n".join(lines) + "\n")
 
 
+# no NaN or inf: the writer refuses them (test_writers_refuse_non_finite_values)
 SPECIAL_VALUES = [0.0, -0.0, 1.0, -3.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
-                  math.pi, 0.1, math.inf, -math.inf, math.nan]
+                  math.pi, 0.1]
 
 
 @pytest.mark.parametrize("rows", [0, 1, 7, cli._CSV_CHUNK_ROWS - 1, cli._CSV_CHUNK_ROWS,
@@ -590,14 +591,48 @@ def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, co
     assert not out.exists()
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"the artifact holds {name}")
+
+
+# every int-typed setting of every subcommand, so a new int flag joins the sweep below
+INT_SETTINGS = [(name, key) for name, defaults in cli.DEFAULTS.items()
+                for key, value in defaults.items() if type(value) is int]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("subcommand, key", INT_SETTINGS,
+                         ids=[f"{name}-{key}" for name, key in INT_SETTINGS])
+def test_int_settings_at_zero_and_minus_one(tmp_path, capsys, subcommand, key, value):
+    # a run either succeeds with a finite artifact or ends in one documented line, never
+    # in a traceback
+    out = tmp_path / "out"
+    code = run([subcommand, f"--{key.replace('_', '-')}={value}", "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        _, body = read_hash_and_body(out)
+        if body.startswith("{"):
+            json.loads(body, parse_constant=_refuse_constant)
+        else:  # a CSV table under its header line
+            assert np.isfinite(np.loadtxt(body.splitlines(), delimiter=",", skiprows=1)).all()
+    else:
+        assert code in (1, 2, 3)
+        assert err.startswith(f"{EXIT_PREFIXES[code]}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_writers_refuse_non_finite_values(tmp_path, bad):
     out = tmp_path / "out.json"
     with pytest.raises(NonFinite):
         cli._write_json(str(out), {}, {"rel_errors": {"path": bad}})
     assert not out.exists()
+    out = tmp_path / "out.csv"
     with pytest.raises(NonFinite):
-        cli._finite([[0.0, 1.0], np.array([[2.0], [bad]])])
+        cli._write_csv(str(out), {}, ["x", "y"], [[0.0, 1.0], np.array([[2.0], [bad]])])
+    assert not out.exists()
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,21 @@ import pytest
 
 from latcirc import cli, errors
 from latcirc.cli import run
-from latcirc.gauge import GaugeGroupZN, GaugeLattice
-from latcirc.kinematics import LatticeParams
+from latcirc.gauge import GaugeGroupZN, GaugeLattice, amplitude_equiv_check
+from latcirc.gaussian import lightcone_radius, mover_shift_check, realspace_map
+from latcirc.kinematics import LatticeParams, momentum_grid
+from latcirc.perturbation import DiagramSpec, evaluate_diagram
 from latcirc.propagator import contour_identity_residual, equal_time
 from latcirc.quadrature import midpoint_nodes
-from latcirc.statevector import FieldGrid, TruncatedLattice
+from latcirc.renorm import RenormProblem, calibrate, make_observable
+from latcirc.statevector import (
+    FieldGrid,
+    TruncatedLattice,
+    amplitude_action_form,
+    amplitude_circuit,
+    amplitude_path_sum,
+    interaction_picture_check,
+)
 
 # the exit codes the README documents for each error class
 DOCUMENTED_EXIT_CODES = {
@@ -98,6 +110,48 @@ def test_numpy_integer_sizes_are_ints():
     assert np.array_equal(midpoint_nodes(np.int64(4), 1.0), midpoint_nodes(4, 1.0))
     assert GaugeLattice(np.int32(1), 2).n_links == 4
     assert type(FieldGrid(np.int64(8), 0.5).n_points) is int
+
+
+CHAIN = TruncatedLattice(2, FieldGrid.dual(8), LatticeParams(a=0.5, m=1.0, lam=0.1))
+Z2_CELL = (GaugeLattice(1, 1), GaugeGroupZN(2), 1.0, 1.0, [0, 1], [1, 0])
+
+
+# every count a library entry point takes: (what its message names, least value, a valid
+# value, the call at a given count); the CLI's counts are swept in test_cli.py
+COUNTS = {
+    "FieldGrid.for_mass": ("n_points", 8, 8, lambda k: FieldGrid.for_mass(1.0, k)),
+    "FieldGrid.dual": ("n_points", 8, 10, FieldGrid.dual),
+    "amplitude_circuit": ("tau", 0, 3, lambda k: amplitude_circuit(
+        CHAIN, "Strang", 0.1, (1, 2), (3, 4), k)),
+    "amplitude_path_sum": ("tau", 1, 2, lambda k: amplitude_path_sum(
+        CHAIN, "Shift", 0.1, (1, 2), (3, 4), k)),
+    "amplitude_action_form": ("tau", 1, 2, lambda k: amplitude_action_form(
+        CHAIN, 0.1, (1, 2), (3, 4), k)),
+    "interaction_picture_check": ("tau", 1, 2, lambda k: interaction_picture_check(
+        CHAIN, "Trotter", 0.3, k)),
+    "amplitude_equiv_check": ("tau", 1, 2, lambda k: amplitude_equiv_check(*Z2_CELL, k)),
+    "realspace_map": ("L", 2, 5, lambda k: realspace_map(P1, k, "Strang")),
+    "mover_shift_check": ("L", 2, 8, lambda k: mover_shift_check(LatticeParams(a=0.1), k)),
+    "lightcone_radius": ("tau", 0, 3, lambda k: lightcone_radius(P1, 32, "Shift", k)),
+    "LatticeParams.d": ("spatial dimension d", 1, 2, lambda k: LatticeParams(a=0.1, d=k)),
+    "momentum_grid": ("L", 1, 5, lambda k: momentum_grid(P1, k)),
+    "DiagramSpec.resolution": ("resolution", 1, 64, lambda k: evaluate_diagram(
+        DiagramSpec("TadpoleMass", ((0.0, 0.0),), resolution=k), P1)),
+    "RenormProblem.max_iters": ("'max_iters'", 0, 3, lambda k: calibrate(RenormProblem(
+        P1, [make_observable("dispersion_theta", p=0.3)], [0.03], {"m": 1.3}, max_iters=k))),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_is_an_integer_at_or_above_its_least(entry):
+    # one message for every count, which is never truncated, run as 1 or let through to fail
+    # later; a numpy integer is the plain int it stands for
+    what, least, valid, call = COUNTS[entry]
+    for bad in (least - 1, -1, float(valid), True, 2.5):
+        message = f"^{re.escape(what)} must be an integer >= {least}, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
 
 
 def _raised_name(node: ast.Raise) -> str | None:

@@ -291,6 +291,29 @@ def test_equiv_check_z3():
     assert dev < 1e-10
 
 
+# (N, Lx, Ly, tau) on 1 x k and 2 x 2 lattices with at most 2^14 terms in the Wilson sum
+equiv_shapes = [(n, lx, ly, tau) for n in (1, 2, 3, 4)
+                for lx, ly in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 2)) for tau in (1, 2, 3, 4)
+                if n ** (lx * ly * (3 * tau - 2)) <= 2**14]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(equiv_shapes), g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+       data=st.data())
+def test_equiv_check_lhs_equals_rhs(shape, g, kappa, data):
+    n, lx, ly, tau = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    ends = st.lists(st.integers(0, n - 1), min_size=lat.n_links, max_size=lat.n_links)
+    u_i, u_f = data.draw(ends), data.draw(ends)
+    _, _, dev = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+    # both sides sum terms of modulus N^-n_vars (so the moduli add to 1) whose phases are
+    # the action, at most tau (n_sites coeff_s + n_links coeff_t): the rounding of that
+    # phase bounds the difference, well inside criterion 8's 1e-10
+    coeff_s, coeff_t = _couplings(g, kappa)
+    largest_action = tau * (lat.n_sites * coeff_s + lat.n_links * coeff_t)
+    assert dev <= min(64 * np.finfo(float).eps * largest_action, 1e-10)
+
+
 def test_equiv_check_refuses_wilson_sum_before_left_side(monkeypatch):
     import latcirc.gauge as gauge_mod
 

@@ -353,7 +353,7 @@ def test_interaction_picture_identity():
 @pytest.mark.parametrize("tau", [0, -1])
 def test_interaction_picture_check_refuses_no_steps(tau):
     # with no step compared, the defect would read 0.0: a perfect identity never checked
-    with pytest.raises(ValueError, match="tau >= 1"):
+    with pytest.raises(ValueError, match="tau must be an integer >= 1"):
         interaction_picture_check(small_lattice(n_points=8), "Strang", 0.3, tau)
 
 
