@@ -275,7 +275,7 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
     group = gauge_mod.GaugeGroupZN(cfg["N"])
     g, kappa, tau = cfg["g"], cfg["kappa"], cfg["tau"]
     n_pairs = _require_int(cfg["pairs"], 1, "pairs")
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(_require_int(cfg["seed"], 0, "seed"))
     identity = np.zeros(lat.n_links, dtype=int)
     pairs = [(identity, identity)] + [
         (rng.integers(0, group.N, lat.n_links), rng.integers(0, group.N, lat.n_links))

@@ -14,6 +14,7 @@ integral float included, is a ValueError (exit 1) reading
 ``<what> must be an integer >= k, got v``.
 """
 
+import math
 import numbers
 
 STATE_CAP = 2**22  # amplitudes of one complex state vector (64 MiB), statevector and gauge alike
@@ -91,9 +92,11 @@ class NonFinite(LatcircError):
 
 
 def require(amount: int, cap: int, what: str, error: type[LatcircError] = DimensionCap) -> int:
-    """Return ``amount``, or raise ``error`` (exit 3) first when it exceeds ``cap``."""
+    """Return ``amount``, or raise ``error`` (exit 3) first when it exceeds ``cap``; an
+    amount of more than 30 digits is named as ~10^k, which a string of digits may not be."""
     if amount > cap:
-        raise error(f"{what}: {amount} exceeds the cap {cap}")
+        shown = f"~10^{round(math.log10(amount))}" if amount >= 10**30 else amount
+        raise error(f"{what}: {shown} exceeds the cap {cap}")
     return amount
 
 

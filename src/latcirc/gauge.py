@@ -12,7 +12,9 @@ where L(v)|u> = |u - v mod N> and h is the plaquette holonomy. W_mag is built
 from its local factors: one cos(2 pi h_p/N) per plaquette, read from an N-entry
 table and summed on the open link grid, with no configuration table; the
 Wilson sum adds the same factors on blocks of the open grid of its summed
-variables, each factor on its own few axes. For finite N
+variables, each factor on its own few axes, and takes each block's phases
+e^{-iS} as the sums of cos S and sin S (numpy's real cos and sin run on SIMD
+loops, its complex exp does not). For finite N
 the path-integral equality is an exact algebraic identity and is checked here
 by brute force. Note that W_el is *not* unitary in general: its per-link
 eigenvalues are Fourier coefficients of exp(-i beta cos), which have unit
@@ -347,6 +349,6 @@ def amplitude_equiv_check(
             for link, (frm, to) in enumerate(endpoints):
                 h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
                 action = action + coeff_t * retrace[h]
-        chunks.append(np.sum(np.exp(-1j * action).ravel()))
+        chunks.append(complex(np.sum(np.cos(action)), -np.sum(np.sin(action))))
     rhs = complex(fsum_complex(chunks)) / n**n_vars
     return lhs, rhs, abs(lhs - rhs)

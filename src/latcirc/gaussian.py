@@ -210,11 +210,11 @@ def lightcone_radius(
     P-layer.
     """
     tau = _require_int(tau, 0, "tau")
+    _check_chain(params, L, kind)  # before the wrap-around check: L = 0 is no chain at all
     if L <= 4 * tau + 2:
         raise LatticeTooSmall(f"need L > 4*tau + 2 = {4 * tau + 2} to rule out wrap-around")
     if observable not in ("phi", "pi", "both"):
         raise ValueError("observable must be 'phi', 'pi' or 'both'")
-    _check_chain(params, L, kind)
     n0 = L // 2
     rows = {"phi": [n0], "pi": [L + n0], "both": [n0, L + n0]}[observable]
     # ~8 length-L arrays per evolved column at the peak (measured)

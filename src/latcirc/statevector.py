@@ -172,7 +172,7 @@ def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> n
     Returned as a real array so half steps can be taken by halving the angle
     (the principal square root would pick the wrong branch for |theta| > pi).
     """
-    lam_eff = lam * lat.params.a**2
+    lam_eff = lam * (lat.params.a * lat.params.a)  # a product: a**2 raises OverflowError
     quart = lam_eff / 24.0 * _quartic_sum(lat)
     if kind in ("Strang", "Trotter"):
         return -lat.params.kappa * quart
@@ -190,13 +190,14 @@ def _bond_angle(lat: TruncatedLattice, kind: str, lam: float):
     are products and x^4 is tabulated, so an angle rounds alike at every array shape.
     """
     x = lat.grid.values
-    quartic = lam * lat.params.a**2 / 24.0 * x**4
+    quartic = lam * (lat.params.a * lat.params.a) / 24.0 * x**4
     if kind == "Shift":
         return lambda i, j: 0.5 * lat.params.M * x[i] * x[j] + quartic[i]
     if kind not in ("Strang", "Trotter"):
         raise ValueError(f"unknown circuit kind {kind!r}")
     weight = 0.5 * lat.params.kappa if kind == "Strang" else lat.params.kappa
-    msq = (lat.params.m * lat.params.a) ** 2
+    ma = lat.params.m * lat.params.a
+    msq = ma * ma
     return lambda i, j: -weight * (0.5 * ((x[j] - x[i]) * (x[j] - x[i]))
                                    + 0.5 * msq * (x[i] * x[i]) + quartic[i])
 
@@ -399,8 +400,8 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     L, kappa = lat.L, lat.params.kappa
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     vals = lat.grid.values
-    msq = (lat.params.m * lat.params.a) ** 2
-    lam_eff = lam * lat.params.a**2
+    ma = lat.params.m * lat.params.a
+    msq, lam_eff = ma * ma, lam * (lat.params.a * lat.params.a)
     # per-site factors tabulated once on the grid values, then gathered: per term only
     # +, -, * and / remain, which round alike at every array shape
     diff_sq = (vals[None, :] - vals[:, None]) ** 2  # [x, x_next] -> (x_next - x)^2
@@ -422,7 +423,7 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
             # sites added in site order, the association of np.sum over a site axis
             kinetic = sum(diff_sq[a, b] for a, b in zip(x[nu], x[nu + 1])) / (2.0 * kappa)
             action = action + kinetic - 0.5 * kappa * (v[nu] + v[nu + 1])
-        total += np.sum(np.exp(1j * action).ravel())
+        total += complex(np.sum(np.cos(action)), np.sum(np.sin(action)))  # SIMD, unlike exp
     return complex(measure * total)
 
 
@@ -435,20 +436,19 @@ def kernel_gaussian_check(grid: FieldGrid, match_phase: bool = False) -> float:
     fixed from the central diagonal element; on :meth:`FieldGrid.dual` grids
     that phase is exactly -i and the adjusted deviation is pure roundoff,
     while on generic grids wrap-around images keep the deviation at order
-    one regardless of n_points.
+    one regardless of n_points. The target is built on the inner block only;
+    at its centre it is ``target_unit`` itself, since exp(0j) is exactly 1.
     """
     kernel = _momentum_kernel(grid, "Strang", 1.0)
     target_unit = cmath.sqrt(1j / (2.0 * math.pi)) * grid.delta_phi
     vals = grid.values
-    half = 0.25 * grid.n_points * grid.delta_phi
-    inner = np.abs(vals) <= half
-    target = target_unit * np.exp(0.5j * np.subtract.outer(vals, vals) ** 2)
+    inner = np.abs(vals) <= 0.25 * grid.n_points * grid.delta_phi
+    target = target_unit * np.exp(0.5j * np.subtract.outer(vals[inner], vals[inner]) ** 2)
     if match_phase:
         mid = grid.n_points // 2
-        ratio = kernel[mid, mid] / target[mid, mid]
+        ratio = kernel[mid, mid] / target_unit
         target = target * (ratio / abs(ratio))
-    diff = kernel - target
-    return float(np.max(np.abs(diff[np.ix_(inner, inner)])) / abs(target_unit))
+    return float(np.max(np.abs(kernel[np.ix_(inner, inner)] - target)) / abs(target_unit))
 
 
 def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
@@ -457,7 +457,8 @@ def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     Every kind is U = D^s U_0 D^(1-s), with D = U_int the diagonal interaction factor
     and s = 1/2 (Strang, Shift) or 0 (Trotter). With U_I(nu) = U_0^-nu D U_0^nu,
     U_0^-k U^k must equal U_I(k)^s U_I(k-1) ... U_I(1) D^(1-s); U_0^k, U^k and the
-    middle product are carried from step to step. Returns the max over k = 1..tau.
+    middle product are carried from step to step. Returns the max over k = 1..tau of the
+    defect's operator norm, taken from the spectrum of its Gram matrix (``_op_norm``).
     """
     tau = _require_int(tau, 1, "tau")
     step, free = build_step(lat, kind, lam), build_step(lat, kind, 0.0)
@@ -469,8 +470,21 @@ def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     for k in range(1, tau + 1):
         free_dag = free_k.conj().T
         rhs = free_dag @ (lead[:, None] * free_k) @ (middle * trail)
-        worst = max(worst, float(np.linalg.norm(free_dag @ step_k - rhs, 2)))
+        worst = max(worst, _op_norm(free_dag @ step_k - rhs))
         if k < tau:  # U_I(k) joins the middle product
             middle = free_dag @ (full[:, None] * free_k) @ middle
             free_k, step_k = free @ free_k, step @ step_k
     return worst
+
+
+def _op_norm(x: np.ndarray) -> float:
+    """The spectral norm of a C-contiguous complex matrix x as sqrt of the largest eigenvalue
+    of y^H y, y = x / max|x|: a Hermitian eigenvalue problem in place of the full SVD behind
+    ``np.linalg.norm(x, 2)``. The scaling keeps the Gram matrix from underflowing or
+    overflowing. It divides the real and imaginary parts: numpy's complex division by
+    scale would multiply by 1/scale, which overflows for a subnormal max|x|."""
+    scale = float(np.max(np.abs(x)))
+    if scale == 0.0:
+        return 0.0
+    y = (x.view(float) / scale).view(complex)
+    return scale * math.sqrt(max(float(np.linalg.eigvalsh(y.conj().T @ y)[-1]), 0.0))

@@ -510,6 +510,46 @@ def test_zone_artifacts_equal_list_fsum_reference(tmp_path, monkeypatch):
     assert json.loads(read_hash_and_body(tmp_path / "renorm")[1])["iterations"] == 185
 
 
+# The child writes each named artifact of a JSON {name: argv} table into a directory.
+ARTIFACTS_CHILD = """
+import json, sys
+from latcirc.cli import run
+cases, workdir = json.loads(sys.argv[1]), sys.argv[2]
+for name, argv in cases.items():
+    assert run(argv + ["--out", f"{workdir}/{name}"]) == 0, name
+"""
+
+
+def test_reference_artifacts_independent_of_blas_threads(tmp_path):
+    # the Shift kernel's eigh, the W_el GEMMs and the unitarity norm are LAPACK and BLAS
+    # calls, whose blocking may follow the thread count: one thread and the default must
+    # write the same bytes
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(README_PROBLEM))
+    cases = {name: [name] for name in cli.DEFAULTS if name != "renorm"}
+    cases.update({"renorm": ["renorm", "--problem", str(problem)],
+                  "gauge-check-N3": ["gauge-check", "--N", "3"],
+                  "pathint-check-mass": ["pathint-check", "--grid", "mass", "--kind", "Trotter",
+                                         "--L", "3", "--n-points", "8"]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    written = {}
+    for threads in ("1", "default"):
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        extra = {"OPENBLAS_NUM_THREADS": threads} if threads != "default" else {}
+        child = subprocess.run(
+            [sys.executable, "-c", ARTIFACTS_CHILD, json.dumps(cases), str(workdir)],
+            capture_output=True, text=True, env={**env, **extra, "PYTHONPATH": path},
+            timeout=300)
+        assert child.returncode == 0, child.stderr[-500:]
+        written[threads] = {name: (workdir / name).read_bytes() for name in cases}
+    assert len(cases) == 10
+    assert written["1"] == written["default"]
+
+
 # every option string of every subcommand, copied from the hand-written parser that
 # declared them one add_argument at a time; the table-built parser must keep them all
 FLAG_INVENTORY = {
@@ -588,6 +628,28 @@ def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, co
     assert run(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"{EXIT_PREFIXES[code]}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, says", [
+    (["lightcone", "--L", "0"], 1, "L must be"), (["lightcone", "--L", "-1"], 1, "L must be"),
+    (["gauge-check", "--seed", "-1"], 1, "seed must be"),
+    # counts of hundreds of thousands of digits, named by their power of ten
+    (["pathint-check", "--tau", "100000"], 3, "~10^240822"),
+    (["gauge-check", "--tau", "1000000"], 3, "~10^"), (["pathint-check", "--L", "1000"], 3, "~10^"),
+    # a^2 and (m a)^2 overflow as products to inf, not as Python float powers
+    (["pathint-check", "--a", "1e300"], 2, "NaN"), (["pathint-check", "--m", "1e300"], 2, "NaN"),
+    (["pathint-check", "--a", "1e300", "--kind", "Trotter"], 2, "NaN"),
+    (["pathint-check", "--m", "1e300", "--kind", "Trotter"], 2, "NaN"),
+    (["pathint-check", "--a", "1e300", "--kind", "Shift"], 2, "NaN"),
+])
+def test_extreme_settings_end_in_one_short_line(tmp_path, capsys, argv, code, says):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{EXIT_PREFIXES[code]}: ") and err.count("\n") == 1
+    assert says in err and len(err) < 160
     assert not out.exists()
 
 

@@ -85,6 +85,19 @@ def test_require():
         errors.require(6, 5, "terms", errors.BruteForceCap)
 
 
+
+@pytest.mark.parametrize("amount, shown", [
+    (10**30 - 1, str(10**30 - 1)), (10**30, "~10^30"), (10**512, "~10^512"),
+    (16 ** (2 * 99999), "~10^240822"), (2**4300 * 3, "~10^1295"),
+], ids=["30_digits", "31_digits", "10^512", "16^199998", "3*2^4300"])
+def test_require_names_huge_amounts_by_their_power_of_ten(amount, shown):
+    # str() of an int above 4300 digits raises ValueError, and thousands of digits are no
+    # message: an amount of more than 30 digits reads ~10^k, k its rounded log10
+    with pytest.raises(errors.BruteForceCap) as info:
+        errors.require(amount, 10**8, "terms", errors.BruteForceCap)
+    assert str(info.value) == f"terms: {shown} exceeds the cap 100000000"
+
+
 P1 = LatticeParams(a=0.1, m=1.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_statevector import _time_slices, blocks_of, divisor_chunks
+from test_statevector import _time_slices, blocks_of, cos_sin_sum, divisor_chunks, exp_sum
 
 from latcirc import cli
 from latcirc import gauge as gauge_mod
@@ -562,7 +562,7 @@ def test_gauge_check_builds_wmag_once(tmp_path):
         diag[0] = 0.0
 
 
-def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk):
+def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=cos_sin_sum):
     """The right side of amplitude_equiv_check on digit-table chunks of ``chunk`` terms."""
     coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
@@ -579,7 +579,7 @@ def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk):
             for link, (frm, to) in enumerate(endpoints):
                 h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
                 action = action + coeff_t * retrace[h]
-        chunks.append(np.sum(np.exp(-1j * action)))
+        chunks.append(phase_sum(action, -1))
     return complex(fsum_complex(chunks)) / n**n_vars
 
 
@@ -603,3 +603,18 @@ def test_wilson_sum_in_blocks_equals_digit_table_chunks(shape, g, kappa, seed, d
     with blocks_of(chunk, gauge_mod):
         _, rhs, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
     assert rhs == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(wilson_shapes), g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_wilson_phases_from_cos_sin_equal_exp_phases(shape, g, kappa, seed):
+    # every term has modulus one, and its cos and sin round like the parts of its exp: the
+    # sums differ by at most 8 eps per term, 8 eps once divided by the term count
+    n, lx, ly, tau = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    u_i, u_f = rng.integers(0, n, lat.n_links), rng.integers(0, n, lat.n_links)
+    expected = wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, 1 << 12, exp_sum)
+    _, rhs, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+    assert abs(rhs - expected) <= 8 * np.finfo(float).eps

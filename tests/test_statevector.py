@@ -246,6 +246,32 @@ def test_kernel_gaussian_dual_grid_exact():
     assert kernel_gaussian_check(FieldGrid.for_mass(1.0, 64), match_phase=True) > 0.1
 
 
+def kernel_gaussian_full_grid_reference(grid, match_phase):
+    """kernel_gaussian_check with its Fresnel target on the whole n x n grid, of which the
+    comparison reads the inner block only."""
+    kernel = statevector._momentum_kernel(grid, "Strang", 1.0)
+    target_unit = cmath.sqrt(1j / (2.0 * math.pi)) * grid.delta_phi
+    vals = grid.values
+    inner = np.abs(vals) <= 0.25 * grid.n_points * grid.delta_phi
+    target = target_unit * np.exp(0.5j * np.subtract.outer(vals, vals) ** 2)
+    if match_phase:
+        mid = grid.n_points // 2
+        ratio = kernel[mid, mid] / target[mid, mid]
+        target = target * (ratio / abs(ratio))
+    diff = kernel - target
+    return float(np.max(np.abs(diff[np.ix_(inner, inner)])) / abs(target_unit))
+
+
+@pytest.mark.parametrize("match_phase", [False, True])
+@pytest.mark.parametrize("grid", [
+    FieldGrid.dual(8), FieldGrid.dual(16), FieldGrid.dual(100), FieldGrid.dual(512),
+    FieldGrid.for_mass(1.0, 64), FieldGrid.for_mass(0.3, 128), FieldGrid.for_mass(2.5, 10),
+    FieldGrid(12, 0.7)], ids=lambda grid: f"n{grid.n_points}-{grid.delta_phi:.4g}")
+def test_kernel_gaussian_check_is_bitwise_the_full_grid_reference(grid, match_phase):
+    assert kernel_gaussian_check(grid, match_phase) == kernel_gaussian_full_grid_reference(
+        grid, match_phase)
+
+
 def test_action_form_equals_circuit_on_dual_grids():
     for lam in (0.0, 0.1):
         errs = []
@@ -323,10 +349,29 @@ def interaction_picture_reference(lat, kind, lam, tau):
 @settings(max_examples=15, deadline=None)
 @given(kind=st.sampled_from(KINDS), a=st.floats(0.2, 1.5), m=st.floats(0.1, 2.0),
        lam=st.floats(0.0, 2.0), n=st.sampled_from((8, 10, 12)), tau=st.integers(1, 4))
+@example(kind="Strang", a=1.0, m=1.0, lam=2.2250738585e-313, n=8, tau=1)  # subnormal defect
 def test_interaction_picture_equals_two_branch_reference(kind, a, m, lam, n, tau):
     lat = TruncatedLattice(2, FieldGrid.for_mass(m, n), LatticeParams(a=a, m=m))
-    assert abs(interaction_picture_check(lat, kind, lam, tau)
-               - interaction_picture_reference(lat, kind, lam, tau)) < 1e-13
+    defect = interaction_picture_check(lat, kind, lam, tau)
+    assert defect < 1e-10  # criterion 7's bound on the identity itself
+    assert abs(defect - interaction_picture_reference(lat, kind, lam, tau)) < 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.tuples(st.integers(1, 64), st.integers(1, 64)), rank_one=st.booleans(),
+       scale=st.sampled_from([0.0, 1e-200, 1e200, 1e-310]) | st.floats(1e-200, 1e200),
+       seed=st.integers(0, 2**32 - 1))
+def test_op_norm_equals_the_svd_norm(shape, rank_one, scale, seed):
+    # at a subnormal scale both norms round to the subnormal grid, a few units of its spacing
+    rng = np.random.default_rng(seed)
+
+    def draw(*size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    x = scale * (np.outer(draw(shape[0]), draw(shape[1])) if rank_one else draw(*shape))
+    expected = np.linalg.norm(x, 2)
+    tiny = np.finfo(float).smallest_subnormal
+    assert abs(statevector._op_norm(x) - expected) <= 1e-14 * expected + 8 * tiny
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -522,13 +567,23 @@ def _time_slices(n, first, last, tau, n_extra=0, chunk=1 << 18):
     return map(block, range(0, total, chunk))
 
 
-def action_form_reference(lat, lam, phi_i, phi_f, tau, chunk=1 << 18):
+def cos_sin_sum(action, sign=1):
+    """sum_S e^{i sign S} as the sums of cos S and sin S: the brute-force sums' phase rule."""
+    return complex(np.sum(np.cos(action)), sign * np.sum(np.sin(action)))
+
+
+def exp_sum(action, sign=1):
+    """sum_S e^{i sign S} with one complex exp per term, the rule ``cos_sin_sum`` replaced."""
+    return complex(np.sum(np.exp(sign * 1j * action)))
+
+
+def action_form_reference(lat, lam, phi_i, phi_f, tau, chunk=1 << 18, phase_sum=cos_sin_sum):
     """amplitude_action_form evaluating each interior slice's potential twice."""
     n, L = lat.grid.n_points, lat.L
     kappa = lat.params.kappa
     vals = lat.grid.values
-    msq = (lat.params.m * lat.params.a) ** 2
-    lam_eff = lam * lat.params.a**2
+    ma = lat.params.m * lat.params.a
+    msq, lam_eff = ma * ma, lam * (lat.params.a * lat.params.a)
 
     def potential(x_slice):
         total = 0.0
@@ -545,7 +600,7 @@ def action_form_reference(lat, lam, phi_i, phi_f, tau, chunk=1 << 18):
         for nu in range(tau):
             kinetic = np.sum((x[nu + 1] - x[nu]) ** 2, axis=0) / (2.0 * kappa)
             action = action + kinetic - 0.5 * kappa * (potential(x[nu]) + potential(x[nu + 1]))
-        total += np.sum(np.exp(1j * action))
+        total += phase_sum(action)
     return complex(measure * total)
 
 
@@ -562,6 +617,25 @@ def test_action_form_equals_twice_evaluated_reference(shape, a, kappa, m, lam, d
     phi_i, phi_f = data.draw(ends), data.draw(ends)
     assert amplitude_action_form(lat, lam, phi_i, phi_f, tau) == action_form_reference(
         lat, lam, phi_i, phi_f, tau)
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from([(2, 8, 2), (2, 12, 3), (3, 8, 3), (4, 8, 2)]),
+       a=st.floats(0.2, 1.0), kappa=st.floats(0.5, 1.5), m=st.floats(0.1, 2.0),
+       lam=st.floats(0.0, 1.0), dual=st.booleans(), data=st.data())
+def test_action_form_phases_from_cos_sin_equal_exp_phases(shape, a, kappa, m, lam, dual, data):
+    # each term's cos and sin round like the parts of its exp, to an ulp or so, and both
+    # sums add the terms in one order: they differ by at most 8 eps per term of modulus one
+    L, n, tau = shape
+    grid = FieldGrid.dual(n) if dual else FieldGrid.for_mass(m, n)
+    lat = TruncatedLattice(L, grid, LatticeParams(a=a, dt=kappa * a, m=m, lam=lam))
+    ends = st.tuples(*[st.integers(0, n - 1)] * L)
+    phi_i, phi_f = data.draw(ends), data.draw(ends)
+    terms = n ** (L * (tau - 1))
+    measure = abs(cmath.sqrt(1j / (2.0 * math.pi * kappa)) * grid.delta_phi) ** (tau * L)
+    expected = action_form_reference(lat, lam, phi_i, phi_f, tau, phase_sum=exp_sum)
+    assert abs(amplitude_action_form(lat, lam, phi_i, phi_f, tau) - expected) <= (
+        8 * np.finfo(float).eps * terms * measure)
 
 
 def blocks_of(chunk, module=statevector):
