@@ -793,12 +793,13 @@ def bond_table_reference(lat, kind, lam):
     """The n x n table of one X layer's bond factors exp(i angle(x_n, x_{n+1})) on the whole
     grid, as the step held it before one element evaluated its own 2L factors."""
     x, y = lat.grid.values[:, None], lat.grid.values[None, :]
-    quartic = lam * lat.params.a**2 / 24.0 * x**4
+    quartic = lam * (lat.params.a * lat.params.a) / 24.0 * x**4
     if kind == "Shift":
         angle = 0.5 * lat.params.M * x * y + quartic
     else:
         weight = 0.5 * lat.params.kappa if kind == "Strang" else lat.params.kappa
-        msq = (lat.params.m * lat.params.a) ** 2
+        ma = lat.params.m * lat.params.a
+        msq = ma * ma
         angle = -weight * (0.5 * (y - x) ** 2 + 0.5 * msq * x**2 + quartic)
     return np.exp(1j * angle)
 
