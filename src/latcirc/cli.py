@@ -10,8 +10,8 @@ Each setting is one ``DEFAULTS`` key, which gives its flag, the flag's type and
 
 A failed run writes no artifact and prints one stderr line; its exit code is
 the error's ``exit_code`` from ``errors`` (1 validation or usage, 2 numerical
-convergence, 3 resource cap), or 1 for a ValueError or OSError. A usage error
-is a ValueError; a NaN or infinite result is refused as ``NonFinite``.
+convergence, 3 resource cap), 1 for a ValueError or OSError, 2 for an
+ArithmeticError. A usage error is a ValueError; a NaN or inf result is NonFinite.
 """
 
 from __future__ import annotations
@@ -271,25 +271,25 @@ def _run_pathint_check(cfg: dict, out: str) -> None:
 
 def _run_gauge_check(cfg: dict, out: str) -> None:
     """Z_N transfer operator vs Wilson path integral"""
-    lat = gauge_mod.GaugeLattice(cfg["lx"], cfg["ly"])
-    group = gauge_mod.GaugeGroupZN(cfg["N"])
-    g, kappa, tau = cfg["g"], cfg["kappa"], cfg["tau"]
+    lat, group = gauge_mod.GaugeLattice(cfg["lx"], cfg["ly"]), gauge_mod.GaugeGroupZN(cfg["N"])
+    g, kappa, tau = cfg["g"], cfg["kappa"], _require_int(cfg["tau"], 1, "tau")
     n_pairs = _require_int(cfg["pairs"], 1, "pairs")
     rng = np.random.default_rng(_require_int(cfg["seed"], 0, "seed"))
+    # caps first: the commutator's W_mag (cached for the pairs) refuses g, kappa and a lattice
+    # past the axis or state cap before any link array exists; then all pairs' Wilson terms
+    commutator = gauge_mod.gauss_commutator_max(lat, group, g, kappa)
+    gauge_mod._wilson_terms(lat, group, tau, n_pairs)
     identity = np.zeros(lat.n_links, dtype=int)
-    pairs = [(identity, identity)] + [
-        (rng.integers(0, group.N, lat.n_links), rng.integers(0, group.N, lat.n_links))
-        for _ in range(n_pairs - 1)]
-    checks = [gauge_mod.amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
-              for u_i, u_f in pairs]
-    lhs0, rhs0, _ = checks[0]
-    worst = max(dev for _, _, dev in checks)
+    lhs, rhs, worst = gauge_mod.amplitude_equiv_check(lat, group, g, kappa, identity, identity, tau)
+    for _ in range(n_pairs - 1):  # each pair checked as it is drawn, the worst deviation kept
+        u_i, u_f = rng.integers(0, group.N, lat.n_links), rng.integers(0, group.N, lat.n_links)
+        worst = max(worst, gauge_mod.amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)[2])
     _write_json(out, cfg, {
         "N": cfg["N"], "lattice": [cfg["lx"], cfg["ly"]], "g": g, "kappa": kappa,
-        "tau": tau, "pairs": len(pairs),
-        "lhs": _complex_pair(lhs0), "rhs": _complex_pair(rhs0), "deviation": worst,
+        "tau": tau, "pairs": n_pairs,
+        "lhs": _complex_pair(lhs), "rhs": _complex_pair(rhs), "deviation": worst,
         "wel_unitarity_deviation": gauge_mod.unitarity_report(lat, group, g, kappa),
-        "gauss_commutator_max": gauge_mod.gauss_commutator_max(lat, group, g, kappa),
+        "gauss_commutator_max": commutator,
     })
 
 
@@ -347,6 +347,9 @@ def run(argv) -> int:
         code = getattr(exc, "exit_code", 1)
         print(f"{EXIT_PREFIXES[code]}: {exc}", file=sys.stderr)
         return code
+    except ArithmeticError as exc:  # a Python float power past the range, a division by 0
+        print(f"{EXIT_PREFIXES[2]}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except SystemExit:  # --help; a usage error raises ValueError instead
         return 0
     return 0

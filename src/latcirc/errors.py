@@ -100,6 +100,14 @@ def require(amount: int, cap: int, what: str, error: type[LatcircError] = Dimens
     return amount
 
 
+def _require_power(base: int, exponent: int, cap: int, what: str, error=DimensionCap) -> int:
+    """``require`` on base ** exponent; one of more than 30 digits, past every cap, is refused
+    from its logarithm and never formed, which takes time that grows with it."""
+    if exponent * math.log10(base) > 30:
+        raise error(f"{what}: ~10^{round(exponent * math.log10(base))} exceeds the cap {cap}")
+    return require(base**exponent, cap, what, error)
+
+
 def _require_int(value, least: int, what: str) -> int:
     """A count as an int, or ValueError unless it is an integer >= ``least``: a numpy
     integer passes, a bool or an integral float does not."""

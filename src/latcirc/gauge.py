@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DENSE_CAP, STATE_CAP, OddLattice, _require_int, require
+from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, OddLattice, _require_int,
+                     _require_power, require)
 from .quadrature import fsum_complex
 from .statevector import _apply_site_kernel, _circulant, _config_index, _path_blocks
 
@@ -124,6 +125,7 @@ class GaugeLattice:
 
 
 _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # NPY_MAXDIMS
+_BLOCK_TERMS = 1 << 16  # the Wilson sum runs in blocks of up to this many terms
 
 
 def _state_dim(lat: GaugeLattice, group: GaugeGroupZN) -> int:
@@ -179,13 +181,23 @@ def _plaquette_action(lat: GaugeLattice, group: GaugeGroupZN, links) -> np.ndarr
 
 
 def _couplings(g: float, kappa: float) -> tuple[float, float]:
-    """(2 kappa/g^2, 2/(kappa g^2)): the spatial and temporal plaquette coefficients, checked
-    finite and positive by dividing by g twice, before g**2 can overflow or round to 0."""
-    if not (g > 0 and kappa > 0 and 0 < 2.0 * kappa / g / g < math.inf
-            and 0 < 2.0 / kappa / g / g < math.inf):  # NaN fails too
+    """(2 kappa/g/g, 2/kappa/g/g), the plaquette coefficients, each formed once (no g**2 to
+    overflow or round to 0) and returned as checked; a g or kappa <= 0 or NaN is refused too."""
+    coeff_s, coeff_t = (2 * kappa / g / g, 2 / kappa / g / g) if g > 0 and kappa > 0 else (0, 0)
+    if not (0 < coeff_s < math.inf and 0 < coeff_t < math.inf):
         raise ValueError(f"g, kappa and both coefficients must be finite and positive, "
                          f"got g={g}, kappa={kappa}")
-    return 2.0 * kappa / g**2, 2.0 / (kappa * g**2)
+    return coeff_s, coeff_t
+
+
+def _wilson_terms(lat: GaugeLattice, group: GaugeGroupZN, tau: int, pairs: int = 1) -> int:
+    """One Wilson sum's N^links terms: tau - 1 inner slices' links, a temporal one per site, step;
+    BruteForceCap if ``pairs`` checks of max(terms, amplitudes, one block) pass PATH_TERM_CAP."""
+    terms = _require_power(group.N, lat.n_links * (tau - 1) + lat.n_sites * tau, PATH_TERM_CAP,
+                           "brute-force sum terms", BruteForceCap)
+    require(pairs * max(terms, _state_dim(lat, group), _BLOCK_TERMS), PATH_TERM_CAP,
+            f"terms or amplitudes of {pairs} pairs", BruteForceCap)
+    return terms
 
 
 def build_wmag(
@@ -326,9 +338,7 @@ def amplitude_equiv_check(
     config_index(lat, group, u_i)  # both ends refused before any work, never wrapped
     end = config_index(lat, group, u_f)
 
-    n_temporal_vars = lat.n_sites * tau
-    n_vars = lat.n_links * (tau - 1) + n_temporal_vars
-    blocks = _path_blocks(n, u_i, u_f, tau, n_temporal_vars, chunk=1 << 16)  # BruteForceCap first
+    blocks = _path_blocks(n, u_i, u_f, tau, lat.n_sites * tau, chunk=_BLOCK_TERMS)  # cap first
 
     # left side: the projected ket, then T = W_el W_mag applied tau times
     wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
@@ -350,5 +360,5 @@ def amplitude_equiv_check(
                 h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
                 action = action + coeff_t * retrace[h]
         chunks.append(complex(np.sum(np.cos(action)), -np.sum(np.sin(action))))
-    rhs = complex(fsum_complex(chunks)) / n**n_vars
+    rhs = complex(fsum_complex(chunks)) / _wilson_terms(lat, group, tau)
     return lhs, rhs, abs(lhs - rhs)

@@ -26,7 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, DegenerateDispersion, LatticeTooSmall, _require_int, require
+from .errors import (BYTE_BUDGET, DegenerateDispersion, LatticeTooSmall, NonFinite, _require_int,
+                     require)
 from .kinematics import LatticeParams, cosine_symbol, dispersion_theta, validate_momentum
 
 __all__ = [
@@ -223,6 +224,8 @@ def lightcone_radius(
     coeffs[rows, range(len(rows))] = 1.0
     for _ in range(tau):
         coeffs = _free_step(params, kind, coeffs)
+    if not np.isfinite(coeffs).all():  # a NaN would read as no support, radius 0
+        raise NonFinite(f"the light cone's coefficients are not all finite after {tau} steps")
     support = np.abs(coeffs.reshape(2, L, -1)).max(axis=(0, 2)) > CONE_THRESHOLD
     dist = np.abs(np.arange(L) - n0)
     return int(np.max(np.minimum(dist, L - dist)[support], initial=0))

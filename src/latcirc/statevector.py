@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, _require_int, require
+from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, _require_int,
+                     _require_power, require)
 from .kinematics import LatticeParams
 
 __all__ = [
@@ -140,7 +141,7 @@ class TruncatedLattice:
         object.__setattr__(self, "L", _require_int(self.L, 2, "L"))  # L = 1 is its own neighbour
         if self.params.d != 1:
             raise ValueError("the state-vector simulator is d=1 only")
-        dim = require(self.grid.n_points**self.L, STATE_CAP, "state-vector dimension")
+        dim = _require_power(self.grid.n_points, self.L, STATE_CAP, "state-vector dimension")
         object.__setattr__(self, "dim", dim)
 
     def config_index(self, config) -> int:
@@ -356,7 +357,7 @@ def _path_blocks(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1
     first, last = [int(v) for v in first], [int(v) for v in last]
     inner = len(first) * (tau - 1)
     n_vars = inner + n_extra
-    require(n ** n_vars, PATH_TERM_CAP, "brute-force sum terms", BruteForceCap)
+    _require_power(n, n_vars, PATH_TERM_CAP, "brute-force sum terms", BruteForceCap)
     j = 0
     while j < min(n_vars, chunk.bit_length() - 1) and n ** (j + 1) <= chunk:
         j += 1

@@ -77,6 +77,18 @@ def test_builtin_errors_are_validation_errors(tmp_path, capsys, monkeypatch, err
     assert capsys.readouterr().err == "error: the reason\n"
 
 
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_arithmetic_errors_are_numerical_failures(tmp_path, capsys, monkeypatch, error):
+    # a Python float power past the range or a division by 0 ends in exit 2 and one line
+    # that names the error, as numpy's inf ends in NonFinite
+    def fail(cfg, out):
+        raise error("the reason")
+
+    monkeypatch.setitem(cli.RUNNERS, "movers", fail)
+    assert run(["movers", "--out", str(tmp_path / "movers.json")]) == 2
+    assert capsys.readouterr().err == f"{PREFIXES[2]}{error.__name__}: the reason\n"
+
+
 def test_require():
     assert errors.require(5, 5, "terms") == 5
     with pytest.raises(errors.DimensionCap, match="terms: 6 exceeds the cap 5"):
@@ -96,6 +108,24 @@ def test_require_names_huge_amounts_by_their_power_of_ten(amount, shown):
     with pytest.raises(errors.BruteForceCap) as info:
         errors.require(amount, 10**8, "terms", errors.BruteForceCap)
     assert str(info.value) == f"terms: {shown} exceeds the cap 100000000"
+
+
+@pytest.mark.parametrize("base, exponent", [(2, 26), (2, 27), (10, 30), (10, 31), (16, 199998),
+                                            (3, 4300), (8, 10**12)])
+def test_require_power_is_require_of_the_power_never_formed(base, exponent):
+    # past 30 digits the power is refused from its logarithm: 8^(10^12) would take hours to
+    # form, and its message is require's ~10^k
+    expected = None
+    if exponent < 10**6:
+        try:
+            expected = errors.require(base**exponent, 10**8, "terms", errors.BruteForceCap)
+        except errors.BruteForceCap as exc:
+            expected = str(exc)
+    try:
+        got = errors._require_power(base, exponent, 10**8, "terms", errors.BruteForceCap)
+    except errors.BruteForceCap as exc:
+        got = str(exc)
+    assert got == (expected or "terms: ~10^903089986992 exceeds the cap 100000000")
 
 
 P1 = LatticeParams(a=0.1, m=1.0)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -381,7 +382,7 @@ def digit_table_wmag(lat, group, g, kappa):
     digits = np.stack(np.unravel_index(np.arange(dim), (group.N,) * lat.n_links), axis=1)
     holonomies = np.stack([np.mod(digits[:, l0] + digits[:, l1] - digits[:, l2] - digits[:, l3],
                                   group.N) for l0, l1, l2, l3 in lat.plaquettes()], axis=-1)
-    return np.exp(-1j * (2.0 * kappa / g**2) * group.retrace(holonomies).sum(axis=-1))
+    return np.exp(-1j * (2.0 * kappa / g / g) * group.retrace(holonomies).sum(axis=-1))
 
 
 def digit_table_perms(lat, group, omegas):
@@ -560,6 +561,87 @@ def test_gauge_check_builds_wmag_once(tmp_path):
     assert _wmag_diag.cache_info().misses == 1
     with pytest.raises(ValueError, match="read-only"):
         diag[0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.floats(1e-100, 1e100), kappa=st.floats(1e-100, 1e100))
+def test_couplings_return_the_coefficients_they_check(g, kappa):
+    # one formula each: the values returned are the ones the finiteness check read
+    try:
+        coeff_s, coeff_t = _couplings(g, kappa)
+    except ValueError:
+        return
+    assert (coeff_s, coeff_t) == (2.0 * kappa / g / g, 2.0 / kappa / g / g)
+
+
+def _json_body(path):
+    return json.loads(path.read_text().partition("\n")[2])
+
+
+def test_gauge_check_at_huge_g_writes_a_finite_artifact(tmp_path):
+    # 2/g/g stays finite and positive at g = 1e160, where g**2 raised OverflowError
+    out = tmp_path / "g.json"
+    assert cli.run(["gauge-check", "--g", "1e160", "--out", str(out)]) == 0
+    body = _json_body(out)
+    assert np.isfinite([*body["lhs"], *body["rhs"], body["deviation"]]).all()
+
+
+@pytest.mark.parametrize("args", [
+    ["--g", "1.2345", "--seed", "3", "--pairs", "5"],
+    ["--N", "3", "--tau", "2", "--lx", "1", "--pairs", "3", "--seed", "11"],
+])
+def test_gauge_check_pairs_drawn_as_the_list_reference(tmp_path, args):
+    # each pair is checked as it is drawn, from the same generator in the same order as a
+    # list of all pairs built first: the artifact holds the list's first lhs, rhs and worst
+    out = tmp_path / "g.json"
+    assert cli.run(["gauge-check", *args, "--out", str(out)]) == 0
+    body = _json_body(out)
+    lat, group = GaugeLattice(body["lattice"][0], body["lattice"][1]), GaugeGroupZN(body["N"])
+    rng = np.random.default_rng(int(dict(zip(args[::2], args[1::2]))["--seed"]))
+    identity = np.zeros(lat.n_links, dtype=int)
+    pairs = [(identity, identity)] + [
+        (rng.integers(0, group.N, lat.n_links), rng.integers(0, group.N, lat.n_links))
+        for _ in range(body["pairs"] - 1)]
+    checks = [amplitude_equiv_check(lat, group, body["g"], body["kappa"], u_i, u_f, body["tau"])
+              for u_i, u_f in pairs]
+    assert body["lhs"] == [checks[0][0].real, checks[0][0].imag]
+    assert body["rhs"] == [checks[0][1].real, checks[0][1].imag]
+    assert body["deviation"] == max(dev for _, _, dev in checks)
+
+
+def test_gauge_check_caps_before_any_link_array(tmp_path, capsys):
+    # 4*10^9 links: refused at the link-axis cap, before the identity or any pair exists
+    out = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        code = cli.run(["gauge-check", "--lx", "1000000000", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "link tensor axes: 4000000000" in capsys.readouterr().err
+    assert peak < 2**20 and not out.exists()
+
+
+def test_gauge_check_caps_all_pairs_before_the_first(tmp_path, monkeypatch, capsys):
+    def no_pair(*args):
+        raise AssertionError("a pair was checked before the pair cap")
+
+    monkeypatch.setattr(gauge_mod, "amplitude_equiv_check", no_pair)
+    # at least one 2^16-term block per pair: 1526 pairs of the default 16-term sum pass 10^8
+    code = cli.run(["gauge-check", "--pairs", "1526", "--out", str(tmp_path / "g.json")])
+    assert code == 3
+    assert capsys.readouterr().err == ("resource cap exceeded: terms or amplitudes of 1526 "
+                                       "pairs: 100007936 exceeds the cap 100000000\n")
+
+
+def test_wilson_terms_count_each_pair_by_its_larger_side():
+    # a 2^22-state lattice with 2^11 Wilson terms: each pair counts its 2^22 amplitudes
+    lat = GaugeLattice(1, 11)
+    assert gauge_mod._wilson_terms(lat, Z2, 1, 23) == 2**11
+    with pytest.raises(BruteForceCap, match="of 24 pairs: 100663296"):
+        gauge_mod._wilson_terms(lat, Z2, 1, 24)
+    with pytest.raises(BruteForceCap, match=r"brute-force sum terms: ~10\^36123597 "):
+        gauge_mod._wilson_terms(LAT, Z2, 10**7)
 
 
 def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=cos_sin_sum):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcirc.errors import DegenerateDispersion, LatticeTooSmall
+from latcirc.errors import DegenerateDispersion, LatticeTooSmall, NonFinite
 from latcirc.gaussian import (
     CONE_THRESHOLD,
     _free_step,
@@ -243,6 +243,17 @@ def test_lightcone_radius():
         lightcone_radius(P1, 16, "Shift", -1)
     with pytest.raises(ValueError):
         lightcone_radius(LatticeParams(a=0.1, d=2), 16, "Shift", 1)
+
+
+@pytest.mark.parametrize("params, kind", [
+    (LatticeParams(a=0.1, m=1e300), "Shift"), (LatticeParams(a=1e300, m=1.0), "Shift"),
+    (LatticeParams(a=1e-160, m=1.0), "Strang"),
+], ids=["Shift-m1e300", "Shift-a1e300", "Strang-a1e-160"])
+def test_lightcone_refuses_non_finite_coefficients(params, kind):
+    # M = -inf, or a curvature 2/a^2 past the range: every coefficient is NaN after the
+    # first steps, which read as no support at all (radius 0) until they were refused
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match="not all finite"):
+        lightcone_radius(params, 32, kind, 3)
 
 
 def test_realspace_checks():

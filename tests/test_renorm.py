@@ -162,6 +162,24 @@ def test_renorm_observable_keeps_its_exit_code():
                                      "the observable's own message")
 
 
+def test_calibrate_refuses_a_non_finite_start():
+    # m a = 5e-324 * 0.1 underflows to 0, where the Shift one-loop mass is NaN: the cost and
+    # the gradient at the start are not finite
+    shift = [make_observable("one_loop", regulator="ShiftPlain")]
+    problem = RenormProblem(LatticeParams(a=0.1, m=5e-324, lam=1.0), shift, [0.1], {"lam": 1.0})
+    with pytest.raises(NonFinite, match="non-finite evaluation at iteration 0"):
+        calibrate(problem)
+
+
+def test_calibrate_refuses_a_step_to_a_non_finite_cost():
+    # a target below the start pushes m up, and eta = 1e300 pushes m a so far that
+    # (m a)^2 overflows: M = -inf and the cost of the step is NaN
+    shift = [make_observable("one_loop", regulator="ShiftPlain")]
+    problem = RenormProblem(LatticeParams(a=0.1, lam=1.0), shift, [0.0], {"m": 1.3}, eta=1e300)
+    with pytest.raises(NonFinite, match="non-finite cost at iteration 0"):
+        calibrate(problem)
+
+
 def calibrate_reference(problem):
     """calibrate with each trace entry written out as its own dict literal."""
     g0 = problem.initial_vector()
