@@ -12,6 +12,11 @@ it enters, before any arithmetic uses it: a Python or numpy integer at or above
 the count's least value is taken as an int; anything else, a bool and an
 integral float included, is a ValueError (exit 1) reading
 ``<what> must be an integer >= k, got v``.
+
+Every real input (a spacing, timestep, mass, coupling, regulator, tolerance or target) passes
+``_require_real`` where it enters: a finite Python or numpy real within its bound (> 0, >= 0
+or none) is taken as given; anything else, a bool or a string such as "0.3" included, is a
+ValueError (exit 1) reading ``<what> must be finite and positive, got v`` (or ``nonnegative``).
 """
 
 import math
@@ -114,3 +119,12 @@ def _require_int(value, least: int, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _require_real(value, what: str, sign: str = "positive"):
+    """``value`` as given, or ValueError unless it is a finite real that is ``sign``: "positive",
+    "nonnegative" or "" (any finite value). A plain float or int skips the slower ABC check."""
+    if type(value) in (float, int) or isinstance(value, numbers.Real) and type(value) is not bool:
+        if math.isfinite(value) and (value > 0 or not sign or sign == "nonnegative" and value == 0):
+            return value
+    raise ValueError(f"{what} must be finite{' and ' + sign if sign else ''}, got {value!r}")

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, OddLattice, _require_int,
-                     _require_power, require)
+                     _require_power, _require_real, require)
 from .quadrature import fsum_complex
 from .statevector import _apply_site_kernel, _circulant, _config_index, _path_blocks
 
@@ -105,23 +105,20 @@ class GaugeLattice:
         x, y = divmod(site, self.Ly)
         return site, self.site(x + 1, y) if direction == 0 else self.site(x, y + 1)
 
+    @functools.cached_property
+    def endpoints(self) -> np.ndarray:
+        """Row l is ``link_endpoints(l)``: one read-only (n_links, 2) table per lattice."""
+        ends = np.array([self.link_endpoints(link) for link in range(self.n_links)])
+        ends.setflags(write=False)
+        return ends
+
     def plaquettes(self) -> list[tuple[int, int, int, int]]:
         """Per site (x, y): links traversed as +x, +y(x+1), -x(y+1), -y.
 
         Holonomy of config u is u[l0] + u[l1] - u[l2] - u[l3] mod N.
         """
-        out = []
-        for x in range(self.Lx):
-            for y in range(self.Ly):
-                out.append(
-                    (
-                        self.link(x, y, 0),
-                        self.link(x + 1, y, 1),
-                        self.link(x, y + 1, 0),
-                        self.link(x, y, 1),
-                    )
-                )
-        return out
+        return [(self.link(x, y, 0), self.link(x + 1, y, 1), self.link(x, y + 1, 0),
+                 self.link(x, y, 1)) for x in range(self.Lx) for y in range(self.Ly)]
 
 
 _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # NPY_MAXDIMS
@@ -181,12 +178,12 @@ def _plaquette_action(lat: GaugeLattice, group: GaugeGroupZN, links) -> np.ndarr
 
 
 def _couplings(g: float, kappa: float) -> tuple[float, float]:
-    """(2 kappa/g/g, 2/kappa/g/g), the plaquette coefficients, each formed once (no g**2 to
-    overflow or round to 0) and returned as checked; a g or kappa <= 0 or NaN is refused too."""
-    coeff_s, coeff_t = (2 * kappa / g / g, 2 / kappa / g / g) if g > 0 and kappa > 0 else (0, 0)
+    """(2 kappa/g/g, 2/kappa/g/g), the plaquette coefficients of a finite and positive g and
+    kappa, each formed once (no g**2 to overflow or round to 0) and returned as checked."""
+    g, kappa = _require_real(g, "g"), _require_real(kappa, "kappa")
+    coeff_s, coeff_t = 2 * kappa / g / g, 2 / kappa / g / g
     if not (0 < coeff_s < math.inf and 0 < coeff_t < math.inf):
-        raise ValueError(f"g, kappa and both coefficients must be finite and positive, "
-                         f"got g={g}, kappa={kappa}")
+        raise ValueError(f"both coefficients must be finite and positive, got g={g}, kappa={kappa}")
     return coeff_s, coeff_t
 
 
@@ -247,17 +244,13 @@ def plaquette_coloring(lat: GaugeLattice) -> tuple[list[int], list[int]]:
     """Chessboard split of plaquette indices into two link-disjoint layers."""
     if lat.Lx % 2 or lat.Ly % 2:
         raise OddLattice("chessboard coloring needs even Lx and Ly")
-    layers: tuple[list[int], list[int]] = ([], [])
-    for idx in range(lat.n_sites):
-        x, y = divmod(idx, lat.Ly)
-        layers[(x + y) % 2].append(idx)
-    return layers
+    return tuple([idx for idx in range(lat.n_sites) if sum(divmod(idx, lat.Ly)) % 2 == color]
+                 for color in (0, 1))
 
 
 def _roll_links(lat: GaugeLattice, tensor: np.ndarray, omega, n: int) -> np.ndarray:
     """``tensor`` (one axis per link) rolled by omega_{x+e} - omega_x along each link axis."""
-    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
-    shifts = omega[ends[:, 1]] - omega[ends[:, 0]]
+    shifts = omega[lat.endpoints[:, 1]] - omega[lat.endpoints[:, 0]]
     # one axis per roll: a multi-axis np.roll copies 2^(shifted axes) separate blocks
     for axis in np.flatnonzero(shifts % n):
         tensor = np.roll(tensor, shifts[axis], axis=axis)
@@ -280,11 +273,11 @@ def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOpera
 
 def _gauss_orbit_average(lat: GaugeLattice, group: GaugeGroupZN, config) -> np.ndarray:
     """P_G|config> = N^-sites sum_Omega D(Omega)|config>, one image per site assignment."""
-    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
+    dim = _state_dim(lat, group)  # the cap before any image exists
     omegas = np.indices((group.N,) * lat.n_sites).reshape(lat.n_sites, -1)
-    images = (config[:, None] + omegas[ends[:, 0]] - omegas[ends[:, 1]]) % group.N
+    images = (config[:, None] + omegas[lat.endpoints[:, 0]] - omegas[lat.endpoints[:, 1]]) % group.N
     index = group.N ** np.arange(lat.n_links - 1, -1, -1) @ images  # row-major ravel
-    return np.bincount(index, minlength=_state_dim(lat, group)) / len(index)
+    return np.bincount(index, minlength=dim) / len(index)
 
 
 def gauss_commutator_max(
@@ -341,14 +334,12 @@ def amplitude_equiv_check(
     blocks = _path_blocks(n, u_i, u_f, tau, lat.n_sites * tau, chunk=_BLOCK_TERMS)  # cap first
 
     # left side: the projected ket, then T = W_el W_mag applied tau times
-    wmag, wel = build_wmag(lat, group, g, kappa), build_wel(lat, group, g, kappa)
     psi = _gauss_orbit_average(lat, group, np.asarray(u_i, dtype=int))
     for _ in range(tau):
-        psi = wel.apply(wmag.apply(psi))
+        psi = apply_transfer(lat, group, g, kappa, psi)
     lhs = complex(psi[end]) * n**lat.n_links
 
     # right side: chunked enumeration of all summed link variables
-    endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
     retrace = group.retrace(np.arange(n))
     chunks = []
     for slices, temporal in blocks:
@@ -356,7 +347,7 @@ def amplitude_equiv_check(
         for nu in range(tau):
             action = action + coeff_s * _plaquette_action(lat, group, slices[nu])
             t_now = temporal[nu * lat.n_sites : (nu + 1) * lat.n_sites]
-            for link, (frm, to) in enumerate(endpoints):
+            for link, (frm, to) in enumerate(lat.endpoints.tolist()):
                 h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
                 action = action + coeff_t * retrace[h]
         chunks.append(complex(np.sum(np.cos(action)), -np.sum(np.sin(action))))

@@ -67,9 +67,9 @@ def strang_block(params: LatticeParams, p) -> np.ndarray:
     The X-shear curvature is the lattice-Laplacian symbol
     m^2 + sum_i 4 sin^2(p_i a / 2)/a^2.
     """
-    arr = _one_momentum(params, p)
-    dt = params.dt
-    curv = params.m**2 + float(np.sum(4.0 * np.sin(arr * params.a / 2.0) ** 2)) / params.a**2
+    arr, a, dt = _one_momentum(params, p), params.a, params.dt
+    # squares as products: a Python float power past the range raises OverflowError
+    curv = params.m * params.m + float(np.sum(4.0 * np.sin(arr * a / 2.0) ** 2)) / a / a
     x_half = np.array([[1.0, -0.5 * dt * curv], [0.0, 1.0]])
     p_full = np.array([[1.0, 0.0], [dt, 1.0]])
     return x_half @ p_full @ x_half

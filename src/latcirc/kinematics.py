@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDispersion, _require_int
+from .errors import DegenerateDispersion, _require_int, _require_real
 
 __all__ = [
     "LatticeParams",
@@ -68,12 +68,11 @@ class LatticeParams:
     def __post_init__(self):
         if self.dt is None:
             object.__setattr__(self, "dt", self.a)
-        if not all(math.isfinite(v) for v in (self.a, self.dt, self.m, self.lam, self.g)):
-            raise ValueError("a, dt, m, lambda and g must be finite")
-        if not (self.a > 0 and self.dt > 0):
-            raise ValueError("lattice spacing and timestep must be positive")
-        if self.m < 0 or self.lam < 0:
-            raise ValueError("mass and quartic coupling must be nonnegative")
+        _require_real(self.a, "a")
+        _require_real(self.dt, "dt")
+        _require_real(self.m, "m", "nonnegative")
+        _require_real(self.lam, "lambda", "nonnegative")
+        _require_real(self.g, "g", "")
         object.__setattr__(self, "d", _require_int(self.d, 1, "spatial dimension d"))
 
     @property

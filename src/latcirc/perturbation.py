@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, _require_int,
-                     require)
+                     _require_real, require)
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import feynman_momentum
 from .quadrature import folded_nodes, fsum_complex, midpoint_nodes
@@ -67,8 +67,7 @@ class DiagramSpec:
     def __post_init__(self):
         if self.kind not in _INCOMING:
             raise UnknownDiagram(f"kind must be one of {tuple(_INCOMING)}, got {self.kind!r}")
-        if not 0 < self.epsilon < math.inf:  # NaN fails too
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        _require_real(self.epsilon, "epsilon")
         object.__setattr__(self, "resolution", _require_int(self.resolution, 1, "resolution"))
         object.__setattr__(
             self, "incoming", tuple(tuple(float(c) for c in p) for p in self.incoming)
@@ -125,8 +124,7 @@ def elliptic_K(x: float) -> float:
 def _require_two_dimensional(params: LatticeParams):
     if params.d != 1:
         raise ValueError("one-loop corrections are computed in D = 2 (d = 1)")
-    if params.m <= 0:
-        raise ValueError("one-loop corrections require m > 0")
+    _require_real(params.m, "m of a one-loop correction")
 
 
 def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0) -> float:
@@ -137,8 +135,7 @@ def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0) -> f
     taken from m a, sqrt(1 - M^2) = m a sqrt(1 - (m a)^2/4), so a tiny m a keeps it.
     """
     _require_two_dimensional(params)
-    if not math.isfinite(p_in):
-        raise ValueError(f"p_in must be finite, got {p_in}")
+    _require_real(p_in, "p_in", "")
     lam, m, a = params.lam, params.m, params.a
     if regulator == "ContinuumCutoff":
         return lam / (4.0 * math.pi) * math.asinh(math.pi / a / m)
@@ -214,7 +211,7 @@ def _external_legs(spec: DiagramSpec):
 
 def log_slope(series) -> float:
     """Least-squares slope of Pi against ln(1/a) for a list of (a, Pi) pairs."""
-    pts = [(float(a), float(pi)) for a, pi in series]
+    pts = [(float(_require_real(a, "a")), float(_require_real(pi, "Pi", ""))) for a, pi in series]
     if len(pts) < 4:
         raise ValueError("need at least 4 points")
     spacings = [a for a, _ in pts]

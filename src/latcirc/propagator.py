@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, _require_int, require
+from .errors import BYTE_BUDGET, _require_int, _require_real, require
 from .kinematics import (LatticeParams, _nondegenerate, _require_zone, _symbol, _unwrap,
                          cosine_symbol, dispersion_theta)
 from .quadrature import folded_nodes, fsum_complex, fsum_real, refined
@@ -35,8 +35,7 @@ def feynman_momentum(params: LatticeParams, p0, p, epsilon: float):
     trigonometry. Even under p -> -p. Returns a complex for a single point, else
     an array of the broadcast shape.
     """
-    if not 0 < epsilon < math.inf:  # NaN fails too
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    _require_real(epsilon, "epsilon")
     p0 = np.asarray(p0, dtype=float)
     _require_zone(p0, params.dt, "p0 must lie in (-pi/dt, pi/dt]")
     c = cosine_symbol(params, p)  # checks p in the zone
@@ -68,8 +67,7 @@ def contour_identity_residual(
     Raises QuadratureNotConverged when doubling n_quad moves the quadrature by
     more than conv_rtol relative to the left side (pass None to skip).
     """
-    if not 0 < epsilon < math.inf:  # NaN fails too
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    _require_real(epsilon, "epsilon")
     n_quad = _require_int(n_quad, 2, "n_quad")
     if n_quad & (n_quad - 1):
         raise ValueError("n_quad must be a power of two")
@@ -102,8 +100,7 @@ def equal_time(
     real, a float: the p -> -p pairs are summed as cosines, never as exponentials,
     so it is also bitwise even in the offset. ``conv_rtol`` refines it once.
     """
-    if params.m <= 0:
-        raise ValueError("equal-time propagator requires m > 0")
+    _require_real(params.m, "m of the equal-time propagator")
     offset = np.atleast_1d(np.asarray(x_minus_y, dtype=float))
     if offset.shape != (params.d,):
         raise ValueError(f"offset must have {params.d} component(s)")

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, _require_int
+from .errors import QuadratureNotConverged, _require_int, _require_real
 
 __all__ = ["midpoint_nodes", "folded_nodes", "fsum_complex", "fsum_real", "refined"]
 
@@ -104,11 +104,10 @@ def refined(evaluate, n: int, rtol: float | None, what: str, scale: float | None
     """``evaluate(2 n)``, or QuadratureNotConverged if it is more than rtol * scale from
     ``evaluate(n)``, scale = max(|coarse|, 1e-300) by default. With ``rtol`` None, the
     coarse ``evaluate(n)`` unchecked."""
-    if rtol is not None and not 0 <= rtol < math.inf:  # NaN fails too
-        raise ValueError(f"{what}: rtol must be nonnegative and finite, got {rtol}")
-    coarse = evaluate(n)
     if rtol is None:
-        return coarse
+        return evaluate(n)
+    _require_real(rtol, f"{what}: rtol", "nonnegative")
+    coarse = evaluate(n)
     fine = evaluate(2 * n)
     scale = max(abs(coarse), 1e-300) if scale is None else scale
     if abs(fine - coarse) > rtol * scale:

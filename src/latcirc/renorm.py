@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Diverged, LatcircError, NonFinite, ObservableFailure, _require_int
+from .errors import (Diverged, LatcircError, NonFinite, ObservableFailure, _require_int,
+                     _require_real)
 from .kinematics import LatticeParams, dispersion_theta, omega
 from .perturbation import one_loop_mass
 
@@ -36,8 +37,7 @@ TUNABLE = ("m", "lam")
 def _require_massive(params: LatticeParams) -> LatticeParams:
     # dispersion observables presume a massive theory (theta real on the
     # whole zone), not just |c(p)| < 1 at the probe momentum
-    if params.m <= 0:
-        raise ValueError("dispersion observables require m > 0")
+    _require_real(params.m, "m of a dispersion observable")
     return params
 
 
@@ -58,9 +58,9 @@ def make_observable(kind: str, **kwargs):
         raise ValueError(f"a {kind} entry of 'observables' has the key {unread[0]!r}, "
                          f"which it does not read")
     if kind == "one_loop":
-        regulator, p_in = kwargs["regulator"], float(kwargs.get("p_in", 0.0))
+        regulator, p_in = kwargs["regulator"], _require_real(kwargs.get("p_in", 0.0), "'p_in'", "")
         return lambda params: one_loop_mass(regulator, params, p_in=p_in)
-    p = float(kwargs["p"])
+    p = _require_real(kwargs["p"], "'p'", "")
     function = dispersion_theta if kind == "dispersion_theta" else omega
     return lambda params: function(_require_massive(params), p)
 
@@ -81,15 +81,13 @@ class RenormProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "observables", tuple(self.observables))
-        object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
+        targets = tuple(_require_real(t, f"'targets' entry {i}", "")
+                        for i, t in enumerate(self.targets))
+        object.__setattr__(self, "targets", targets)
         if len(self.observables) != len(self.targets):
             raise ValueError("need one target per observable")
-        for index, target in enumerate(self.targets):
-            if not math.isfinite(target):
-                raise ValueError(f"'targets' entry {index} is {target!r}; targets must be finite")
         for key in ("eta", "fd_step", "tol"):
-            if not 0 < getattr(self, key) < math.inf:  # NaN fails too
-                raise ValueError(f"{key}={getattr(self, key)!r} must be positive and finite")
+            _require_real(getattr(self, key), f"'{key}'")
         object.__setattr__(self, "max_iters", _require_int(self.max_iters, 0, "'max_iters'"))
         bad = set(self.init) - set(TUNABLE)
         if bad:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, _require_int,
-                     _require_power, require)
+                     _require_power, _require_real, require)
 from .kinematics import LatticeParams
 
 __all__ = [
@@ -75,15 +75,13 @@ class FieldGrid:
         object.__setattr__(self, "n_points", _require_int(self.n_points, 8, "n_points"))
         if self.n_points % 2:
             raise ValueError(f"n_points must be even, got {self.n_points}")
-        if not 0 < self.delta_phi < math.inf:  # NaN fails too
-            raise ValueError(f"delta_phi must be finite and positive, got {self.delta_phi}")
+        _require_real(self.delta_phi, "delta_phi")
 
     @classmethod
     def for_mass(cls, m: float, n_points: int) -> "FieldGrid":
         """Grid of half-width 6/sqrt(2m), roughly six ground-state widths, which keeps the free
         ground state well interior; m must be positive."""
-        if m <= 0:
-            raise ValueError("a mass grid needs m > 0")
+        _require_real(m, "m of a mass grid")
         n_points = _require_int(n_points, 8, "n_points")
         return cls(n_points, 2.0 * (6.0 / math.sqrt(2.0 * m)) / n_points)
 
@@ -256,7 +254,7 @@ class CircuitStep:
 
     def __init__(self, lat: TruncatedLattice, kind: str, lam: float):
         self.lat, self.kind = lat, kind
-        self.angle = _bond_angle(lat, kind, lam)
+        self.angle = _bond_angle(lat, kind, _require_real(lam, "lambda", "nonnegative"))
         self.kernel = _momentum_kernel(lat.grid, kind, lat.params.kappa)
 
     @functools.cached_property
@@ -312,9 +310,9 @@ def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> com
     step element (O(L)) at tau = 1, else ``from_ket``, tau - 2 full steps and ``to_bra``."""
     start, end = lat.config_index(phi_i), lat.config_index(phi_f)  # a bad end is refused
     tau = _require_int(tau, 0, "tau")
+    step = CircuitStep(lat, kind, lam)  # refuses a bad kind or lambda at tau = 0 too
     if tau == 0:
         return complex(start == end)
-    step = CircuitStep(lat, kind, lam)
     if tau == 1:
         return complex(step.element(phi_f, phi_i))
     psi = step.from_ket(phi_i)
@@ -398,6 +396,7 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     lat.config_index(phi_i)  # both ends are refused before any work, never wrapped
     lat.config_index(phi_f)
     tau = _require_int(tau, 1, "tau")
+    _require_real(lam, "lambda", "nonnegative")
     L, kappa = lat.L, lat.params.kappa
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     vals = lat.grid.values

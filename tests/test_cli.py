@@ -1,7 +1,9 @@
 import argparse
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import resource
 import signal
@@ -445,7 +447,10 @@ def test_renorm_problem_malformed_entries(tmp_path, capsys, key, value):
     path.write_text(json.dumps({**SMALL_PROBLEM, key: value}))
     assert run(["renorm", "--problem", str(path), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: renorm problem is malformed") and err.count("\n") == 1
+    # a target that is no number is refused by the one rule for reals, not as malformed
+    says = ("'targets' entry 0 must be finite, got [0.03]" if key == "targets"
+            else "renorm problem is malformed")
+    assert err.startswith(f"error: {says}") and err.count("\n") == 1
 
 
 def _cli_bytes(workdir: Path, argv: list[str], name: str) -> bytes:
@@ -804,6 +809,42 @@ def test_every_number_setting_at_its_extremes(tmp_path, capsys, monkeypatch, sub
                     fault = _timed_end_fault(base + route, out, capsys)
                     if fault:
                         faults.append(f"{' '.join(base)} {key}={value!r} by {route[0]}: {fault}")
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not faults, "\n".join(faults)
+
+
+# a problem whose every number is read: both observable kinds, lam > 0 so p_in counts, and
+# targets met at m = 1, which the descent reaches from m = 1.3 in 184 steps
+RENORM_PROBLEM = {"a": 0.1, "dt": 0.1, "m": 1.0, "lam": 1.0, "eta": 0.05, "fd_step": 1e-4,
+                  "tol": 1e-8, "max_iters": 2, "init": {"m": 1.3},
+                  "observables": [{"kind": "dispersion_theta", "p": 0.3},
+                                  {"kind": "one_loop", "regulator": "ShiftSmeared", "p_in": 0.2}],
+                  "targets": [1.0442863483701577, 0.25478801220425495]}
+RENORM_NUMBERS = [(key,) for key in ("a", "dt", "m", "lam", "eta", "fd_step", "tol", "max_iters")]
+RENORM_NUMBERS += [("targets", 0), ("targets", 1), ("init", "m"), ("observables", 0, "p"),
+                   ("observables", 1, "p_in")]
+
+
+@pytest.mark.parametrize("where", RENORM_NUMBERS, ids=lambda where: ".".join(map(str, where)))
+def test_every_renorm_problem_number_at_its_extremes(tmp_path, capsys, where):
+    # each number of a problem file at the sweep's values, and as "0.3" and true, which are no
+    # numbers: every run ends cleanly, and a non-number never runs as a number
+    problem_file, out = tmp_path / "problem.json", tmp_path / "out.json"
+    values = SWEEP_INTS if where == ("max_iters",) else SWEEP_FLOATS
+    faults = []
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    try:
+        for value in [*values, "0.3", True]:
+            problem = json.loads(json.dumps(RENORM_PROBLEM))
+            parent = functools.reduce(operator.getitem, where[:-1], problem)
+            parent[where[-1]] = value
+            problem_file.write_text(json.dumps(problem))
+            fault = _timed_end_fault(["renorm", "--problem", str(problem_file)], out, capsys)
+            if fault is None and isinstance(value, (str, bool)) and out.exists():
+                fault = "exit 0: a non-number ran as a number"
+            if fault:
+                faults.append(f"{where} = {value!r}: {fault}")
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not faults, "\n".join(faults)

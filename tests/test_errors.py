@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import math
 import pickle
 import re
 from pathlib import Path
@@ -11,11 +12,11 @@ import pytest
 
 from latcirc import cli, errors
 from latcirc.cli import run
-from latcirc.gauge import GaugeGroupZN, GaugeLattice, amplitude_equiv_check
+from latcirc.gauge import GaugeGroupZN, GaugeLattice, amplitude_equiv_check, wel_link_matrix
 from latcirc.gaussian import lightcone_radius, mover_shift_check, realspace_map
-from latcirc.kinematics import LatticeParams, momentum_grid
-from latcirc.perturbation import DiagramSpec, evaluate_diagram
-from latcirc.propagator import contour_identity_residual, equal_time
+from latcirc.kinematics import LatticeParams, cosine_symbol, dispersion_theta, momentum_grid, omega
+from latcirc.perturbation import DiagramSpec, evaluate_diagram, log_slope, one_loop_mass
+from latcirc.propagator import contour_identity_residual, equal_time, feynman_momentum
 from latcirc.quadrature import midpoint_nodes
 from latcirc.renorm import RenormProblem, calibrate, make_observable
 from latcirc.statevector import (
@@ -24,6 +25,8 @@ from latcirc.statevector import (
     amplitude_action_form,
     amplitude_circuit,
     amplitude_path_sum,
+    apply_step,
+    build_step,
     interaction_picture_check,
 )
 
@@ -195,6 +198,111 @@ def test_every_count_is_an_integer_at_or_above_its_least(entry):
         with pytest.raises(ValueError, match=message):
             call(bad)
     assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
+
+
+P1_LAM = LatticeParams(a=0.1, m=1.0, lam=1.0)
+TREE = DiagramSpec("Tree2to2", ((0.0, 0.3), (0.0, -0.3)))
+PSI = np.full(CHAIN.dim, 1 / 8, dtype=complex)
+OBSERVABLE = make_observable("dispersion_theta", p=0.3)
+
+
+def _calibrated(**options):
+    return calibrate(RenormProblem(P1, [OBSERVABLE], options.pop("targets", [0.03]), {"m": 1.3},
+                                   max_iters=2, **options))[0]
+
+
+def _fit(a0, pi0):
+    return log_slope([(a0, pi0), (0.02, 1.2), (0.002, 1.5), (0.0002, 1.9)])
+
+
+# every real a library entry point takes: (what its message names, its sign, a valid value,
+# the call at a given value, whose result holds no numpy scalar); m > 0 requirements behind
+# LatticeParams are checked in the test after this one
+REALS = {
+    "LatticeParams.a": ("a", "positive", 0.1, lambda v: cosine_symbol(LatticeParams(a=v, m=1.0),
+                                                                      0.3)),
+    "LatticeParams.dt": ("dt", "positive", 0.05, lambda v: dispersion_theta(
+        LatticeParams(a=0.1, dt=v, m=1.0), 0.3)),
+    "LatticeParams.m": ("m", "nonnegative", 1.0, lambda v: omega(LatticeParams(a=0.1, m=v), 0.3)),
+    "LatticeParams.lam": ("lambda", "nonnegative", 0.3, lambda v: complex(evaluate_diagram(
+        TREE, LatticeParams(a=0.1, lam=v)))),
+    "LatticeParams.g": ("g", "", 1.5, lambda v: float(LatticeParams(a=0.1, g=v).g)),
+    "wel_link_matrix.g": ("g", "positive", 1.2, lambda v: wel_link_matrix(GaugeGroupZN(3), v, 1.0)),
+    "wel_link_matrix.kappa": ("kappa", "positive", 0.8, lambda v: wel_link_matrix(
+        GaugeGroupZN(3), 1.0, v)),
+    "FieldGrid.delta_phi": ("delta_phi", "positive", 0.5, lambda v: FieldGrid(8, v).momenta),
+    "FieldGrid.for_mass": ("m of a mass grid", "positive", 1.0, lambda v: FieldGrid.for_mass(v, 8)),
+    "apply_step": ("lambda", "nonnegative", 0.1, lambda v: apply_step(CHAIN, "Strang", v, PSI)),
+    "build_step": ("lambda", "nonnegative", 0.1, lambda v: build_step(CHAIN, "Shift", v)),
+    "amplitude_circuit": ("lambda", "nonnegative", 0.1, lambda v: amplitude_circuit(
+        CHAIN, "Trotter", v, (1, 2), (3, 4), 3)),
+    "amplitude_path_sum": ("lambda", "nonnegative", 0.1, lambda v: amplitude_path_sum(
+        CHAIN, "Strang", v, (1, 2), (3, 4), 2)),
+    "interaction_picture_check": ("lambda", "nonnegative", 0.3, lambda v: interaction_picture_check(
+        CHAIN, "Strang", v, 2)),
+    "amplitude_action_form": ("lambda", "nonnegative", 0.1, lambda v: amplitude_action_form(
+        CHAIN, v, (1, 2), (3, 4), 2)),
+    "DiagramSpec.epsilon": ("epsilon", "positive", 0.05, lambda v: evaluate_diagram(
+        DiagramSpec("TadpoleMass", ((0.0, 0.0),), resolution=64, epsilon=v), P1_LAM)),
+    "feynman_momentum": ("epsilon", "positive", 1e-3, lambda v: feynman_momentum(
+        P1, 0.5, 0.25, v)),
+    "contour_identity_residual": ("epsilon", "positive", 0.05, lambda v: contour_identity_residual(
+        P1, 0.3, 1, v, 2**8, None)),
+    "one_loop_mass.p_in": ("p_in", "", 0.3, lambda v: one_loop_mass("ShiftSmeared", P1_LAM, v)),
+    "log_slope.a": ("a", "positive", 0.2, lambda v: _fit(v, 1.0)),
+    "log_slope.Pi": ("Pi", "", 1.0, lambda v: _fit(0.2, v)),
+    "refined.rtol": ("equal-time quadrature: rtol", "nonnegative", 1.0, lambda v: equal_time(
+        P1, 0, 64, v)),
+    "RenormProblem.eta": ("'eta'", "positive", 0.05, lambda v: _calibrated(eta=v)),
+    "RenormProblem.fd_step": ("'fd_step'", "positive", 1e-4, lambda v: _calibrated(fd_step=v)),
+    "RenormProblem.tol": ("'tol'", "positive", 1e-8, lambda v: _calibrated(tol=v)),
+    "RenormProblem.targets": ("'targets' entry 0", "", 0.03, lambda v: _calibrated(targets=[v])),
+    "make_observable.p": ("'p'", "", 0.3, lambda v: make_observable("omega", p=v)(P1)),
+    "make_observable.p_in": ("'p_in'", "", 0.3, lambda v: make_observable(
+        "one_loop", regulator="ShiftSmeared", p_in=v)(P1_LAM)),
+}
+# the value just past each bound: 0 is not positive, the negative subnormal not nonnegative
+PAST_BOUND = {"positive": [0.0, -0.0], "nonnegative": [-5e-324], "": []}
+
+
+@pytest.mark.parametrize("entry", REALS)
+def test_every_real_is_finite_and_within_its_bound(entry):
+    # one message for every real; a bool or a string such as "0.3" is no number, and a numpy
+    # float is the Python float it stands for, taken as given
+    what, sign, valid, call = REALS[entry]
+    shown = f" and {sign}" if sign else ""
+    for bad in (math.nan, math.inf, -math.inf, True, "0.3", *PAST_BOUND[sign]):
+        message = f"^{re.escape(what)} must be finite{shown}, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    assert pickle.dumps(call(np.float64(valid))) == pickle.dumps(call(valid))
+
+
+@pytest.mark.parametrize("what, call", [
+    ("m of the equal-time propagator", lambda m: equal_time(LatticeParams(a=0.1, m=m), 0, 8)),
+    ("m of a one-loop correction", lambda m: one_loop_mass(
+        "ShiftPlain", LatticeParams(a=0.1, m=m, lam=1.0))),
+    ("m of a one-loop correction", lambda m: evaluate_diagram(
+        DiagramSpec("TadpoleMass", ((0.0, 0.0),), resolution=8), LatticeParams(a=0.1, m=m))),
+    ("m of a dispersion observable", lambda m: OBSERVABLE(LatticeParams(a=0.1, m=m))),
+], ids=["equal_time", "one_loop_mass", "evaluate_diagram", "dispersion_observable"])
+def test_every_mass_requirement_refuses_m_zero(what, call):
+    # a mass that LatticeParams takes (m >= 0) but the entry cannot (m > 0) is refused by the
+    # one rule; any other bad m never gets past LatticeParams
+    for bad in (0.0, -0.0):
+        with pytest.raises(ValueError, match=f"^{what} must be finite and positive, got {bad!r}$"):
+            call(bad)
+    for bad in (math.nan, -1.0, True, "0.3"):
+        with pytest.raises(ValueError, match="^m must be finite and nonnegative, got "):
+            call(bad)
+
+
+def test_require_real_takes_numpy_reals_as_given():
+    for value in (0.5, 2, np.float64(0.5), np.float32(0.5), np.int64(2)):
+        assert errors._require_real(value, "x") is value
+    for bad in (np.bool_(True), np.float64("nan"), 1 + 0j, None, [0.5]):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(repr(bad))}$"):
+            errors._require_real(bad, "x", "")
 
 
 def _raised_name(node: ast.Raise) -> str | None:

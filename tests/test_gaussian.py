@@ -126,7 +126,8 @@ def single_point_reference(params, p):
     """Shift block, Strang block and mode pair at one momentum, as built before the shape check."""
     c, dt = cosine_symbol(params, p), params.dt
     arr = np.atleast_1d(np.asarray(p, dtype=float))
-    curv = params.m**2 + float(np.sum(4.0 * np.sin(arr * params.a / 2.0) ** 2)) / params.a**2
+    laplacian = float(np.sum(4.0 * np.sin(arr * params.a / 2.0) ** 2)) / params.a / params.a
+    curv = params.m * params.m + laplacian
     x_half = np.array([[1.0, -0.5 * dt * curv], [0.0, 1.0]])
     strang = x_half @ np.array([[1.0, 0.0], [dt, 1.0]]) @ x_half
     s = math.sin(dispersion_theta(params, p) * dt)

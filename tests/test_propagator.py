@@ -123,9 +123,9 @@ def test_contour_refuses_non_finite_or_non_positive_epsilon(epsilon):
 
 @pytest.mark.parametrize("rtol", [math.nan, math.inf, -1e-6])
 def test_refinement_refuses_nan_infinite_or_negative_rtol(rtol):
-    with pytest.raises(ValueError, match="rtol must be nonnegative and finite"):
+    with pytest.raises(ValueError, match="rtol must be finite and nonnegative"):
         equal_time(P1, 0, 64, conv_rtol=rtol)
-    with pytest.raises(ValueError, match="rtol must be nonnegative and finite"):
+    with pytest.raises(ValueError, match="rtol must be finite and nonnegative"):
         contour_identity_residual(P1, 0.3, 1, EPS_DEFAULT, 2**8, conv_rtol=rtol)
 
 
