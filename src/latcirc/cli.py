@@ -72,13 +72,12 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 DEFAULTS = {
-    "dispersion": {"a": 0.1, "dt": None, "m": 1.0, "lam": 0.0, "L": 256},
-    "movers": {"a": 0.1, "dt": None, "m": 0.0, "lam": 0.0, "L": 8},
-    "lightcone": {"a": 0.1, "dt": None, "m": 1.0, "lam": 0.0, "L": 32, "kind": "Shift",
-                  "tau": 3, "observable": "phi"},
-    "propagator": {"a": 0.1, "dt": None, "m": 1.0, "lam": 0.0, "L": 32, "epsilon": 1e-3},
-    "oneloop": {"a": 0.1, "dt": None, "m": 1.0, "lam": 1.0,
-                "a_series": "0.2,0.1,0.05,0.025", "p_in": 0.0},
+    "dispersion": {"a": 0.1, "dt": None, "m": 1.0, "L": 256},
+    "movers": {"a": 0.1, "L": 8},
+    "lightcone": {"a": 0.1, "dt": None, "m": 1.0, "L": 32, "kind": "Shift", "tau": 3,
+                  "observable": "phi"},
+    "propagator": {"a": 0.1, "dt": None, "m": 1.0, "L": 32, "epsilon": 1e-3},
+    "oneloop": {"m": 1.0, "lam": 1.0, "a_series": "0.2,0.1,0.05,0.025", "p_in": 0.0},
     "pathint-check": {"a": 0.5, "dt": None, "m": 1.0, "lam": 0.1, "L": 2, "n_points": 16,
                       "tau": 2, "kind": "Strang", "grid": "dual"},
     "gauge-check": {"N": 2, "lx": 2, "ly": 2, "g": 1.0, "kappa": 1.0, "tau": 1,
@@ -117,15 +116,15 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
-    """One flag per DEFAULTS key: --<key> with _ as -, except --lambda for lam; its type
-    is its default's (float for a default of None), its choices those in _CHOICES."""
+    """One flag per DEFAULTS key, never abbreviated: --<key> with _ as -, except --lambda for
+    lam; its type is its default's (float for a default of None), its choices those in _CHOICES."""
     parser = _Parser(prog="latcirc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (flags override)")
     common.add_argument("--out", required=True, help="output file path")
     for name, defaults in DEFAULTS.items():
-        p = sub.add_parser(name, help=RUNNERS[name].__doc__, parents=[common])
+        p = sub.add_parser(name, help=RUNNERS[name].__doc__, parents=[common], allow_abbrev=False)
         for key, value in defaults.items():
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
             shown = "" if value in (None, "") else f" (default {value})"
@@ -175,7 +174,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _params_from_config(cfg: dict) -> LatticeParams:
-    return LatticeParams(a=cfg["a"], dt=cfg["dt"], m=cfg["m"], lam=cfg["lam"])
+    return LatticeParams(**{key: cfg[key] for key in ("a", "dt", "m", "lam") if key in cfg})
 
 
 def _run_dispersion(cfg: dict, out: str) -> None:
@@ -193,8 +192,7 @@ def _run_movers(cfg: dict, out: str) -> None:
     """massless mover-shift residual (JSON)"""
     params = _params_from_config(cfg)
     residual = gaussian.mover_shift_check(params, cfg["L"])
-    _write_json(out, cfg, {"residual": residual, "radius": None, "tau": 1,
-                           "L": cfg["L"], "params": asdict(params)})
+    _write_json(out, cfg, {"residual": residual, "L": cfg["L"], "params": asdict(params)})
 
 
 def _run_lightcone(cfg: dict, out: str) -> None:
@@ -202,8 +200,7 @@ def _run_lightcone(cfg: dict, out: str) -> None:
     params = _params_from_config(cfg)
     radius = gaussian.lightcone_radius(params, cfg["L"], cfg["kind"], cfg["tau"],
                                        observable=cfg["observable"])
-    _write_json(out, cfg, {"residual": None, "radius": radius, "tau": cfg["tau"],
-                           "L": cfg["L"], "kind": cfg["kind"],
+    _write_json(out, cfg, {"radius": radius, "tau": cfg["tau"], "L": cfg["L"], "kind": cfg["kind"],
                            "observable": cfg["observable"], "params": asdict(params)})
 
 

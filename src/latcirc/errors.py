@@ -8,10 +8,10 @@ checks an amount against its cap before the work starts.
 
 Every count (a step count tau, a chain length, a grid size, a node count, a
 lattice extent or dimension, an iteration budget) passes ``_require_int`` where
-it enters, before any arithmetic uses it: a Python or numpy integer at or above
-the count's least value is taken as an int; anything else, a bool and an
-integral float included, is a ValueError (exit 1) reading
-``<what> must be an integer >= k, got v``.
+it enters, before any arithmetic uses it, and so does a signed step or site
+offset, with least value -inf: a Python or numpy integer at or above the least
+value is taken as an int; anything else, a bool and an integral float included,
+is a ValueError (exit 1) reading ``<what> must be an integer >= k, got v``.
 
 Every real input (a spacing, timestep, mass, coupling, regulator, tolerance or target) passes
 ``_require_real`` where it enters: a finite Python or numpy real within its bound (> 0, >= 0
@@ -21,6 +21,7 @@ ValueError (exit 1) reading ``<what> must be finite and positive, got v`` (or ``
 
 import math
 import numbers
+import sys
 
 STATE_CAP = 2**22  # amplitudes of one complex state vector (64 MiB), statevector and gauge alike
 DENSE_CAP = 4096  # largest dimension of an explicitly stored operator
@@ -113,7 +114,7 @@ def _require_power(base: int, exponent: int, cap: int, what: str, error=Dimensio
     return require(base**exponent, cap, what, error)
 
 
-def _require_int(value, least: int, what: str) -> int:
+def _require_int(value, least: float, what: str) -> int:
     """A count as an int, or ValueError unless it is an integer >= ``least``: a numpy
     integer passes, a bool or an integral float does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
@@ -123,8 +124,10 @@ def _require_int(value, least: int, what: str) -> int:
 
 def _require_real(value, what: str, sign: str = "positive"):
     """``value`` as given, or ValueError unless it is a finite real that is ``sign``: "positive",
-    "nonnegative" or "" (any finite value). A plain float or int skips the slower ABC check."""
+    "nonnegative" or "" (any finite value); an int past the float range is not finite. A plain
+    float or int skips the slower ABC check."""
     if type(value) in (float, int) or isinstance(value, numbers.Real) and type(value) is not bool:
-        if math.isfinite(value) and (value > 0 or not sign or sign == "nonnegative" and value == 0):
+        finite = abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+        if finite and (value > 0 or not sign or sign == "nonnegative" and value == 0):
             return value
     raise ValueError(f"{what} must be finite{' and ' + sign if sign else ''}, got {value!r}")

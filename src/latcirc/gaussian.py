@@ -123,7 +123,7 @@ def _free_step(params: LatticeParams, kind: str, coeffs: np.ndarray) -> np.ndarr
         return np.concatenate([half_m * _hop(phi) + (half_m * _hop(c_pi) - pi) / dt,
                                dt * phi + c_pi])
     # Strang: half X-shear, P-shear, half X-shear; curvature m^2 + (2 - hop)/a^2
-    curv0, inv_a2 = params.m**2 + 2.0 / params.a**2, 1.0 / params.a**2
+    curv0, inv_a2 = params.m * params.m + 2.0 / params.a / params.a, 1.0 / params.a / params.a
     phi = phi - 0.5 * dt * (curv0 * pi - inv_a2 * _hop(pi))
     pi = pi + dt * phi
     return np.concatenate([phi - 0.5 * dt * (curv0 * pi - inv_a2 * _hop(pi)), pi])

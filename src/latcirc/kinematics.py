@@ -50,9 +50,6 @@ class LatticeParams:
         Bare mass, >= 0.
     lam : float
         Quartic coupling, >= 0.
-    g : float
-        Gauge coupling. No module reads it; it is kept because ``movers``, ``lightcone``
-        and ``pathint-check`` write ``params`` into their artifacts through ``asdict``.
 
     The mass parameter M = 1 - m^2 a^2 / 2 and the anisotropy kappa = dt/a
     are always recomputed from the stored fields, never stored independently.
@@ -63,7 +60,6 @@ class LatticeParams:
     d: int = 1
     m: float = 0.0
     lam: float = 0.0
-    g: float = 1.0
 
     def __post_init__(self):
         if self.dt is None:
@@ -72,7 +68,6 @@ class LatticeParams:
         _require_real(self.dt, "dt")
         _require_real(self.m, "m", "nonnegative")
         _require_real(self.lam, "lambda", "nonnegative")
-        _require_real(self.g, "g", "")
         object.__setattr__(self, "d", _require_int(self.d, 1, "spatial dimension d"))
 
     @property

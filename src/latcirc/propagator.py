@@ -68,6 +68,7 @@ def contour_identity_residual(
     more than conv_rtol relative to the left side (pass None to skip).
     """
     _require_real(epsilon, "epsilon")
+    t_steps = _require_int(t_steps, -math.inf, "t_steps")
     n_quad = _require_int(n_quad, 2, "n_quad")
     if n_quad & (n_quad - 1):
         raise ValueError("n_quad must be a power of two")
@@ -83,7 +84,7 @@ def contour_identity_residual(
     return abs(rhs - lhs) / abs(lhs)
 
 
-def _equal_time_sum(params: LatticeParams, offset: np.ndarray, n: int) -> float:
+def _equal_time_sum(params: LatticeParams, offset: list[int], n: int) -> float:
     a = params.a
     line, weights = folded_nodes(n, math.pi / a)
     c = _nondegenerate(_symbol(params, np.ix_(*[line] * params.d)))
@@ -101,9 +102,10 @@ def equal_time(
     so it is also bitwise even in the offset. ``conv_rtol`` refines it once.
     """
     _require_real(params.m, "m of the equal-time propagator")
-    offset = np.atleast_1d(np.asarray(x_minus_y, dtype=float))
+    offset = np.atleast_1d(np.asarray(x_minus_y, dtype=object))  # components as given
     if offset.shape != (params.d,):
         raise ValueError(f"offset must have {params.d} component(s)")
+    offset = [_require_int(x, -math.inf, "x_minus_y") for x in offset]
     L_quad = _require_int(L_quad, 1, "L_quad")
     half = (L_quad + 1) // 2 if conv_rtol is None else L_quad  # the fine grid's folded half
     require(40 * half**params.d, BYTE_BUDGET, "equal-time quadrature bytes")  # ~33 measured

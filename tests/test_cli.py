@@ -5,7 +5,9 @@ import json
 import math
 import operator
 import os
+import re
 import resource
+import shlex
 import signal
 import subprocess
 import sys
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from latcirc import cli, quadrature, statevector
 from latcirc.cli import run
 from latcirc.errors import EXIT_PREFIXES, NonFinite
+from latcirc.kinematics import LatticeParams
+from latcirc.propagator import contour_identity_residual, equal_time
 
 
 def read_hash_and_body(path):
@@ -496,26 +500,54 @@ README_PROBLEM = {
 }
 
 
-def _zone_artifacts(workdir: Path) -> dict:
-    problem = workdir / "problem.json"
-    problem.write_text(json.dumps(README_PROBLEM))
-    cases = {
-        "renorm": ["renorm", "--problem", str(problem)],
-        "oneloop": ["oneloop"],
-        "oneloop5": ["oneloop", "--lambda", "0.7", "--m", "1.3",
-                     "--a-series", "0.3,0.15,0.075,0.0375,0.01875"],
-        "propagator": ["propagator", "--L", "64", "--epsilon", "1e-3"],
-    }
-    return {name: _cli_bytes(workdir, argv, name) for name, argv in cases.items()}
+def _exact_route_sums() -> list[str]:
+    """The zone sums long enough for quadrature._fsum's numpy route, as hex: the equal-time
+    sum of a d = 2 grid (128^2 and 256^2 folded terms) and the contour quadrature at 2^16
+    nodes (2^15 folded terms). No CLI artifact sums that many terms."""
+    p1 = LatticeParams(a=0.1, m=1.0)
+    values = [equal_time(LatticeParams(a=0.2, d=2, m=1.0), (2, 0), 256, conv_rtol=1e-9)]
+    values += [contour_identity_residual(p1, 0.3, t, 1e-3, 2**16, None) for t in (0, 1, 3)]
+    return [value.hex() for value in values]
 
 
 def test_zone_artifacts_equal_list_fsum_reference(tmp_path, monkeypatch):
-    # every exact reduction (fsum_real and fsum_complex) routes through
-    # quadrature._fsum; the reference sums a Python list with math.fsum
-    fast = _zone_artifacts(tmp_path)
-    monkeypatch.setattr(quadrature, "_fsum", lambda x: math.fsum(x.tolist()))
-    assert _zone_artifacts(tmp_path) == fast
+    # every exact reduction (fsum_real and fsum_complex) routes through quadrature._fsum;
+    # the reference sums a Python list with math.fsum, and must see only numpy-route sizes
+    fast = _exact_route_sums()
+    sizes = []
+    monkeypatch.setattr(quadrature, "_fsum",
+                        lambda x: sizes.append(x.size) or math.fsum(x.tolist()))
+    assert _exact_route_sums() == fast
+    assert min(sizes) >= quadrature._CROSSOVER
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(README_PROBLEM))
+    _cli_bytes(tmp_path, ["renorm", "--problem", str(problem)], "renorm")
     assert json.loads(read_hash_and_body(tmp_path / "renorm")[1])["iterations"] == 185
+
+
+README_CLI = (Path(__file__).resolve().parents[1] / "README.md").read_text().split(
+    "\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_block(language: str) -> str:
+    return README_CLI.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # every command of the README's CLI block runs as written, with the README's renorm problem
+    # as its problem.json, so a removed flag cannot survive in the docs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.json").write_text(_readme_block("json"))
+    lines = _readme_block("sh").splitlines()
+    assert len(lines) == len(cli.DEFAULTS) and all(line.startswith("latcirc ") for line in lines)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_lists_the_settings_of_each_subcommand():
+    listed = re.findall(r"^- `([a-z-]+)`: (`.*`)$", README_CLI, re.MULTILINE)
+    assert {name: keys.replace("`", "").split(", ") for name, keys in listed} == {
+        name: list(defaults) for name, defaults in cli.DEFAULTS.items()}
 
 
 # The child writes each named artifact of a JSON {name: argv} table into a directory.
@@ -558,16 +590,16 @@ def test_reference_artifacts_independent_of_blas_threads(tmp_path):
     assert written["1"] == written["default"]
 
 
-# every option string of every subcommand, copied from the hand-written parser that
-# declared them one add_argument at a time; the table-built parser must keep them all
+# every option string of every subcommand, first copied from the hand-written parser that
+# declared them one add_argument at a time, less the settings no run computes with
+# (REMOVED_SETTINGS); the table-built parser must keep them all
 FLAG_INVENTORY = {
-    "dispersion": ["--L", "--a", "--config", "--dt", "--lambda", "--m", "--out"],
-    "movers": ["--L", "--a", "--config", "--dt", "--lambda", "--m", "--out"],
-    "lightcone": ["--L", "--a", "--config", "--dt", "--kind", "--lambda", "--m",
-                  "--observable", "--out", "--tau"],
-    "propagator": ["--L", "--a", "--config", "--dt", "--epsilon", "--lambda", "--m", "--out"],
-    "oneloop": ["--a", "--a-series", "--config", "--dt", "--lambda", "--m", "--out",
-                "--p-in"],
+    "dispersion": ["--L", "--a", "--config", "--dt", "--m", "--out"],
+    "movers": ["--L", "--a", "--config", "--out"],
+    "lightcone": ["--L", "--a", "--config", "--dt", "--kind", "--m", "--observable", "--out",
+                  "--tau"],
+    "propagator": ["--L", "--a", "--config", "--dt", "--epsilon", "--m", "--out"],
+    "oneloop": ["--a-series", "--config", "--lambda", "--m", "--out", "--p-in"],
     "pathint-check": ["--L", "--a", "--config", "--dt", "--grid", "--kind", "--lambda", "--m",
                       "--n-points", "--out", "--tau"],
     "gauge-check": ["--N", "--config", "--g", "--kappa", "--lx", "--ly", "--out", "--pairs",
@@ -587,9 +619,32 @@ def test_flag_inventory():
     assert lam[0].dest == "lam"
 
 
+# the settings that no run computed with, each at a value its subcommand once ran: the free
+# circuits have lambda = 0, oneloop reads its spacings from --a-series, and the mover shift
+# holds only at m = 0 and dt = a
+REMOVED_SETTINGS = {("dispersion", "lam"): 0.0, ("propagator", "lam"): 0.0,
+                    ("lightcone", "lam"): 0.0, ("movers", "lam"): 0.0, ("oneloop", "a"): 0.1,
+                    ("oneloop", "dt"): 0.1, ("movers", "m"): 0.0, ("movers", "dt"): 0.1}
+
+
+@pytest.mark.parametrize("subcommand, key", REMOVED_SETTINGS,
+                         ids=[f"{name}-{key}" for name, key in REMOVED_SETTINGS])
+def test_removed_settings_are_refused(tmp_path, capsys, subcommand, key):
+    # as a flag, a one-line usage error; as a --config key, an unknown key; never an artifact
+    value, out, config = REMOVED_SETTINGS[subcommand, key], tmp_path / "out", tmp_path / "c.json"
+    assert run([subcommand, f"{_flag(key)}={value}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: latcirc: unrecognized arguments: {_flag(key)}={value}\n"
+    config.write_text(json.dumps({key: value}))
+    assert run([subcommand, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lightcone", "--kind", "Foo"], ["dispersion", "--L", "abc"], ["nosuchcommand"], [],
     ["dispersion", "--nosuchflag", "1"],
+    ["pathint-check", "--n", "8"],  # an abbreviation of --n-points
 ])
 def test_usage_error_is_one_line(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -655,12 +710,13 @@ def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, co
     (["lightcone", "--m", "1e300"], 2, "not all finite"),
     (["lightcone", "--a", "1e300"], 2, "not all finite"),
     (["lightcone", "--kind", "Strang", "--a", "1e-160"], 2, "not all finite"),
-    # Python float powers past the range, and a division by a square that rounded to 0
+    # squares past the range and a division by a square that rounds to 0, all formed as
+    # products and quotients: a stencil coefficient is inf, and the cone is not finite
     *[(["lightcone", "--kind", "Strang", setting, "--observable", observable], 2,
-       "OverflowError") for setting in ("--a=1e300", "--a=1e160", "--m=1e300", "--m=1e160")
+       "not all finite") for setting in ("--a=1e300", "--a=1e160", "--m=1e300", "--m=1e160")
       for observable in ("phi", "pi", "both")],
     *[(["lightcone", "--kind", "Strang", "--a=1e-300", "--observable", observable], 2,
-       "ZeroDivisionError") for observable in ("phi", "pi", "both")],
+       "not all finite") for observable in ("phi", "pi", "both")],
     *[(["pathint-check", "--dt=1e-160", "--grid", grid], 2, "OverflowError")
       for grid in ("dual", "mass")],
     (["pathint-check", "--grid", "mass", "--m=1e-300"], 2, "OverflowError"),
@@ -676,6 +732,9 @@ def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, co
     # the link-axis cap before any link array
     (["gauge-check", "--lx", "1000000000"], 3, "link tensor axes: 4000000000 exceeds the cap"),
     (["gauge-check", "--ly", "1000000000"], 3, "link tensor axes: 4000000000 exceeds the cap"),
+    # the Strang cone at its default observable, past the range as above
+    *[(["lightcone", "--kind", "Strang", setting], 2, "not all finite")
+      for setting in ("--a=1e300", "--m=1e300", "--a=1e-300")],
 ])
 def test_extreme_settings_end_in_one_short_line(tmp_path, capsys, argv, code, says):
     out = tmp_path / "out"
@@ -812,6 +871,24 @@ def test_every_number_setting_at_its_extremes(tmp_path, capsys, monkeypatch, sub
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not faults, "\n".join(faults)
+
+
+# every float setting (a default of a float or of None) of every subcommand
+FLOAT_SETTINGS = [(name, key) for name, defaults in cli.DEFAULTS.items()
+                  for key, value in defaults.items() if value is None or type(value) is float]
+
+
+@pytest.mark.parametrize("subcommand, key", FLOAT_SETTINGS,
+                         ids=[f"{name}-{key}" for name, key in FLOAT_SETTINGS])
+def test_config_int_past_the_float_range_is_not_finite(tmp_path, capsys, subcommand, key):
+    # JSON reads 10^400 as a Python int, which no float holds: it is refused as not finite,
+    # never converted into an OverflowError (exit 2)
+    out, config = tmp_path / "out", tmp_path / "config.json"
+    config.write_text(json.dumps({key: 10**400}))
+    assert run([subcommand, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " must be finite" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # a problem whose every number is read: both observable kinds, lam > 0 so p_in counts, and

@@ -185,6 +185,12 @@ COUNTS = {
         DiagramSpec("TadpoleMass", ((0.0, 0.0),), resolution=k), P1)),
     "RenormProblem.max_iters": ("'max_iters'", 0, 3, lambda k: calibrate(RenormProblem(
         P1, [make_observable("dispersion_theta", p=0.3)], [0.03], {"m": 1.3}, max_iters=k))),
+    # a step count and a site offset of either sign
+    "contour_identity_residual.t_steps": ("t_steps", -math.inf, 3, lambda k: (
+        contour_identity_residual(P1, 0.3, k, 0.05, 2**8, None))),
+    "equal_time.x_minus_y": ("x_minus_y", -math.inf, 2, lambda k: equal_time(P1, k, 64)),
+    "equal_time.x_minus_y[1]": ("x_minus_y", -math.inf, 2, lambda k: equal_time(
+        LatticeParams(a=0.2, d=2, m=1.0), (1, k), 16)),
 }
 
 
@@ -193,7 +199,7 @@ def test_every_count_is_an_integer_at_or_above_its_least(entry):
     # one message for every count, which is never truncated, run as 1 or let through to fail
     # later; a numpy integer is the plain int it stands for
     what, least, valid, call = COUNTS[entry]
-    for bad in (least - 1, -1, float(valid), True, 2.5):
+    for bad in (least - 1, min(-1, least - 1), float(valid), True, 2.5):
         message = f"^{re.escape(what)} must be an integer >= {least}, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             call(bad)
@@ -226,7 +232,6 @@ REALS = {
     "LatticeParams.m": ("m", "nonnegative", 1.0, lambda v: omega(LatticeParams(a=0.1, m=v), 0.3)),
     "LatticeParams.lam": ("lambda", "nonnegative", 0.3, lambda v: complex(evaluate_diagram(
         TREE, LatticeParams(a=0.1, lam=v)))),
-    "LatticeParams.g": ("g", "", 1.5, lambda v: float(LatticeParams(a=0.1, g=v).g)),
     "wel_link_matrix.g": ("g", "positive", 1.2, lambda v: wel_link_matrix(GaugeGroupZN(3), v, 1.0)),
     "wel_link_matrix.kappa": ("kappa", "positive", 0.8, lambda v: wel_link_matrix(
         GaugeGroupZN(3), 1.0, v)),

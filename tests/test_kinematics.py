@@ -33,7 +33,7 @@ def test_params_validation():
     assert LatticeParams(a=0.1).dt == 0.1  # dt defaults to a
 
 
-@pytest.mark.parametrize("field", ["a", "dt", "m", "lam", "g"])
+@pytest.mark.parametrize("field", ["a", "dt", "m", "lam"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite(field, bad):
     with pytest.raises(ValueError, match="finite"):
