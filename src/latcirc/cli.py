@@ -8,10 +8,9 @@ so identical configs give byte-identical files.
 Each setting is one ``DEFAULTS`` key, which gives its flag, the flag's type and
 (with ``_CHOICES``) the values that the flag and ``--config`` accept.
 
-A failed run writes no artifact and prints one stderr line; its exit code is
-the error's ``exit_code`` from ``errors`` (1 validation or usage, 2 numerical
-convergence, 3 resource cap), 1 for a ValueError or OSError, 2 for an
-ArithmeticError. A usage error is a ValueError; a NaN or inf result is NonFinite.
+A failed run writes no artifact and prints one stderr line. It exits 1 for a
+ValueError (a usage error is one) or an OSError, 2 for a ConvergenceFailure (a NaN
+or inf result is one) or an ArithmeticError, and 3 for a CapExceeded.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ import numpy as np
 
 from . import gauge as gauge_mod
 from . import gaussian, kinematics, perturbation, propagator, renorm, statevector
-from .errors import BYTE_BUDGET, EXIT_PREFIXES, LatcircError, NonFinite, _require_int, require
+from .errors import (BYTE_BUDGET, EXIT_PREFIXES, ConvergenceFailure, LatcircError, _require_int,
+                     require)
 from .kinematics import LatticeParams
 from .quadrature import midpoint_nodes
 
@@ -45,10 +45,10 @@ def _config_hash(config: dict) -> str:
 def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
     """One row per entry of the equal-size ``columns``, which are flattened,
     formatted and written _CSV_CHUNK_ROWS rows at a time rather than as one string;
-    NonFinite (exit 2) before the file opens if they hold NaN or inf."""
+    ConvergenceFailure (exit 2) before the file opens if they hold NaN or inf."""
     columns = [np.ravel(c) for c in columns]
     if not all(np.isfinite(c).all() for c in columns):
-        raise NonFinite("the table holds a NaN or infinite value")
+        raise ConvergenceFailure("the table holds a NaN or infinite value")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# config_hash={_config_hash(config)}\n{','.join(header)}\n")
@@ -58,11 +58,11 @@ def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
 
 
 def _write_json(path: str, config: dict, payload: dict) -> None:
-    """The payload as JSON; NonFinite (exit 2) before the file opens if it holds NaN or inf."""
+    """The payload as JSON; ConvergenceFailure (exit 2) before it opens if it holds NaN or inf."""
     try:
         body = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise NonFinite(f"the result holds a NaN or infinite value ({exc})") from exc
+        raise ConvergenceFailure(f"the result holds a NaN or infinite value ({exc})") from exc
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# config_hash={_config_hash(config)}\n{body}\n")
 
@@ -338,7 +338,7 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        with np.errstate(all="ignore"):  # a NaN or inf reaching a writer ends in NonFinite
+        with np.errstate(all="ignore"):  # a NaN or inf reaching a writer ends in ConvergenceFailure
             RUNNERS[args.subcommand](cfg, args.out)
     except (LatcircError, ValueError, OSError) as exc:
         code = getattr(exc, "exit_code", 1)

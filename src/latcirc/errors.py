@@ -1,10 +1,10 @@
 """The package's failure policy: exception types, their exit codes and the resource caps.
 
-Every package error carries the exit code the CLI ends with (``exit_code``):
-1 for validation errors, 2 for numerical-convergence failures, 3 for resource
-caps; ``EXIT_PREFIXES`` holds the one-line message prefix of each code. The
-caps bound what one entry point may enumerate or allocate, and ``require``
-checks an amount against its cap before the work starts.
+A failure has one type per exit code the CLI ends with: ValueError for a
+validation error (1), ``ConvergenceFailure`` for a numerical-convergence failure
+(2) and ``CapExceeded`` for a resource cap (3), each code's one-line message
+prefix in ``EXIT_PREFIXES``. The caps bound what one entry point may enumerate
+or allocate, and ``require`` checks an amount against its cap before the work starts.
 
 Every count (a step count tau, a chain length, a grid size, a node count, a
 lattice extent or dimension, an iteration budget) passes ``_require_int`` where
@@ -32,93 +32,53 @@ EXIT_PREFIXES = {1: "error", 2: "numerical convergence failure", 3: "resource ca
 
 
 class LatcircError(Exception):
-    """Base class for all package-specific errors; a validation error (exit 1) by default."""
-
-    exit_code = 1
+    """Base class of the package's errors, exit 1 unless ``exit_code`` says otherwise."""
 
 
-class DegenerateDispersion(LatcircError):
-    """|c(p)| >= 1, so the one-step phase has no real solution (m = 0 edge)."""
-
-
-class QuadratureNotConverged(LatcircError):
-    """Doubling the quadrature nodes moved the result more than the tolerance."""
+class ConvergenceFailure(LatcircError):
+    """A refined quadrature moved too much, a descent diverged, or a result is NaN or inf."""
 
     exit_code = 2
 
 
-class LatticeTooSmall(LatcircError):
-    """Lattice cannot hold the requested causal cone without wrap-around."""
+class CapExceeded(LatcircError):
+    """An amount exceeds its cap (raised by ``require``)."""
 
     exit_code = 3
 
 
-class DimensionCap(LatcircError):
-    """A dimension or an estimated allocation exceeds its cap (raised by ``require``)."""
-
-    exit_code = 3
-
-
-class BruteForceCap(LatcircError):
-    """A brute-force sum has more terms than PATH_TERM_CAP (raised by ``require``)."""
-
-    exit_code = 3
+def _order(log10: float) -> str:
+    """~10^k, k the rounded ``log10``: how a message names a number of more than 30 digits, for
+    str() of an int past 4300 digits raises, and thousands of digits are no message."""
+    return f"~10^{round(log10)}"
 
 
-class OddLattice(LatcircError):
-    """Chessboard plaquette coloring needs even lattice extents."""
+def _shown(value) -> str:
+    """``repr(value)``, but an int of more than 30 digits by its ``_order``."""
+    if isinstance(value, int) and abs(value) >= 10**30:
+        return "-" * (value < 0) + _order(math.log10(abs(value)))
+    return repr(value)
 
 
-class IllConditionedFit(LatcircError):
-    """Log-slope fit requested on too narrow a range of lattice spacings."""
-
-
-class UnknownDiagram(LatcircError):
-    """Diagram kind not in the closed catalog."""
-
-
-class DomainError(LatcircError):
-    """Argument outside a special function's domain."""
-
-
-class ObservableFailure(LatcircError):
-    """An observable could not be evaluated at the given parameter point."""
-
-
-class Diverged(LatcircError):
-    """Gradient descent cost increased for too many consecutive steps."""
-
-    exit_code = 2
-
-
-class NonFinite(LatcircError):
-    """A numerical evaluation produced NaN or infinity."""
-
-    exit_code = 2
-
-
-def require(amount: int, cap: int, what: str, error: type[LatcircError] = DimensionCap) -> int:
-    """Return ``amount``, or raise ``error`` (exit 3) first when it exceeds ``cap``; an
-    amount of more than 30 digits is named as ~10^k, which a string of digits may not be."""
+def require(amount: int, cap: int, what: str) -> int:
+    """Return ``amount``, or raise CapExceeded (exit 3) first when it exceeds ``cap``."""
     if amount > cap:
-        shown = f"~10^{round(math.log10(amount))}" if amount >= 10**30 else amount
-        raise error(f"{what}: {shown} exceeds the cap {cap}")
+        raise CapExceeded(f"{what}: {_shown(amount)} exceeds the cap {cap}")
     return amount
 
 
-def _require_power(base: int, exponent: int, cap: int, what: str, error=DimensionCap) -> int:
-    """``require`` on base ** exponent; one of more than 30 digits, past every cap, is refused
-    from its logarithm and never formed, which takes time that grows with it."""
+def _require_power(base: int, exponent: int, cap: int, what: str) -> int:
+    """``require`` on base ** exponent, refused from its logarithm past 30 digits, never formed."""
     if exponent * math.log10(base) > 30:
-        raise error(f"{what}: ~10^{round(exponent * math.log10(base))} exceeds the cap {cap}")
-    return require(base**exponent, cap, what, error)
+        raise CapExceeded(f"{what}: {_order(exponent * math.log10(base))} exceeds the cap {cap}")
+    return require(base**exponent, cap, what)
 
 
 def _require_int(value, least: float, what: str) -> int:
     """A count as an int, or ValueError unless it is an integer >= ``least``: a numpy
     integer passes, a bool or an integral float does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{what} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -130,4 +90,4 @@ def _require_real(value, what: str, sign: str = "positive"):
         finite = abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
         if finite and (value > 0 or not sign or sign == "nonnegative" and value == 0):
             return value
-    raise ValueError(f"{what} must be finite{' and ' + sign if sign else ''}, got {value!r}")
+    raise ValueError(f"{what} must be finite{' and ' + sign if sign else ''}, got {_shown(value)}")

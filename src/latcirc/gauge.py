@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, OddLattice, _require_int,
-                     _require_power, _require_real, require)
+from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, _require_int, _require_power,
+                     _require_real, require)
 from .quadrature import fsum_complex
 from .statevector import _apply_site_kernel, _circulant, _config_index, _path_blocks
 
@@ -189,11 +189,11 @@ def _couplings(g: float, kappa: float) -> tuple[float, float]:
 
 def _wilson_terms(lat: GaugeLattice, group: GaugeGroupZN, tau: int, pairs: int = 1) -> int:
     """One Wilson sum's N^links terms: tau - 1 inner slices' links, a temporal one per site, step;
-    BruteForceCap if ``pairs`` checks of max(terms, amplitudes, one block) pass PATH_TERM_CAP."""
+    CapExceeded if ``pairs`` checks of max(terms, amplitudes, one block) pass PATH_TERM_CAP."""
     terms = _require_power(group.N, lat.n_links * (tau - 1) + lat.n_sites * tau, PATH_TERM_CAP,
-                           "brute-force sum terms", BruteForceCap)
+                           "brute-force sum terms")
     require(pairs * max(terms, _state_dim(lat, group), _BLOCK_TERMS), PATH_TERM_CAP,
-            f"terms or amplitudes of {pairs} pairs", BruteForceCap)
+            f"terms or amplitudes of {pairs} pairs")
     return terms
 
 
@@ -243,7 +243,7 @@ def apply_transfer(
 def plaquette_coloring(lat: GaugeLattice) -> tuple[list[int], list[int]]:
     """Chessboard split of plaquette indices into two link-disjoint layers."""
     if lat.Lx % 2 or lat.Ly % 2:
-        raise OddLattice("chessboard coloring needs even Lx and Ly")
+        raise ValueError("chessboard coloring needs even Lx and Ly")
     return tuple([idx for idx in range(lat.n_sites) if sum(divmod(idx, lat.Ly)) % 2 == color]
                  for color in (0, 1))
 

@@ -26,8 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import (BYTE_BUDGET, DegenerateDispersion, LatticeTooSmall, NonFinite, _require_int,
-                     require)
+from .errors import BYTE_BUDGET, ConvergenceFailure, _require_int, require
 from .kinematics import LatticeParams, cosine_symbol, dispersion_theta, validate_momentum
 
 __all__ = [
@@ -80,7 +79,7 @@ def block_phase(block: np.ndarray) -> float:
     eig = np.linalg.eigvals(block)
     phase = float(np.max(np.abs(np.angle(eig))))
     if phase <= 0.0 or phase >= math.pi:
-        raise DegenerateDispersion("block has no elliptic eigenphase in (0, pi)")
+        raise ValueError("block has no elliptic eigenphase in (0, pi)")
     return phase
 
 
@@ -90,7 +89,7 @@ def bogoliubov_modes(params: LatticeParams, p) -> tuple[float, complex]:
     These satisfy alpha*conj(beta) - conj(alpha)*beta = -i and are an
     eigenvector of :func:`shift_block` with eigenvalue exp(-i theta dt).
     """
-    theta = dispersion_theta(params, _one_momentum(params, p))  # DegenerateDispersion at |c| >= 1
+    theta = dispersion_theta(params, _one_momentum(params, p))  # ValueError at |c| >= 1
     s = math.sin(theta * params.dt)
     return math.sqrt(s / (2.0 * params.dt)), 1j * math.sqrt(params.dt / (2.0 * s))
 
@@ -212,8 +211,7 @@ def lightcone_radius(
     """
     tau = _require_int(tau, 0, "tau")
     _check_chain(params, L, kind)  # before the wrap-around check: L = 0 is no chain at all
-    if L <= 4 * tau + 2:
-        raise LatticeTooSmall(f"need L > 4*tau + 2 = {4 * tau + 2} to rule out wrap-around")
+    require(4 * tau + 3, L, "4*tau + 3 sites to rule out wrap-around, against L")
     if observable not in ("phi", "pi", "both"):
         raise ValueError("observable must be 'phi', 'pi' or 'both'")
     n0 = L // 2
@@ -225,7 +223,8 @@ def lightcone_radius(
     for _ in range(tau):
         coeffs = _free_step(params, kind, coeffs)
     if not np.isfinite(coeffs).all():  # a NaN would read as no support, radius 0
-        raise NonFinite(f"the light cone's coefficients are not all finite after {tau} steps")
+        raise ConvergenceFailure(
+            f"the light cone's coefficients are not all finite after {tau} steps")
     support = np.abs(coeffs.reshape(2, L, -1)).max(axis=(0, 2)) > CONE_THRESHOLD
     dist = np.abs(np.arange(L) - n0)
     return int(np.max(np.minimum(dist, L - dist)[support], initial=0))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDispersion, _require_int, _require_real
+from .errors import _require_int, _require_real
 
 __all__ = [
     "LatticeParams",
@@ -135,7 +135,7 @@ def _symbol(params: LatticeParams, axes):
 def _nondegenerate(c):
     worst = np.abs(c).max()
     if worst >= 1.0:
-        raise DegenerateDispersion(f"|c(p)| = {worst} >= 1; real theta requires m > 0 and m a < 2")
+        raise ValueError(f"|c(p)| = {worst} >= 1; real theta requires m > 0 and m a < 2")
     return c
 
 
@@ -144,7 +144,7 @@ def dispersion_theta(params: LatticeParams, p):
 
     Raises
     ------
-    DegenerateDispersion
+    ValueError
         If any |c(p)| >= 1, which happens at m = 0 and at m a >= 2 (|M| >= 1).
     """
     return _unwrap(np.arccos(_nondegenerate(cosine_symbol(params, p))) / params.dt)

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BYTE_BUDGET, DomainError, IllConditionedFit, UnknownDiagram, _require_int,
-                     _require_real, require)
+from .errors import BYTE_BUDGET, _require_int, _require_real, require
 from .kinematics import LatticeParams, _fold_to_zone, smear_form_factor
 from .propagator import feynman_momentum
 from .quadrature import folded_nodes, fsum_complex, midpoint_nodes
@@ -66,7 +65,7 @@ class DiagramSpec:
 
     def __post_init__(self):
         if self.kind not in _INCOMING:
-            raise UnknownDiagram(f"kind must be one of {tuple(_INCOMING)}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(_INCOMING)}, got {self.kind!r}")
         _require_real(self.epsilon, "epsilon")
         object.__setattr__(self, "resolution", _require_int(self.resolution, 1, "resolution"))
         object.__setattr__(
@@ -117,7 +116,7 @@ def elliptic_K(x: float) -> float:
     x' = sqrt(1 - x^2). Converges quadratically; iterated to 1e-14.
     """
     if not 0.0 <= x < 1.0:
-        raise DomainError(f"elliptic_K requires 0 <= x < 1, got {x}")
+        raise ValueError(f"elliptic_K requires 0 <= x < 1, got {x}")
     return _elliptic_KD(x * x, math.sqrt(1.0 - x * x))[0]
 
 
@@ -219,5 +218,5 @@ def log_slope(series) -> float:
         raise ValueError("lattice spacings must be distinct")
     xs = np.log([1.0 / a for a in spacings])
     if xs.max() - xs.min() < math.log(10.0):
-        raise IllConditionedFit("ln(1/a) must span at least one decade")
+        raise ValueError("ln(1/a) must span at least one decade")
     return float(np.polyfit(xs, [pi for _, pi in pts], 1)[0])

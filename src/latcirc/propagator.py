@@ -64,7 +64,7 @@ def contour_identity_residual(
     i exp(-i p0 t) / (cos(theta_eps dt) - cos(p0 dt)) / (2 pi), evaluated by
     the periodic trapezoid rule with n_quad nodes, summed over p0 >= 0 as 2i cos(p0 t).
 
-    Raises QuadratureNotConverged when doubling n_quad moves the quadrature by
+    Raises ConvergenceFailure when doubling n_quad moves the quadrature by
     more than conv_rtol relative to the left side (pass None to skip).
     """
     _require_real(epsilon, "epsilon")

@@ -9,7 +9,7 @@ arrays are summed exactly from their integer significands in numpy; small,
 non-finite or near-overflow ones go to ``math.fsum`` itself.
 
 ``refined`` is the package's one refinement rule: a quadrature that moves by more
-than its tolerance between two node counts raises ``QuadratureNotConverged``.
+than its tolerance between two node counts raises ``ConvergenceFailure``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, _require_int, _require_real
+from .errors import ConvergenceFailure, _require_int, _require_real
 
 __all__ = ["midpoint_nodes", "folded_nodes", "fsum_complex", "fsum_real", "refined"]
 
@@ -101,7 +101,7 @@ def fsum_complex(values) -> complex:
 
 
 def refined(evaluate, n: int, rtol: float | None, what: str, scale: float | None = None):
-    """``evaluate(2 n)``, or QuadratureNotConverged if it is more than rtol * scale from
+    """``evaluate(2 n)``, or ConvergenceFailure if it is more than rtol * scale from
     ``evaluate(n)``, scale = max(|coarse|, 1e-300) by default. With ``rtol`` None, the
     coarse ``evaluate(n)`` unchecked."""
     if rtol is None:
@@ -111,6 +111,6 @@ def refined(evaluate, n: int, rtol: float | None, what: str, scale: float | None
     fine = evaluate(2 * n)
     scale = max(abs(coarse), 1e-300) if scale is None else scale
     if abs(fine - coarse) > rtol * scale:
-        raise QuadratureNotConverged(f"{what}: refining {n} to {2 * n} nodes moved the value "
-                                     f"by {abs(fine - coarse) / scale:.3e} relative")
+        raise ConvergenceFailure(f"{what}: refining {n} to {2 * n} nodes moved the value "
+                                 f"by {abs(fine - coarse) / scale:.3e} relative")
     return fine

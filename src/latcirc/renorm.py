@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (Diverged, LatcircError, NonFinite, ObservableFailure, _require_int,
-                     _require_real)
+from .errors import ConvergenceFailure, LatcircError, _require_int, _require_real
 from .kinematics import LatticeParams, dispersion_theta, omega
 from .perturbation import one_loop_mass
 
@@ -107,16 +106,14 @@ class RenormProblem:
 
 
 def simulate_observables(g0, problem: RenormProblem) -> np.ndarray:
-    """Evaluate every observable at the bare point g0; a failure names the point, and an
-    invalid point (a negative mass, say) fails like an observable."""
+    """Evaluate every observable at the bare point g0; a failure names the point and keeps its
+    exit code, and an invalid point (a negative mass, say) fails like an observable."""
     try:
         params = problem.params_at(np.asarray(g0, dtype=float))
         return np.array([float(obs(params)) for obs in problem.observables])
     except (LatcircError, ValueError) as exc:
         message = f"observable failed at {dict(zip(problem.names, map(float, g0)))}: {exc}"
-        if getattr(exc, "exit_code", 1) != 1:  # a cap or convergence failure keeps its code
-            raise type(exc)(message) from exc
-        raise ObservableFailure(message) from exc
+        raise (ValueError if getattr(exc, "exit_code", 1) == 1 else type(exc))(message) from exc
 
 
 def cost(g0, problem: RenormProblem) -> float:
@@ -153,8 +150,8 @@ def calibrate(problem: RenormProblem) -> tuple[np.ndarray, list[dict]]:
     """Fixed-step gradient descent until the gradient norm drops below tol.
 
     Returns the final bare parameters and the iteration trace, every entry written by
-    ``record``. Raises Diverged if the cost increases on five consecutive accepted steps
-    and NonFinite on any non-finite evaluation.
+    ``record``. Raises ConvergenceFailure if the cost increases on five consecutive accepted
+    steps or on any non-finite evaluation.
     """
     g0 = problem.initial_vector()
     eta = problem.eta
@@ -169,7 +166,7 @@ def calibrate(problem: RenormProblem) -> tuple[np.ndarray, list[dict]]:
     for iteration in range(problem.max_iters):
         grad = fd_gradient(g0, problem)
         if not (np.all(np.isfinite(grad)) and math.isfinite(current)):
-            raise NonFinite(f"non-finite evaluation at iteration {iteration}")
+            raise ConvergenceFailure(f"non-finite evaluation at iteration {iteration}")
         gnorm = float(np.linalg.norm(grad))
         if gnorm < problem.tol:
             record(iteration, gnorm, "converged")
@@ -178,7 +175,7 @@ def calibrate(problem: RenormProblem) -> tuple[np.ndarray, list[dict]]:
         candidate = g0 - eta * grad
         new_cost = cost(candidate, problem)
         if not math.isfinite(new_cost):
-            raise NonFinite(f"non-finite cost at iteration {iteration}")
+            raise ConvergenceFailure(f"non-finite cost at iteration {iteration}")
         while problem.backtracking and new_cost > current and eta > 1e-12:
             eta /= 2.0
             record(iteration, gnorm, "backtrack")
@@ -188,7 +185,7 @@ def calibrate(problem: RenormProblem) -> tuple[np.ndarray, list[dict]]:
         if new_cost - current > 1e-12 * max(1.0, current):
             bad_streak += 1
             if bad_streak >= 5:
-                raise Diverged(
+                raise ConvergenceFailure(
                     f"cost increased for {bad_streak} consecutive steps at iteration {iteration}"
                 )
         else:

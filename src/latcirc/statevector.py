@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, BruteForceCap, _require_int,
-                     _require_power, _require_real, require)
+from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, _require_int, _require_power,
+                     _require_real, require)
 from .kinematics import LatticeParams
 
 __all__ = [
@@ -298,7 +298,7 @@ def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) ->
 
 
 def build_step(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """Dense one-step operator from the step's local factors (DimensionCap above DENSE_CAP)."""
+    """Dense one-step operator from the step's local factors (CapExceeded above DENSE_CAP)."""
     require(lat.dim, DENSE_CAP, "dense operator dimension")
     grid = np.ix_(*[np.arange(lat.grid.n_points)] * (2 * lat.L))
     step = CircuitStep(lat, kind, lam).element(grid[: lat.L], grid[lat.L :])
@@ -355,7 +355,7 @@ def _path_blocks(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1
     first, last = [int(v) for v in first], [int(v) for v in last]
     inner = len(first) * (tau - 1)
     n_vars = inner + n_extra
-    _require_power(n, n_vars, PATH_TERM_CAP, "brute-force sum terms", BruteForceCap)
+    _require_power(n, n_vars, PATH_TERM_CAP, "brute-force sum terms")
     j = 0
     while j < min(n_vars, chunk.bit_length() - 1) and n ** (j + 1) <= chunk:
         j += 1

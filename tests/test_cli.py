@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from latcirc import cli, quadrature, statevector
 from latcirc.cli import run
-from latcirc.errors import EXIT_PREFIXES, NonFinite
+from latcirc.errors import EXIT_PREFIXES, ConvergenceFailure
 from latcirc.kinematics import LatticeParams
 from latcirc.propagator import contour_identity_residual, equal_time
 
@@ -363,6 +363,38 @@ def test_exit_codes(tmp_path):
                 "--out", str(tmp_path / "r.json")]) == 1
     # resource cap: cone wrap-around
     assert run(["lightcone", "--tau", "5", "--L", "8", "--out", str(tmp_path / "y.json")]) == 3
+
+
+# one run per kind of failure the CLI can reach, with its exact stderr line; "renorm"
+# stands for a problem whose bare mass starts negative
+FAILURE_LINES = [
+    (["dispersion", "--m", "0"], 1, "error: |c(p)| = 1.0 >= 1; real theta requires m > 0 and m a < 2"),
+    (["renorm"], 1, "error: observable failed at {'m': -0.5}: m must be finite and nonnegative, "
+                    "got -0.5"),
+    (["lightcone", "--kind", "Strang", "--a=1e300"], 2, "numerical convergence failure: the light "
+     "cone's coefficients are not all finite after 3 steps"),
+    (["gauge-check", "--lx", "1", "--ly", "40"], 3, "resource cap exceeded: link tensor axes: 80 "
+     "exceeds the cap 64"),
+    (["pathint-check", "--tau", "100000"], 3, "resource cap exceeded: brute-force sum terms: "
+     "~10^240822 exceeds the cap 100000000"),
+    (["lightcone", "--tau", "5", "--L", "8"], 3, "resource cap exceeded: 4*tau + 3 sites to rule "
+     "out wrap-around, against L: 23 exceeds the cap 8"),
+    (["pathint-check", "--dt=1e-160"], 2, "numerical convergence failure: OverflowError: complex "
+     "exponentiation"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", FAILURE_LINES, ids=[
+    "-".join([argv[0], str(code), str(i)]) for i, (argv, code, _) in enumerate(FAILURE_LINES)])
+def test_failure_exit_code_and_line(tmp_path, capsys, argv, code, line):
+    out = tmp_path / "out"
+    if argv == ["renorm"]:
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({**SMALL_PROBLEM, "init": {"m": -0.5}}))
+        argv = ["renorm", "--problem", str(problem)]
+    assert run(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -735,13 +767,19 @@ def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, co
     # the Strang cone at its default observable, past the range as above
     *[(["lightcone", "--kind", "Strang", setting], 2, "not all finite")
       for setting in ("--a=1e300", "--m=1e300", "--a=1e-300")],
+    # a 401-digit int read from --config, named by its power of ten, not its digits
+    (["dispersion", {"a": 10**400}], 1, "~10^400"),
 ])
 def test_extreme_settings_end_in_one_short_line(tmp_path, capsys, argv, code, says):
-    out = tmp_path / "out"
+    out, limit = tmp_path / "out", 160
+    if isinstance(argv[-1], dict):  # settings of a --config file, whose one value is the line
+        config, limit = tmp_path / "config.json", 80
+        config.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], "--config", str(config)]
     assert run(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"{EXIT_PREFIXES[code]}: ") and err.count("\n") == 1
-    assert says in err and len(err) < 160
+    assert says in err and len(err) < limit
     assert not out.exists()
 
 
@@ -843,7 +881,7 @@ def _first_row_writer(write_csv):
     def write(path, config, header, columns):
         columns = [np.ravel(c) for c in columns]
         if not all(np.isfinite(c).all() for c in columns):
-            raise NonFinite("the table holds a NaN or infinite value")
+            raise ConvergenceFailure("the table holds a NaN or infinite value")
         write_csv(path, config, header, [c[:1] for c in columns])
     return write
 
@@ -930,11 +968,11 @@ def test_every_renorm_problem_number_at_its_extremes(tmp_path, capsys, where):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_writers_refuse_non_finite_values(tmp_path, bad):
     out = tmp_path / "out.json"
-    with pytest.raises(NonFinite):
+    with pytest.raises(ConvergenceFailure, match="NaN or infinite"):
         cli._write_json(str(out), {}, {"rel_errors": {"path": bad}})
     assert not out.exists()
     out = tmp_path / "out.csv"
-    with pytest.raises(NonFinite):
+    with pytest.raises(ConvergenceFailure, match="NaN or infinite"):
         cli._write_csv(str(out), {}, ["x", "y"], [[0.0, 1.0], np.array([[2.0], [bad]])])
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 """The failure policy: every error's exit code and message, and one owner of the caps."""
 
 import ast
+import builtins
 import inspect
 import math
 import pickle
@@ -31,26 +32,15 @@ from latcirc.statevector import (
 )
 
 # the exit codes the README documents for each error class
-DOCUMENTED_EXIT_CODES = {
-    "LatcircError": 1,
-    "DegenerateDispersion": 1,
-    "DomainError": 1,
-    "IllConditionedFit": 1,
-    "ObservableFailure": 1,
-    "OddLattice": 1,
-    "UnknownDiagram": 1,
-    "QuadratureNotConverged": 2,
-    "Diverged": 2,
-    "NonFinite": 2,
-    "DimensionCap": 3,
-    "BruteForceCap": 3,
-    "LatticeTooSmall": 3,
-}
+DOCUMENTED_EXIT_CODES = {"LatcircError": 1, "ConvergenceFailure": 2, "CapExceeded": 3}
 PREFIXES = {1: "error: ", 2: "numerical convergence failure: ", 3: "resource cap exceeded: "}
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                  if issubclass(cls, errors.LatcircError)]
 SOURCES = sorted(path for path in Path(errors.__file__).parent.glob("*.py")
                  if path.name != "errors.py")
+# every name a class derives from to be an exception: the builtin ones and those of errors.py
+EXCEPTION_NAMES = {name for name, obj in {**vars(builtins), **vars(errors)}.items()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)}
 
 
 def test_every_error_class_is_documented():
@@ -83,7 +73,7 @@ def test_builtin_errors_are_validation_errors(tmp_path, capsys, monkeypatch, err
 @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
 def test_arithmetic_errors_are_numerical_failures(tmp_path, capsys, monkeypatch, error):
     # a Python float power past the range or a division by 0 ends in exit 2 and one line
-    # that names the error, as numpy's inf ends in NonFinite
+    # that names the error, as numpy's inf ends in ConvergenceFailure
     def fail(cfg, out):
         raise error("the reason")
 
@@ -94,11 +84,8 @@ def test_arithmetic_errors_are_numerical_failures(tmp_path, capsys, monkeypatch,
 
 def test_require():
     assert errors.require(5, 5, "terms") == 5
-    with pytest.raises(errors.DimensionCap, match="terms: 6 exceeds the cap 5"):
+    with pytest.raises(errors.CapExceeded, match="terms: 6 exceeds the cap 5"):
         errors.require(6, 5, "terms")
-    with pytest.raises(errors.BruteForceCap):
-        errors.require(6, 5, "terms", errors.BruteForceCap)
-
 
 
 @pytest.mark.parametrize("amount, shown", [
@@ -108,8 +95,8 @@ def test_require():
 def test_require_names_huge_amounts_by_their_power_of_ten(amount, shown):
     # str() of an int above 4300 digits raises ValueError, and thousands of digits are no
     # message: an amount of more than 30 digits reads ~10^k, k its rounded log10
-    with pytest.raises(errors.BruteForceCap) as info:
-        errors.require(amount, 10**8, "terms", errors.BruteForceCap)
+    with pytest.raises(errors.CapExceeded) as info:
+        errors.require(amount, 10**8, "terms")
     assert str(info.value) == f"terms: {shown} exceeds the cap 100000000"
 
 
@@ -121,14 +108,28 @@ def test_require_power_is_require_of_the_power_never_formed(base, exponent):
     expected = None
     if exponent < 10**6:
         try:
-            expected = errors.require(base**exponent, 10**8, "terms", errors.BruteForceCap)
-        except errors.BruteForceCap as exc:
+            expected = errors.require(base**exponent, 10**8, "terms")
+        except errors.CapExceeded as exc:
             expected = str(exc)
     try:
-        got = errors._require_power(base, exponent, 10**8, "terms", errors.BruteForceCap)
-    except errors.BruteForceCap as exc:
+        got = errors._require_power(base, exponent, 10**8, "terms")
+    except errors.CapExceeded as exc:
         got = str(exc)
     assert got == (expected or "terms: ~10^903089986992 exceeds the cap 100000000")
+
+
+# a refused int of more than 30 digits reads ~10^k, as require names an amount of that size
+@pytest.mark.parametrize("value, shown", [(-10**400, "-~10^400"), (-10**30, "-~10^30"),
+                                          (1 - 10**30, repr(1 - 10**30))])
+def test_refused_count_past_30_digits_named_by_its_power_of_ten(value, shown):
+    with pytest.raises(ValueError, match=f"^x must be an integer >= 0, got {re.escape(shown)}$"):
+        errors._require_int(value, 0, "x")
+
+
+@pytest.mark.parametrize("value, shown", [(10**400, "~10^400"), (-10**400, "-~10^400")])
+def test_int_past_the_float_range_named_by_its_power_of_ten(value, shown):
+    with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(shown)}$"):
+        errors._require_real(value, "x", "")
 
 
 P1 = LatticeParams(a=0.1, m=1.0)
@@ -331,5 +332,16 @@ def test_caps_owned_by_errors_module(path):
                     assert not (name.id.endswith("_CAP") or name.id == "BYTE_BUDGET"), (
                         f"{path.name}:{node.lineno} defines {name.id}")
         if isinstance(node, ast.Raise) and node.exc is not None:
-            assert _raised_name(node) not in ("DimensionCap", "BruteForceCap"), (
+            assert _raised_name(node) != "CapExceeded", (
                 f"{path.name}:{node.lineno} raises a cap error outside errors.require")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_exception_classes_owned_by_errors_module(path):
+    # one failure type per exit code, all in errors.py: a new class elsewhere would be a
+    # fourth type the CLI and the README do not know
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            bases = {base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+                     for base in node.bases}
+            assert not bases & EXCEPTION_NAMES, f"{path.name}:{node.lineno} defines {node.name}"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcirc.errors import DegenerateDispersion
 from latcirc.kinematics import (
     LatticeParams,
     _fold_to_zone,
@@ -97,9 +96,9 @@ def test_dispersion_theta_values():
 
 def test_dispersion_rejects_degenerate():
     massless = LatticeParams(a=0.1, m=0.0)
-    with pytest.raises(DegenerateDispersion):
+    with pytest.raises(ValueError, match="real theta requires m > 0 and m a < 2"):
         dispersion_theta(massless, 0.0)
-    with pytest.raises(DegenerateDispersion):
+    with pytest.raises(ValueError, match="real theta requires m > 0 and m a < 2"):
         omega(massless, 0.0)
 
 
@@ -308,5 +307,5 @@ def test_array_shapes_and_degenerate_arrays():
         cosine_symbol(P1, np.zeros((4, 2)))  # two components where d = 1
     # one degenerate point among many is enough to raise
     massless = LatticeParams(a=0.1, m=0.0)
-    with pytest.raises(DegenerateDispersion):
+    with pytest.raises(ValueError, match="real theta requires m > 0 and m a < 2"):
         omega(massless, [[0.5], [1.0], [0.0]])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcirc import quadrature
-from latcirc.errors import QuadratureNotConverged
+from latcirc.errors import ConvergenceFailure
 from latcirc.quadrature import folded_nodes, fsum_complex, fsum_real, midpoint_nodes
 
 DBL_MIN = 2.2250738585072014e-308  # smallest normal double
@@ -130,14 +130,14 @@ def test_refined_raises_above_rtol_times_scale():
 
     # default scale max(|coarse|, 1e-300) = 1: 0.5 passes 0.6 * 1, not 0.4 * 1
     assert quadrature.refined(evaluate, 4, 0.6, "f") == 1.5
-    with pytest.raises(QuadratureNotConverged, match="^f: refining 4 to 8 nodes"):
+    with pytest.raises(ConvergenceFailure, match="^f: refining 4 to 8 nodes"):
         quadrature.refined(evaluate, 4, 0.4, "f")
     # an explicit scale replaces |coarse|: 0.5 passes 0.4 * 2 but not 0.4 * 1.2
     assert quadrature.refined(evaluate, 4, 0.4, "f", scale=2.0) == 1.5
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(ConvergenceFailure, match="^f: refining 4 to 8 nodes"):
         quadrature.refined(evaluate, 4, 0.4, "f", scale=1.2)
     # a zero coarse value still has a positive scale, so any move raises
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(ConvergenceFailure, match="^f: refining 4 to 8 nodes"):
         quadrature.refined(lambda n: 0.0 if n == 4 else 1e-290, 4, 1.0, "f")
 
 

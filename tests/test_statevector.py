@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latcirc import statevector
-from latcirc.errors import BruteForceCap, DimensionCap
+from latcirc.errors import CapExceeded
 from latcirc.kinematics import LatticeParams
 from latcirc.statevector import (
     KINDS,
@@ -87,7 +87,7 @@ def test_site_operators():
 def test_lattice_validation():
     with pytest.raises(ValueError):
         TruncatedLattice(1, FieldGrid.for_mass(1.0, 16), PARAMS)
-    with pytest.raises(DimensionCap):
+    with pytest.raises(CapExceeded, match="state-vector dimension"):
         TruncatedLattice(6, FieldGrid.for_mass(1.0, 16), PARAMS)  # 16^6 > 2^20
 
 
@@ -144,7 +144,7 @@ def test_circuit_equals_path_sum():
 
 def test_path_sum_cap():
     lat = small_lattice(n_points=16)
-    with pytest.raises(BruteForceCap):
+    with pytest.raises(CapExceeded, match="brute-force sum terms"):
         amplitude_path_sum(lat, "Strang", 0.1, (8, 8), (9, 7), 6)
 
 
@@ -156,9 +156,9 @@ def test_brute_force_cap_before_any_state(monkeypatch):
 
     monkeypatch.setattr(sv, "CircuitStep", no_state)
     lat = small_lattice(n_points=16)
-    with pytest.raises(BruteForceCap):
+    with pytest.raises(CapExceeded, match="brute-force sum terms"):
         amplitude_path_sum(lat, "Strang", 0.1, (8, 8), (9, 7), 6)
-    with pytest.raises(BruteForceCap):
+    with pytest.raises(CapExceeded, match="brute-force sum terms"):
         amplitude_action_form(lat, 0.1, (8, 8), (9, 7), 6)
 
 
@@ -193,7 +193,7 @@ def test_state_cap_is_errors_state_cap(sites, n_points, admitted):
     if admitted:
         assert TruncatedLattice(sites, grid, PARAMS).dim == n_points**sites
     else:
-        with pytest.raises(DimensionCap):
+        with pytest.raises(CapExceeded, match="state-vector dimension"):
             TruncatedLattice(sites, grid, PARAMS)
 
 
