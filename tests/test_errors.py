@@ -36,6 +36,24 @@ DOCUMENTED_EXIT_CODES = {"LatcircError": 1, "ConvergenceFailure": 2, "CapExceede
 PREFIXES = {1: "error: ", 2: "numerical convergence failure: ", 3: "resource cap exceeded: "}
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                  if issubclass(cls, errors.LatcircError)]
+# every failure kind that had an error class of its own before one type per exit code, the type
+# that raises it now and its exit code: each still ends in that code, its prefix and one line
+FORMER_CLASSES = {
+    "DegenerateDispersion": (ValueError, 1),
+    "DomainError": (ValueError, 1),
+    "IllConditionedFit": (ValueError, 1),
+    "ObservableFailure": (ValueError, 1),
+    "OddLattice": (ValueError, 1),
+    "UnknownDiagram": (ValueError, 1),
+    "QuadratureNotConverged": (errors.ConvergenceFailure, 2),
+    "Diverged": (errors.ConvergenceFailure, 2),
+    "NonFinite": (errors.ConvergenceFailure, 2),
+    "DimensionCap": (errors.CapExceeded, 3),
+    "BruteForceCap": (errors.CapExceeded, 3),
+    "LatticeTooSmall": (errors.CapExceeded, 3),
+}
+FAILURE_KINDS = {**{name: (getattr(errors, name), code) for name, code in DOCUMENTED_EXIT_CODES.items()},
+                 **FORMER_CLASSES}
 SOURCES = sorted(path for path in Path(errors.__file__).parent.glob("*.py")
                  if path.name != "errors.py")
 # every name a class derives from to be an exception: the builtin ones and those of errors.py
@@ -47,14 +65,15 @@ def test_every_error_class_is_documented():
     assert {cls.__name__ for cls in ERROR_CLASSES} == set(DOCUMENTED_EXIT_CODES)
 
 
-@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
-def test_exit_code_prefix_and_one_line(tmp_path, capsys, monkeypatch, error):
+@pytest.mark.parametrize("kind", sorted(FAILURE_KINDS))
+def test_exit_code_prefix_and_one_line(tmp_path, capsys, monkeypatch, kind):
+    error, code = FAILURE_KINDS[kind]
+
     def fail(cfg, out):
         raise error("the reason")
 
     monkeypatch.setitem(cli.RUNNERS, "movers", fail)
     out = tmp_path / "movers.json"
-    code = DOCUMENTED_EXIT_CODES[error.__name__]
     assert run(["movers", "--out", str(out)]) == code
     assert capsys.readouterr().err == f"{PREFIXES[code]}the reason\n"
     assert not out.exists()
