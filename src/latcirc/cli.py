@@ -43,12 +43,14 @@ def _config_hash(config: dict) -> str:
 
 
 def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
-    """One row per entry of the equal-size ``columns``, which are flattened,
-    formatted and written _CSV_CHUNK_ROWS rows at a time rather than as one string;
-    ConvergenceFailure (exit 2) before the file opens if they hold NaN or inf."""
+    """One row per entry of the equal-size ``columns``, flattened, formatted and written
+    _CSV_CHUNK_ROWS rows at a time; before the file opens, ConvergenceFailure (exit 2) if they
+    hold NaN or inf, and CapExceeded (exit 3) past BYTE_BUDGET bytes of text."""
     columns = [np.ravel(c) for c in columns]
     if not all(np.isfinite(c).all() for c in columns):
         raise ConvergenceFailure("the table holds a NaN or infinite value")
+    rows = len(columns[0])  # at most 25 bytes per %.17g value and its separator
+    require(25 * len(header) * rows, BYTE_BUDGET, f"bytes of table text in {rows} rows")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# config_hash={_config_hash(config)}\n{','.join(header)}\n")
@@ -285,7 +287,7 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
         "N": cfg["N"], "lattice": [cfg["lx"], cfg["ly"]], "g": g, "kappa": kappa,
         "tau": tau, "pairs": n_pairs,
         "lhs": _complex_pair(lhs), "rhs": _complex_pair(rhs), "deviation": worst,
-        "wel_unitarity_deviation": gauge_mod.unitarity_report(lat, group, g, kappa),
+        "wel_unitarity_deviation": gauge_mod.unitarity_report(group, g, kappa),
         "gauss_commutator_max": commutator,
     })
 

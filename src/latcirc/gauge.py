@@ -293,9 +293,7 @@ def gauss_commutator_max(
     return max(comm, float(np.max(np.abs(w - w[(rows - cols) % group.N, 0]))))
 
 
-def unitarity_report(
-    lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
-) -> float:
+def unitarity_report(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> float:
     """Operator-norm deviation ||w^dagger w - 1|| of the per-link W_el factor.
 
     Zero only at N = 1; for N = 2 the eigenvalue moduli are |cos beta| and

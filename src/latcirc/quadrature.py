@@ -31,9 +31,10 @@ _BINS = _OFFSET + 1025
 
 
 def midpoint_nodes(n: int, halfwidth: float) -> np.ndarray:
-    """n uniform nodes on (-halfwidth, halfwidth): x[::-1] == -x exactly, so odd n has 0.0."""
+    """n uniform nodes on (-halfwidth, halfwidth): x[::-1] == -x exactly, so odd n has 0.0.
+    The integers 1 - n, 3 - n, ..., n - 1 times halfwidth / n: no 2 * halfwidth to overflow."""
     n = _require_int(n, 1, "node count")
-    return (2.0 * halfwidth / n) * (np.arange(n) - (n - 1) / 2)
+    return np.arange(1.0 - n, n, 2.0) * (halfwidth / n)
 
 
 def folded_nodes(n: int, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:

@@ -121,13 +121,12 @@ def cost(g0, problem: RenormProblem) -> float:
     return float(np.sum((np.array(problem.targets) - sim) ** 2))
 
 
-def fd_gradient(g0, problem: RenormProblem, step: float | None = None) -> np.ndarray:
-    """Central finite-difference gradient of the cost, one scaled step per axis."""
+def fd_gradient(g0, problem: RenormProblem) -> np.ndarray:
+    """Central finite-difference gradient of the cost, one scaled fd_step per axis."""
     g0 = np.asarray(g0, dtype=float)
-    base_step = problem.fd_step if step is None else step
     grad = np.zeros_like(g0)
     for j in range(len(g0)):
-        h = base_step * max(abs(g0[j]), 1.0)
+        h = problem.fd_step * max(abs(g0[j]), 1.0)
         up, down = g0.copy(), g0.copy()
         up[j] += h
         down[j] -= h
@@ -137,8 +136,8 @@ def fd_gradient(g0, problem: RenormProblem, step: float | None = None) -> np.nda
 
 def gradient_selfcheck(g0, problem: RenormProblem) -> float:
     """Relative deviation of the FD gradient from its Richardson extrapolation."""
-    coarse = fd_gradient(g0, problem, step=problem.fd_step)
-    fine = fd_gradient(g0, problem, step=problem.fd_step / 2.0)
+    coarse = fd_gradient(g0, problem)
+    fine = fd_gradient(g0, replace(problem, fd_step=problem.fd_step / 2.0))
     richardson = (4.0 * fine - coarse) / 3.0
     scale = np.linalg.norm(richardson)
     if scale == 0.0:

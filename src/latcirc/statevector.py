@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, _require_int, _require_power,
-                     _require_real, require)
+from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, ConvergenceFailure, _order, _require_int,
+                     _require_power, _require_real, require)
 from .kinematics import LatticeParams
 
 __all__ = [
@@ -213,11 +213,6 @@ def _layer_at(angle, config) -> np.ndarray:
                                           for s in range(L)])
 
 
-def _full_layer(angle, n: int, L: int) -> np.ndarray:
-    """The X layer at every configuration of L sites with n grid values, flattened."""
-    return _layer_at(angle, np.ix_(*[np.arange(n)] * L)).ravel()
-
-
 @functools.lru_cache(maxsize=8)
 def _momentum_kernel(grid: FieldGrid, kind: str, kappa: float) -> np.ndarray:
     """One-site momentum-layer matrix, read-only and cached on its only inputs."""
@@ -259,7 +254,8 @@ class CircuitStep:
 
     @functools.cached_property
     def layer(self) -> np.ndarray:
-        return _full_layer(self.angle, self.lat.grid.n_points, self.lat.L)
+        n, L = self.lat.grid.n_points, self.lat.L
+        return _layer_at(self.angle, np.ix_(*[np.arange(n)] * L)).ravel()
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         out = _apply_site_kernel(self.kernel, self.layer * psi, self.lat.L)
@@ -414,6 +410,11 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
             total = total + half_sq[x[site], x[(site + 1) % L]] + mass[x[site]] + quartic[x[site]]
         return total
 
+    # the complex power raises past the float range, so its size is refused from logarithms
+    order = tau * L * (math.log10(lat.grid.delta_phi) - 0.5 * math.log10(2 * math.pi * kappa))
+    if order > math.log10(np.finfo(float).max):
+        raise ConvergenceFailure(f"the action-form measure (sqrt(i/(2 pi kappa)) delta_phi)^(tau L)"
+                                 f" {_order(order)} is past the float range")
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
     total = 0.0 + 0.0j
     for x, _ in blocks:

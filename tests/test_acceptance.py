@@ -248,7 +248,7 @@ def test_criterion_8_gauge_equivalence():
             action += group.retrace(h)
         prod *= np.exp(-2j * action)
     coloring_dev = float(np.max(np.abs(prod - build_wmag(lat, group, 1.0).diag)))
-    wel_dev = unitarity_report(lat, group, 1.0)
+    wel_dev = unitarity_report(group, 1.0)
     ok = worst < 1e-10 and comm < 1e-12 and coloring_dev < 1e-12
     _report(
         8,

@@ -379,8 +379,8 @@ FAILURE_LINES = [
      "~10^240822 exceeds the cap 100000000"),
     (["lightcone", "--tau", "5", "--L", "8"], 3, "resource cap exceeded: 4*tau + 3 sites to rule "
      "out wrap-around, against L: 23 exceeds the cap 8"),
-    (["pathint-check", "--dt=1e-160"], 2, "numerical convergence failure: OverflowError: complex "
-     "exponentiation"),
+    (["pathint-check", "--dt=1e-160"], 2, "numerical convergence failure: the action-form "
+     "measure (sqrt(i/(2 pi kappa)) delta_phi)^(tau L) ~10^317 is past the float range"),
 ]
 
 
@@ -394,6 +394,16 @@ def test_failure_exit_code_and_line(tmp_path, capsys, argv, code, line):
         argv = ["renorm", "--problem", str(problem)]
     assert run(argv + ["--out", str(out)]) == code
     assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_table_text_is_bounded_before_the_file_opens(tmp_path, capsys, monkeypatch):
+    # dispersion --L 64: 5120 bytes of memory estimate, but 25 * 5 * 64 = 8000 of table text
+    monkeypatch.setattr(cli, "BYTE_BUDGET", 6000)
+    out = tmp_path / "out.csv"
+    assert run(["dispersion", "--L", "64", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("resource cap exceeded: bytes of table text in 64 rows: "
+                                       "8000 exceeds the cap 6000\n")
     assert not out.exists()
 
 
@@ -749,10 +759,10 @@ def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, co
       for observable in ("phi", "pi", "both")],
     *[(["lightcone", "--kind", "Strang", "--a=1e-300", "--observable", observable], 2,
        "not all finite") for observable in ("phi", "pi", "both")],
-    *[(["pathint-check", "--dt=1e-160", "--grid", grid], 2, "OverflowError")
+    *[(["pathint-check", "--dt=1e-160", "--grid", grid], 2, "action-form measure")
       for grid in ("dual", "mass")],
-    (["pathint-check", "--grid", "mass", "--m=1e-300"], 2, "OverflowError"),
-    (["pathint-check", "--grid", "mass", "--m=1e-160"], 2, "OverflowError"),
+    (["pathint-check", "--grid", "mass", "--m=1e-300"], 2, "action-form measure"),
+    (["pathint-check", "--grid", "mass", "--m=1e-160"], 2, "action-form measure"),
     # huge counts refused from their logarithms, never formed
     *[(["pathint-check", setting, "--kind", kind, "--grid", grid], 3, "~10^")
       for setting in ("--L=1000000000", "--tau=1000000000") for kind in statevector.KINDS

@@ -120,3 +120,28 @@ def test_every_default_is_passed_outside_the_tests():
                Path(__file__).with_name("test_acceptance.py")]
     unpassed = _unpassed_defaults(package, callers)
     assert not unpassed, f"defaulted parameters that no caller passes: {unpassed}"
+
+
+def _unread_parameters(package: Path) -> list[str]:
+    """Parameters of the functions and lambdas in ``package/*.py``, other than ``self`` and
+    ``cls``, that nothing in their body reads."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg] if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{getattr(node, 'name', 'lambda')}({param})" for param in params
+                       if param not in read and param not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read_in_src():
+    # a parameter its function never reads is a knob no caller needs
+    unread = _unread_parameters(Path(latcirc.__file__).parent)
+    assert not unread, f"parameters that their function never reads: {unread}"

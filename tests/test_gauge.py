@@ -207,11 +207,11 @@ def test_gauss_projector():
 
 
 def test_unitarity_report():
-    assert unitarity_report(LAT, GaugeGroupZN(1), 1.0) == 0.0
+    assert unitarity_report(GaugeGroupZN(1), 1.0) == 0.0
     # N=2 closed form: eigenvalue moduli are |cos beta| and |sin beta|
     beta = 2.0
     expected = max(abs(math.cos(beta) ** 2 - 1.0), abs(math.sin(beta) ** 2 - 1.0))
-    assert unitarity_report(LAT, Z2, 1.0) == pytest.approx(expected, abs=1e-14)
+    assert unitarity_report(Z2, 1.0) == pytest.approx(expected, abs=1e-14)
     # tabulate N in {2, 3, 4, 6} against the explicit character eigenvalues
     for n in (2, 3, 4, 6):
         group = GaugeGroupZN(n)
@@ -224,7 +224,7 @@ def test_unitarity_report():
             for char in range(n)
         ]
         oracle = max(abs(abs(e) ** 2 - 1.0) for e in eigs)
-        assert unitarity_report(LAT, group, 1.0) == pytest.approx(oracle, abs=1e-12)
+        assert unitarity_report(group, 1.0) == pytest.approx(oracle, abs=1e-12)
         assert 0.0 < oracle <= 1.0 + 1e-12
 
 

@@ -14,7 +14,6 @@ from latcirc.gaussian import (
     lightcone_radius,
     momentum_blocks_of_map,
     mover_shift_check,
-    mover_shift_residual,
     realspace_map,
     shift_block,
     strang_block,
@@ -217,10 +216,8 @@ def test_continuum_limit_order_two():
 def test_mover_shift_exact():
     assert mover_shift_check(MASSLESS, 8) < 1e-12
     assert mover_shift_check(MASSLESS, 2) < 1e-12  # cyclic wrap-around
-    with pytest.raises(ValueError):
-        mover_shift_check(LatticeParams(a=0.1, m=0.5), 8)
-    # the raw residual at m != 0 is genuinely nonzero
-    assert mover_shift_residual(LatticeParams(a=0.1, m=0.5), 8) > 1e-4
+    # the residual at m != 0 is genuinely nonzero
+    assert mover_shift_check(LatticeParams(a=0.1, m=0.5), 8) > 1e-4
 
 
 def test_lightcone_radius():
@@ -263,9 +260,9 @@ def test_realspace_checks():
     with pytest.raises(ValueError):
         realspace_map(P1, 8, "Euler")
     with pytest.raises(ValueError):
-        mover_shift_residual(LatticeParams(a=0.1, d=2), 8)
+        mover_shift_check(LatticeParams(a=0.1, d=2), 8)
     with pytest.raises(ValueError):
-        mover_shift_residual(P1, 1)
+        mover_shift_check(P1, 1)
 
 
 free_params = st.builds(
@@ -316,7 +313,7 @@ def _dense_mover_residual(params, L):
 @given(params=free_params, L=st.integers(2, 40))
 def test_mover_residual_matches_dense_reference(params, L):
     ref, scale = _dense_mover_residual(params, L)
-    assert abs(mover_shift_residual(params, L) - ref) <= 1e-14 * max(1.0, scale)
+    assert abs(mover_shift_check(params, L) - ref) <= 1e-14 * max(1.0, scale)
 
 
 def _all_sites_mover_residual(params, L):
@@ -335,7 +332,7 @@ def _all_sites_mover_residual(params, L):
 @given(params=free_params, L=st.sampled_from((2, 3, 8, 64, 256)))
 def test_site0_mover_residual_equals_all_sites(params, L):
     # translation invariance: site 0 carries every site's entries, bit for bit
-    assert mover_shift_residual(params, L) == _all_sites_mover_residual(params, L)
+    assert mover_shift_check(params, L) == _all_sites_mover_residual(params, L)
 
 
 @settings(max_examples=25, deadline=None)

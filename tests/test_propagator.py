@@ -276,6 +276,18 @@ def test_equal_time_exactly_even(d, n, a, m_a, offset):
         assert equal_time(params, (1, 0), n) == equal_time(params, (0, 1), n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False), m_a=st.floats(0.05, 1.9),
+       p_unit=st.floats(-0.999, 1.0), t_steps=st.integers(-4, 4), eps_dt=st.floats(0.01, 0.2))
+def test_contour_identity_holds_to_roundoff(a, m_a, p_unit, t_steps, eps_dt):
+    # the periodic trapezoid sum converges exponentially, so at 2^16 nodes both sides agree to
+    # roundoff; criterion 4's 1e-6 would pass an epsilon off by 1e-6 on one side, 1e-12 does not
+    params = LatticeParams(a=a, m=m_a / a)
+    residual = contour_identity_residual(params, p_unit * math.pi / a, t_steps,
+                                         eps_dt / params.dt, 2**16, conv_rtol=None)
+    assert residual < 1e-12
+
+
 @pytest.mark.parametrize("t_steps", [1, 3, 7])
 def test_contour_residual_exactly_even_in_t(t_steps):
     plus = contour_identity_residual(P1, 0.4, t_steps, EPS_DEFAULT, 2**12, conv_rtol=None)

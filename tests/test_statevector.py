@@ -782,7 +782,7 @@ def test_circuit_builds_no_full_layer_up_to_one_step(kind, monkeypatch):
     def no_layer(*args):
         raise AssertionError("the full X layer was built")
 
-    monkeypatch.setattr(statevector, "_full_layer", no_layer)
+    monkeypatch.setattr(statevector.CircuitStep, "layer", property(no_layer))
     assert amplitude_circuit(lat, kind, 0.3, *ends, 0) == expected[0] == 0.0
     assert abs(amplitude_circuit(lat, kind, 0.3, *ends, 1) - expected[1]) <= bound
     with pytest.raises(AssertionError, match="full X layer"):
