@@ -28,7 +28,7 @@ import numpy as np
 from . import gauge as gauge_mod
 from . import gaussian, kinematics, perturbation, propagator, renorm, statevector
 from .errors import (BYTE_BUDGET, EXIT_PREFIXES, ConvergenceFailure, LatcircError, _require_int,
-                     require)
+                     _shown, require)
 from .kinematics import LatticeParams
 from .quadrature import midpoint_nodes
 
@@ -42,15 +42,17 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _require_table(n_columns: int, rows: int) -> None:
+    """CapExceeded (exit 3) past BYTE_BUDGET bytes of text, 25 per %.17g value and separator."""
+    require(25 * n_columns * rows, BYTE_BUDGET, f"bytes of table text in {_shown(rows)} rows")
+
+
 def _write_csv(path: str, config: dict, header: list[str], columns) -> None:
-    """One row per entry of the equal-size ``columns``, flattened, formatted and written
-    _CSV_CHUNK_ROWS rows at a time; before the file opens, ConvergenceFailure (exit 2) if they
-    hold NaN or inf, and CapExceeded (exit 3) past BYTE_BUDGET bytes of text."""
+    """One row per entry of the equal-size ``columns``, written _CSV_CHUNK_ROWS rows at a time;
+    ConvergenceFailure (exit 2) before the file opens on a NaN or inf (_require_table bounds it)."""
     columns = [np.ravel(c) for c in columns]
     if not all(np.isfinite(c).all() for c in columns):
         raise ConvergenceFailure("the table holds a NaN or infinite value")
-    rows = len(columns[0])  # at most 25 bytes per %.17g value and its separator
-    require(25 * len(header) * rows, BYTE_BUDGET, f"bytes of table text in {rows} rows")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# config_hash={_config_hash(config)}\n{','.join(header)}\n")
@@ -182,8 +184,7 @@ def _params_from_config(cfg: dict) -> LatticeParams:
 def _run_dispersion(cfg: dict, out: str) -> None:
     """dispersion table: p,theta,omega,E,E_latt"""
     params = _params_from_config(cfg)
-    # the grid, the value columns and their temporaries: ~56 bytes per momentum (measured)
-    require(80 * cfg["L"], BYTE_BUDGET, f"bytes for the dispersion table of {cfg['L']} rows")
+    _require_table(5, cfg["L"])
     p = kinematics.momentum_grid(params, cfg["L"])
     columns = (p[:, 0], kinematics.dispersion_theta(params, p), kinematics.omega(params, p),
                *kinematics.reference_energies(params, p))
@@ -209,8 +210,7 @@ def _run_lightcone(cfg: dict, out: str) -> None:
 def _run_propagator(cfg: dict, out: str) -> None:
     """momentum-space propagator table: p0,p1,re,im"""
     params = _params_from_config(cfg)
-    # the momentum grids, the values and their CSV columns: ~56 bytes per point (measured)
-    require(80 * cfg["L"] ** 2, BYTE_BUDGET, f"bytes for a propagator table of {cfg['L']}^2 rows")
+    _require_table(4, _require_int(cfg["L"], 1, "L") ** 2)  # an L < 1 refused before it is squared
     p0, p1 = np.meshgrid(midpoint_nodes(cfg["L"], math.pi / params.dt),
                          midpoint_nodes(cfg["L"], math.pi / params.a), indexing="ij")
     value = propagator.feynman_momentum(params, p0, p1[..., None], cfg["epsilon"])
@@ -222,6 +222,7 @@ def _run_oneloop(cfg: dict, out: str) -> None:
     spacings = [float(tok) for tok in str(cfg["a_series"]).split(",") if tok]
     if not spacings:
         raise ValueError("a-series must contain at least one lattice spacing")
+    _require_table(7, len(spacings))
     table = np.array([
         [perturbation.one_loop_mass(reg, LatticeParams(a=a, m=cfg["m"], lam=cfg["lam"]),
                                     p_in=cfg["p_in"])

@@ -26,7 +26,7 @@ import sys
 STATE_CAP = 2**22  # amplitudes of one complex state vector (64 MiB), statevector and gauge alike
 DENSE_CAP = 4096  # largest dimension of an explicitly stored operator
 PATH_TERM_CAP = 10**8  # terms of one brute-force sum
-BYTE_BUDGET = 2**31  # largest estimated peak allocation, or table text, of one entry point
+BYTE_BUDGET = 2**31  # largest estimated peak allocation, table text or trace of one entry point
 
 EXIT_PREFIXES = {1: "error", 2: "numerical convergence failure", 3: "resource cap exceeded"}
 

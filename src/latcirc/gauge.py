@@ -99,16 +99,11 @@ class GaugeLattice:
     def link(self, x: int, y: int, direction: int) -> int:
         return 2 * self.site(x, y) + direction
 
-    def link_endpoints(self, link: int) -> tuple[int, int]:
-        """(from_site, to_site) of a link."""
-        site, direction = divmod(link, 2)
-        x, y = divmod(site, self.Ly)
-        return site, self.site(x + 1, y) if direction == 0 else self.site(x, y + 1)
-
     @functools.cached_property
     def endpoints(self) -> np.ndarray:
-        """Row l is ``link_endpoints(l)``: one read-only (n_links, 2) table per lattice."""
-        ends = np.array([self.link_endpoints(link) for link in range(self.n_links)])
+        """Row 2*site + d is that link's (from_site, to_site): one read-only table per lattice."""
+        ends = np.array([(self.site(x, y), self.site(x + 1, y) if d == 0 else self.site(x, y + 1))
+                         for x in range(self.Lx) for y in range(self.Ly) for d in (0, 1)])
         ends.setflags(write=False)
         return ends
 
@@ -283,14 +278,11 @@ def _gauss_orbit_average(lat: GaugeLattice, group: GaugeGroupZN, config) -> np.n
 def gauss_commutator_max(
     lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
 ) -> float:
-    """Deviation of T = W_el W_mag from commuting with each D(e_x): the largest change of
-    W_mag under a generator, or of the per-link W_el factor from a circulant (0 up to rounding)."""
+    """Deviation of T = W_el W_mag from commuting with each D(e_x): the largest change of W_mag
+    under a generator. W_el, a circulant per link, commutes with every D(Omega) by construction."""
     wmag = build_wmag(lat, group, g, kappa).diag.reshape((group.N,) * lat.n_links)
-    comm = max(float(np.max(np.abs(_roll_links(lat, wmag, -site, group.N) - wmag)))
+    return max(float(np.max(np.abs(_roll_links(lat, wmag, -site, group.N) - wmag)))
                for site in np.eye(lat.n_sites, dtype=int))
-    w = wel_link_matrix(group, g, kappa)
-    rows, cols = np.indices(w.shape)
-    return max(comm, float(np.max(np.abs(w - w[(rows - cols) % group.N, 0]))))
 
 
 def unitarity_report(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> float:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, LatcircError, _require_int, _require_real
+from .errors import (BYTE_BUDGET, ConvergenceFailure, LatcircError, _require_int, _require_real,
+                     _shown, require)
 from .kinematics import LatticeParams, dispersion_theta, omega
 from .perturbation import one_loop_mass
 
@@ -88,6 +89,10 @@ class RenormProblem:
         for key in ("eta", "fd_step", "tol"):
             _require_real(getattr(self, key), f"'{key}'")
         object.__setattr__(self, "max_iters", _require_int(self.max_iters, 0, "'max_iters'"))
+        # a record per step, the last and one per halving of eta to 1e-12: ~2.1 KiB each (measured)
+        records = self.max_iters + 2 + max(0, math.ceil(math.log2(self.eta) + 40))
+        require(2200 * records, BYTE_BUDGET,
+                f"bytes for a descent trace of {_shown(records)} records")
         bad = set(self.init) - set(TUNABLE)
         if bad:
             raise ValueError(f"tunable parameters are {TUNABLE}, got extra {sorted(bad)}")

@@ -397,14 +397,25 @@ def test_failure_exit_code_and_line(tmp_path, capsys, argv, code, line):
     assert not out.exists()
 
 
+def _column_computed(*args, **kwargs):
+    raise RuntimeError("a table column was computed before its text was bounded")
+
+
 def test_table_text_is_bounded_before_the_file_opens(tmp_path, capsys, monkeypatch):
-    # dispersion --L 64: 5120 bytes of memory estimate, but 25 * 5 * 64 = 8000 of table text
+    # at 25 bytes a value, dispersion --L 64 holds 8000 bytes of table text, propagator --L 8
+    # 6400 and oneloop with 35 spacings 6125: each refused before any column is computed
     monkeypatch.setattr(cli, "BYTE_BUDGET", 6000)
+    for module, name in ((cli.kinematics, "momentum_grid"), (cli.propagator, "feynman_momentum"),
+                         (cli.perturbation, "one_loop_mass")):
+        monkeypatch.setattr(module, name, _column_computed)
     out = tmp_path / "out.csv"
-    assert run(["dispersion", "--L", "64", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("resource cap exceeded: bytes of table text in 64 rows: "
-                                       "8000 exceeds the cap 6000\n")
-    assert not out.exists()
+    for argv, rows, text in ((["dispersion", "--L", "64"], 64, 8000),
+                             (["propagator", "--L", "8"], 64, 6400),
+                             (["oneloop", "--a-series", ",".join(["0.1"] * 35)], 35, 6125)):
+        assert run([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"resource cap exceeded: bytes of table text in {rows} "
+                                           f"rows: {text} exceeds the cap 6000\n")
+        assert not out.exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -779,6 +790,8 @@ def test_non_finite_results_and_overflowing_couplings(tmp_path, capsys, argv, co
       for setting in ("--a=1e300", "--m=1e300", "--a=1e-300")],
     # a 401-digit int read from --config, named by its power of ten, not its digits
     (["dispersion", {"a": 10**400}], 1, "~10^400"),
+    # a negative L, refused as such and not by the table text of its square
+    (["propagator", "--L", "-5000"], 1, "L must be"),
 ])
 def test_extreme_settings_end_in_one_short_line(tmp_path, capsys, argv, code, says):
     out, limit = tmp_path / "out", 160
@@ -973,6 +986,23 @@ def test_every_renorm_problem_number_at_its_extremes(tmp_path, capsys, where):
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not faults, "\n".join(faults)
+
+
+def test_renorm_trace_is_bounded_before_the_descent(tmp_path, capsys):
+    # tol = 1e-300 is never met, so the descent would run all 10^7 iterations, ~64 us and
+    # ~2 KiB of trace each: refused at once instead
+    problem_file, out = tmp_path / "problem.json", tmp_path / "out.json"
+    problem_file.write_text(json.dumps({**RENORM_PROBLEM, "tol": 1e-300, "max_iters": 10**7}))
+    argv = ["renorm", "--problem", str(problem_file)]
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    try:
+        assert _timed_end_fault(argv, out, capsys) is None
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert run([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "resource cap exceeded: bytes for a descent trace of 10000038 records: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -117,6 +117,29 @@ def test_wel_link_matrix_structure():
         assert np.max(np.abs(w @ vec - eig * vec)) < 1e-12
 
 
+def test_endpoints_by_hand():
+    # link 2*site + d runs from site (x, y) to (x + 1, y) for d = 0 and to (x, y + 1) for d = 1
+    ends = GaugeLattice(2, 3).endpoints
+    assert ends.tolist() == [[0, 3], [0, 1], [1, 4], [1, 2], [2, 5], [2, 0],
+                             [3, 0], [3, 4], [4, 1], [4, 5], [5, 2], [5, 3]]
+    assert GaugeLattice(1, 1).endpoints.tolist() == [[0, 0], [0, 0]]  # a site to itself
+    with pytest.raises(ValueError, match="read-only"):
+        ends[0, 0] = 1
+
+
+def test_gauss_commutator_sees_a_broken_wmag(monkeypatch):
+    # one phase of W_mag's diagonal turned by 1 rad breaks its gauge invariance
+    _wmag_diag.cache_clear()
+
+    def broken(lat, group, coeff_s):
+        diag = _wmag_diag(lat, group, coeff_s).copy()
+        diag[1] *= np.exp(1j)
+        return diag
+
+    monkeypatch.setattr(gauge_mod, "_wmag_diag", broken)
+    assert gauss_commutator_max(LAT, Z2, 1.0, 1.0) > 0.1
+
+
 def test_wel_commutes_with_gauge_transforms():
     wel = build_wel(LAT, Z2, g=1.0).dense()
     for omega in all_omegas(LAT, Z2):
@@ -389,7 +412,7 @@ def digit_table_perms(lat, group, omegas):
     shape = (group.N,) * lat.n_links
     digits = np.stack(np.unravel_index(np.arange(group.N**lat.n_links), shape), axis=1)
     digits = digits.astype(np.uint8)  # small integers keep the mod cheap
-    ends = np.array([lat.link_endpoints(link) for link in range(lat.n_links)])
+    ends = lat.endpoints
     for omega in omegas:
         shifts = np.mod(omega[ends[:, 0]] - omega[ends[:, 1]], group.N).astype(np.uint8)
         yield np.ravel_multi_index(tuple(np.mod(digits + shifts, group.N).T), shape)
@@ -493,11 +516,8 @@ def perm_projector_reference(lat, group, vec):
 def perm_commutator_reference(lat, group, g, kappa):
     """[T, D(e_x)] diagnostic through the generators' permutation arrays."""
     wmag = build_wmag(lat, group, g, kappa).diag
-    comm = max(float(np.max(np.abs(wmag[gauge_transform(lat, group, site).perm] - wmag)))
+    return max(float(np.max(np.abs(wmag[gauge_transform(lat, group, site).perm] - wmag)))
                for site in np.eye(lat.n_sites, dtype=int))
-    w = wel_link_matrix(group, g, kappa)
-    rows, cols = np.indices(w.shape)
-    return max(comm, float(np.max(np.abs(w - w[(rows - cols) % group.N, 0]))))
 
 
 # Lx = 1 or Ly = 1 gives links from a site to itself, which a generator leaves unshifted
@@ -649,7 +669,7 @@ def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=c
     coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
     n_vars = lat.n_links * (tau - 1) + lat.n_sites * tau
-    endpoints = [lat.link_endpoints(link) for link in range(lat.n_links)]
+    endpoints = lat.endpoints
     retrace = group.retrace(np.arange(n))
     chunks = []
     for slices, temporal in _time_slices(n, u_i, u_f, tau, lat.n_sites * tau, chunk):

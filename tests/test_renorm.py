@@ -174,6 +174,14 @@ def test_calibrate_refuses_a_step_to_a_non_finite_cost():
         calibrate(problem)
 
 
+def test_problem_refuses_a_trace_past_the_byte_budget():
+    # 10^7 steps would hold ~20 GB of trace records: refused before the descent starts
+    with pytest.raises(CapExceeded, match=r"^bytes for a descent trace of 10000038 records: "):
+        RenormProblem(BASE, THETA_OBS, [0.0] * 3, {"m": 1.3}, max_iters=10**7)
+    # eta = 1e300 allows up to 1037 backtrack records, still far within the budget
+    assert RenormProblem(BASE, THETA_OBS, [0.0] * 3, {"m": 1.3}, eta=1e300).max_iters == 500
+
+
 def calibrate_reference(problem):
     """calibrate with each trace entry written out as its own dict literal."""
     g0 = problem.initial_vector()
