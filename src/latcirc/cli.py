@@ -275,9 +275,9 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
     g, kappa, tau = cfg["g"], cfg["kappa"], _require_int(cfg["tau"], 1, "tau")
     n_pairs = _require_int(cfg["pairs"], 1, "pairs")
     rng = np.random.default_rng(_require_int(cfg["seed"], 0, "seed"))
-    # caps first: the commutator's W_mag (cached for the pairs) refuses g, kappa and a lattice
-    # past the axis or state cap before any link array exists; then all pairs' Wilson terms
-    commutator = gauge_mod.gauss_commutator_max(lat, group, g, kappa)
+    # caps first: W_mag's build (cached for the pairs) refuses g, kappa and a lattice past the
+    # axis or state cap before any link array exists; then all pairs' Wilson terms
+    gauge_mod.build_wmag(lat, group, g, kappa)
     gauge_mod._wilson_terms(lat, group, tau, n_pairs)
     identity = np.zeros(lat.n_links, dtype=int)
     lhs, rhs, worst = gauge_mod.amplitude_equiv_check(lat, group, g, kappa, identity, identity, tau)
@@ -289,7 +289,6 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
         "tau": tau, "pairs": n_pairs,
         "lhs": _complex_pair(lhs), "rhs": _complex_pair(rhs), "deviation": worst,
         "wel_unitarity_deviation": gauge_mod.unitarity_report(group, g, kappa),
-        "gauss_commutator_max": commutator,
     })
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "wel_link_matrix",
     "plaquette_coloring",
     "gauge_transform",
-    "gauss_commutator_max",
     "apply_transfer",
     "amplitude_equiv_check",
     "unitarity_report",
@@ -258,9 +257,9 @@ def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOpera
     ``perm[i]`` is the index of configuration i's image: the index tensor rolled by
     omega_{x+e} - omega_x on each link axis.
     """
-    omega = np.asarray(omega, dtype=int)
-    if omega.shape != (lat.n_sites,):
+    if np.shape(omega) != (lat.n_sites,):
         raise ValueError(f"omega must assign one group element per site ({lat.n_sites})")
+    omega = np.array([_require_int(v, -math.inf, "omega") % group.N for v in omega])
     dim = _state_dim(lat, group)
     index = np.arange(dim).reshape((group.N,) * lat.n_links)
     return GaugeOperator(dim, perm=_roll_links(lat, index, omega, group.N).ravel())
@@ -273,16 +272,6 @@ def _gauss_orbit_average(lat: GaugeLattice, group: GaugeGroupZN, config) -> np.n
     images = (config[:, None] + omegas[lat.endpoints[:, 0]] - omegas[lat.endpoints[:, 1]]) % group.N
     index = group.N ** np.arange(lat.n_links - 1, -1, -1) @ images  # row-major ravel
     return np.bincount(index, minlength=dim) / len(index)
-
-
-def gauss_commutator_max(
-    lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
-) -> float:
-    """Deviation of T = W_el W_mag from commuting with each D(e_x): the largest change of W_mag
-    under a generator. W_el, a circulant per link, commutes with every D(Omega) by construction."""
-    wmag = build_wmag(lat, group, g, kappa).diag.reshape((group.N,) * lat.n_links)
-    return max(float(np.max(np.abs(_roll_links(lat, wmag, -site, group.N) - wmag)))
-               for site in np.eye(lat.n_sites, dtype=int))
 
 
 def unitarity_report(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> float:

@@ -68,9 +68,9 @@ class DiagramSpec:
             raise ValueError(f"kind must be one of {tuple(_INCOMING)}, got {self.kind!r}")
         _require_real(self.epsilon, "epsilon")
         object.__setattr__(self, "resolution", _require_int(self.resolution, 1, "resolution"))
-        object.__setattr__(
-            self, "incoming", tuple(tuple(float(c) for c in p) for p in self.incoming)
-        )
+        object.__setattr__(self, "incoming", tuple(
+            tuple(float(_require_real(c, "incoming momentum component", "")) for c in p)
+            for p in self.incoming))
 
 
 def vertex_factor(params: LatticeParams, line_momenta, smeared: bool = False) -> complex:

@@ -96,6 +96,8 @@ class RenormProblem:
         bad = set(self.init) - set(TUNABLE)
         if bad:
             raise ValueError(f"tunable parameters are {TUNABLE}, got extra {sorted(bad)}")
+        if not self.observables:
+            raise ValueError("need at least one entry in 'observables'")
         if not self.init:
             raise ValueError("need at least one tunable parameter")
 

@@ -264,7 +264,7 @@ def test_gauge_check_json(tmp_path):
     assert run(["gauge-check", "--tau", "1", "--pairs", "3", "--out", str(out)]) == 0
     payload = json.loads(read_hash_and_body(out)[1])
     assert payload["deviation"] < 1e-10
-    assert payload["gauss_commutator_max"] < 1e-12
+    assert "gauss_commutator_max" not in payload
     assert 0.0 < payload["wel_unitarity_deviation"] < 1.0
 
 
@@ -273,7 +273,6 @@ def test_gauge_check_n3_matrix_free(tmp_path):
     assert run(["gauge-check", "--N", "3", "--out", str(out)]) == 0
     payload = json.loads(read_hash_and_body(out)[1])
     assert payload["deviation"] < 1e-10
-    assert payload["gauss_commutator_max"] == 0.0
 
 
 def test_gauge_check_n1_link_axes(tmp_path, capsys):
@@ -508,6 +507,16 @@ def test_renorm_problem_malformed_entries(tmp_path, capsys, key, value):
     says = ("'targets' entry 0 must be finite, got [0.03]" if key == "targets"
             else "renorm problem is malformed")
     assert err.startswith(f"error: {says}") and err.count("\n") == 1
+
+
+def test_renorm_problem_without_observables_refused(tmp_path, capsys):
+    # no observable left nothing to calibrate: the run wrote "converged": true at the start
+    path, out = tmp_path / "problem.json", tmp_path / "r.json"
+    path.write_text(json.dumps({**SMALL_PROBLEM, "observables": [], "targets": []}))
+    assert run(["renorm", "--problem", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'observables'" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _cli_bytes(workdir: Path, argv: list[str], name: str) -> bytes:

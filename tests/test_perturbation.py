@@ -249,12 +249,15 @@ def test_unknown_diagram():
 @pytest.mark.parametrize("field, bad", [
     ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", math.nan), ("epsilon", math.inf),
     ("resolution", True), ("resolution", 64.0), ("resolution", 0), ("resolution", -8),
+    ("incoming", [(math.nan, 0.0)]), ("incoming", [(math.inf, 0.0)]),
+    ("incoming", [("0.1", "0.2")]), ("incoming", [(True, False)]), ("incoming", [(10**400, 0)]),
 ])
 def test_diagram_spec_refuses_bad_fields(field, bad):
     # NaN and inf regulators were left to the propagator call; resolution=True summed one
-    # node and 64.0 ended in a TypeError from a slice
+    # node and 64.0 ended in a TypeError from a slice; NaN, inf, string and bool momenta were
+    # read as floats, and 10**400 ended in an OverflowError
     with pytest.raises(ValueError, match=field):
-        DiagramSpec("TadpoleMass", incoming=((0.0, 0.0),), **{field: bad})
+        DiagramSpec("TadpoleMass", **{"incoming": ((0.0, 0.0),), field: bad})
 
 
 def test_tadpole_matches_one_loop_as_regulator_shrinks():

@@ -39,7 +39,8 @@ def test_simulate_observables():
     prob = RenormProblem(BASE, THETA_OBS, [0.0] * 3, {"m": 1.0})
     vals = simulate_observables([1.0], prob)
     assert vals[0] == pytest.approx(dispersion_theta(BASE, 0.3), rel=1e-14)
-    assert simulate_observables([1.0], RenormProblem(BASE, [], [], {"m": 1.0})).size == 0
+    with pytest.raises(ValueError, match="'observables'"):
+        RenormProblem(BASE, [], [], {"m": 1.0})
     with pytest.raises(ValueError, match=r"^observable failed at \{'m': -0\.5\}"):
         simulate_observables([-0.5], prob)  # invalid mass point, named in the message
     with pytest.raises(ValueError, match=r"^observable failed at \{'m': 0\.0\}: m of a disp"):
