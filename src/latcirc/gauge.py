@@ -115,7 +115,7 @@ class GaugeLattice:
                  self.link(x, y, 1)) for x in range(self.Lx) for y in range(self.Ly)]
 
 
-_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # NPY_MAXDIMS
+_MAX_AXES = 64  # NPY_MAXDIMS from numpy 2.0, the floor pyproject.toml declares
 _BLOCK_TERMS = 1 << 16  # the Wilson sum runs in blocks of up to this many terms
 
 

@@ -1,9 +1,10 @@
 """Discrete Feynman-rules evaluator over a closed diagram catalog.
 
 The catalog holds exactly the three diagrams needed at one loop: the tree
-2->2 vertex, the tadpole mass correction and the s-channel bubble. Symmetry
-factors are hard-coded per entry (1 for the tree, 1/2 for tadpole and bubble);
-vacuum bubbles and external-leg loops are excluded by construction.
+2->2 vertex (``evaluate_diagram`` of a "Tree2to2" spec), the tadpole mass
+correction and the s-channel bubble. Symmetry factors are hard-coded per entry
+(1 for the tree, 1/2 for tadpole and bubble); vacuum bubbles and external-leg
+loops are excluded by construction.
 
 One-loop mass corrections are evaluated for three regulators in D = 2:
 
@@ -34,7 +35,6 @@ from .quadrature import folded_nodes, fsum_complex, midpoint_nodes
 
 __all__ = [
     "DiagramSpec",
-    "vertex_factor",
     "evaluate_diagram",
     "one_loop_mass",
     "elliptic_K",
@@ -71,21 +71,6 @@ class DiagramSpec:
         object.__setattr__(self, "incoming", tuple(
             tuple(float(_require_real(c, "incoming momentum component", "")) for c in p)
             for p in self.incoming))
-
-
-def vertex_factor(params: LatticeParams, line_momenta, smeared: bool = False) -> complex:
-    """Vertex value for four joined lines with D-momenta (p0, p1, ..., pd).
-
-    Plain: the constant -i*lambda. Smeared: -i*lambda times one form factor
-    per line, evaluated on the spatial components.
-    """
-    lines = np.asarray(list(line_momenta), dtype=float)
-    if len(lines) != 4:
-        raise ValueError("a quartic vertex joins exactly four lines")
-    value = -1j * params.lam
-    if smeared:
-        value *= float(np.prod(smear_form_factor(params, lines[:, 1:])))
-    return value
 
 
 def _elliptic_KD(k2: float, kc: float) -> tuple[float, float]:
@@ -157,26 +142,27 @@ def one_loop_mass(regulator: str, params: LatticeParams, p_in: float = 0.0) -> f
 def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
     """Value of one catalog diagram under the discrete Feynman rules.
 
-    Tree2to2 is the bare vertex -i*lambda (times form factors when smeared).
+    Tree2to2 is the vertex -i*lambda times the form factors of its four legs (1 unsmeared).
     TadpoleMass and BubbleSChannel integrate over the undetermined loop momentum with the zone
     measure d^D q / (2 pi)^D on a trapezoid grid; the tadpole, even in q0, q1, on q0, q1 >= 0 only.
     """
     lam, n_in = params.lam, _INCOMING[spec.kind]
     if len(spec.incoming) != n_in:
         raise ValueError(f"{spec.kind} takes {n_in} incoming momentum(s)")
-    if spec.kind == "Tree2to2":
-        return vertex_factor(params, _external_legs(spec), spec.smeared)
-
-    _require_two_dimensional(params)
     n, eps = spec.resolution, spec.epsilon
-    # memory is bounded by chunks of _ROWS rows: ~70 bytes per chunk term (measured)
-    require(96 * _ROWS * n, BYTE_BUDGET, f"bytes for {_ROWS} loop-integral rows of {n} nodes")
-    measure = 1.0 / (n * params.dt) / (n * params.a)
+    if spec.kind != "Tree2to2":  # a loop's refusals come before its legs are read
+        _require_two_dimensional(params)
+        # memory is bounded by chunks of _ROWS rows: ~70 bytes per chunk term (measured)
+        require(96 * _ROWS * n, BYTE_BUDGET, f"bytes for {_ROWS} loop-integral rows of {n} nodes")
+        measure = 1.0 / (n * params.dt) / (n * params.a)
 
     def form(p):
         return smear_form_factor(params, p) if spec.smeared else 1.0
 
-    external = float(np.prod(form(np.asarray(_external_legs(spec))[:, 1:])))
+    # outgoing momenta equal incoming: four legs for 2->2, two for the tadpole
+    external = float(np.prod(form(np.asarray(spec.incoming * 2)[:, 1:])))
+    if spec.kind == "Tree2to2":
+        return -1j * lam * external
     if spec.kind == "TadpoleMass":
         factor = -1j * lam / 2.0 * external
         (q0, w0), (q1, w1) = (folded_nodes(n, math.pi / s) for s in (params.dt, params.a))
@@ -201,11 +187,6 @@ def evaluate_diagram(spec: DiagramSpec, params: LatticeParams) -> complex:
     # numpy's pairwise sum within a fixed chunk of rows, fsum over the totals: deterministic
     totals = [np.sum(chunk(slice(start, start + _ROWS))) for start in range(0, len(q0), _ROWS)]
     return factor * fsum_complex(totals) * measure
-
-
-def _external_legs(spec: DiagramSpec):
-    # outgoing momenta equal incoming: four legs for 2->2, two for the tadpole
-    return list(spec.incoming) + list(spec.incoming)
 
 
 def log_slope(series) -> float:

@@ -47,6 +47,7 @@ import numpy as np
 from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, ConvergenceFailure, _order, _require_int,
                      _require_power, _require_real, require)
 from .kinematics import LatticeParams
+from .quadrature import fsum_complex
 
 __all__ = [
     "FieldGrid",
@@ -160,11 +161,6 @@ def _config_index(config, n: int, length: int, what: str) -> int:
     return functools.reduce(lambda index, v: index * n + v, digits, 0)
 
 
-def _quartic_sum(lat: TruncatedLattice) -> np.ndarray:
-    """sum_n x_n^4 over configs (flattened), added in site order."""
-    return functools.reduce(np.add.outer, [lat.grid.values**4] * lat.L).ravel()
-
-
 def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
     """Phase angle theta of the diagonal interaction factor U_int = e^{i theta}.
 
@@ -172,7 +168,8 @@ def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> n
     (the principal square root would pick the wrong branch for |theta| > pi).
     """
     lam_eff = lam * (lat.params.a * lat.params.a)  # a product: a**2 raises OverflowError
-    quart = lam_eff / 24.0 * _quartic_sum(lat)
+    # sum_n x_n^4 over configs (flattened), added in site order
+    quart = lam_eff / 24.0 * functools.reduce(np.add.outer, [lat.grid.values**4] * lat.L).ravel()
     if kind in ("Strang", "Trotter"):
         return -lat.params.kappa * quart
     if kind == "Shift":
@@ -329,11 +326,11 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
     tau = _require_int(tau, 1, "tau")
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     step = CircuitStep(lat, kind, lam)
-    total = 0.0 + 0.0j
+    totals = []
     for slices, _ in blocks:
         steps = (step.element(y, x) for x, y in zip(slices, slices[1:]))
-        total += np.sum(functools.reduce(operator.mul, steps).ravel())
-    return complex(total)
+        totals.append(np.sum(functools.reduce(operator.mul, steps).ravel()))
+    return fsum_complex(totals)
 
 
 def _path_blocks(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1 << 18):
@@ -416,7 +413,7 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
         raise ConvergenceFailure(f"the action-form measure (sqrt(i/(2 pi kappa)) delta_phi)^(tau L)"
                                  f" {_order(order)} is past the float range")
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
-    total = 0.0 + 0.0j
+    totals = []
     for x, _ in blocks:
         v = [potential(x_slice) for x_slice in x]  # once per slice, though two steps use it
         action = 0.0
@@ -424,8 +421,8 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
             # sites added in site order, the association of np.sum over a site axis
             kinetic = sum(diff_sq[a, b] for a, b in zip(x[nu], x[nu + 1])) / (2.0 * kappa)
             action = action + kinetic - 0.5 * kappa * (v[nu] + v[nu + 1])
-        total += complex(np.sum(np.cos(action)), np.sum(np.sin(action)))  # SIMD, unlike exp
-    return complex(measure * total)
+        totals.append(complex(np.sum(np.cos(action)), np.sum(np.sin(action))))  # SIMD, unlike exp
+    return complex(measure * fsum_complex(totals))
 
 
 def kernel_gaussian_check(grid: FieldGrid, match_phase: bool = False) -> float:

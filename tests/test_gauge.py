@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_statevector import _time_slices, blocks_of, cos_sin_sum, divisor_chunks, exp_sum
+from test_statevector import (_time_slices, bits, blocks_of, cos_sin_sum, divisor_chunks,
+                             exp_sum)
 
 from latcirc import cli
 from latcirc import gauge as gauge_mod
@@ -706,6 +707,27 @@ def test_wilson_sum_in_blocks_equals_digit_table_chunks(shape, g, kappa, seed, d
     with blocks_of(chunk, gauge_mod):
         _, rhs, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
     assert rhs == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from([(n, lx, ly, tau) for n, lx, ly, tau in wilson_shapes
+                              if n ** (2 * lx * ly * (tau - 1) + lx * ly * tau) >= 2 * n]),
+       g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_wilson_sum_independent_of_block_order(shape, g, kappa, seed, data):
+    # the block totals are added by fsum, correctly rounded whatever their order
+    n, lx, ly, tau = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    u_i, u_f = rng.integers(0, n, lat.n_links), rng.integers(0, n, lat.n_links)
+    terms = n ** (lat.n_links * (tau - 1) + lat.n_sites * tau)
+    chunk = data.draw(st.sampled_from([c for c in divisor_chunks(n, range(1, 15))
+                                       if 2 <= terms // c <= 256]))
+    with blocks_of(chunk, gauge_mod):
+        _, forward, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+    with blocks_of(chunk, gauge_mod, reverse=True):
+        _, backward, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+    assert bits(backward) == bits(forward)
 
 
 @settings(max_examples=25, deadline=None)

@@ -223,22 +223,39 @@ def test_tree_diagram():
     # smeared vertex reduces to the plain one at zero momenta exactly
     zero = DiagramSpec("Tree2to2", incoming=((0.0, 0.0), (0.0, 0.0)), smeared=True)
     assert evaluate_diagram(zero, P1) == -1j * P1.lam
-    generic = DiagramSpec("Tree2to2", incoming=((0.3, 0.2), (0.1, -0.4)), smeared=True)
-    assert abs(evaluate_diagram(generic, P1)) < P1.lam
+    # a generic smeared vertex keeps the phase -i and has modulus below lambda
+    generic = evaluate_diagram(DiagramSpec("Tree2to2", incoming=((0.1, 0.4), (0.2, 0.9)),
+                                           smeared=True), P1)
+    assert abs(generic) < P1.lam
+    assert generic / (-1j * P1.lam) == pytest.approx(abs(generic) / P1.lam, rel=1e-13)
+    # at lambda = 0 both vertices are -i 0 times their form factors: +0.0 + 0.0j (a plain
+    # -1j * 0.0 has imaginary part -0.0)
+    free = LatticeParams(a=0.1, m=1.0, lam=0.0)
+    for vertex in (DiagramSpec("Tree2to2", incoming=((0.0, 0.0), (0.0, 0.0))), zero):
+        value = evaluate_diagram(vertex, free)
+        assert (value.real.hex(), value.imag.hex()) == ((0.0).hex(), (0.0).hex())
 
 
-def test_vertex_factor():
-    from latcirc.perturbation import vertex_factor
+def tree_vertex_reference(params, incoming, smeared):
+    """-i lambda, times one form factor per leg when smeared: the four legs are the incoming
+    momenta twice, read as one float array."""
+    lines = np.asarray(list(incoming) + list(incoming), dtype=float)
+    value = -1j * params.lam
+    if smeared:
+        value *= float(np.prod(smear_form_factor(params, lines[:, 1:])))
+    return value
 
-    legs = [(0.0, 0.0)] * 4
-    assert vertex_factor(P1, legs) == -1j * P1.lam
-    assert vertex_factor(P1, legs, smeared=True) == -1j * P1.lam  # form factors = 1
-    legs = [(0.1, 0.4), (0.0, -0.2), (0.2, 0.9), (-0.1, 0.3)]
-    smeared = vertex_factor(P1, legs, smeared=True)
-    assert abs(smeared) < P1.lam
-    assert smeared / (-1j * P1.lam) == pytest.approx(abs(smeared) / P1.lam, rel=1e-13)
-    with pytest.raises(ValueError):
-        vertex_factor(P1, legs[:3])
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.floats(0.05, 2.0), lam=st.floats(0.0, 10.0, exclude_min=True), smeared=st.booleans(),
+       legs=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-0.99, 0.99)), min_size=2,
+                     max_size=2))
+def test_tree_diagram_bitwise_equals_reference(a, lam, smeared, legs):
+    params = LatticeParams(a=a, m=1.0, lam=lam)
+    incoming = [(p0, p1 * math.pi / a) for p0, p1 in legs]  # spatial components in the zone
+    value = evaluate_diagram(DiagramSpec("Tree2to2", incoming=incoming, smeared=smeared), params)
+    expected = tree_vertex_reference(params, incoming, smeared)
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def test_unknown_diagram():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from latcirc import statevector
 from latcirc.errors import CapExceeded
 from latcirc.kinematics import LatticeParams
+from latcirc.quadrature import fsum_complex
 from latcirc.statevector import (
     KINDS,
     CircuitStep,
@@ -314,8 +315,10 @@ def quartic_sum_reference(lat):
 
 @pytest.mark.parametrize("L, n", [(2, 16), (3, 8), (5, 16)])
 def test_quartic_sum_equals_site_loop_reference(L, n):
-    lat = TruncatedLattice(L, FieldGrid.for_mass(0.7, n), PARAMS)
-    assert np.array_equal(statevector._quartic_sum(lat), quartic_sum_reference(lat))
+    lat, lam, a = TruncatedLattice(L, FieldGrid.for_mass(0.7, n), PARAMS), 0.7, PARAMS.a
+    phase = statevector.quartic_interaction_phase(lat, "Shift", lam)
+    expected = 2.0 * (lam * (a * a) / 24.0 * quartic_sum_reference(lat))
+    assert phase.tobytes() == expected.tobytes()
 
 
 def interaction_picture_reference(lat, kind, lam, tau):
@@ -593,15 +596,15 @@ def action_form_reference(lat, lam, phi_i, phi_f, tau, chunk=1 << 18, phase_sum=
         return total
 
     measure = (cmath.sqrt(1j / (2.0 * math.pi * kappa)) * lat.grid.delta_phi) ** (tau * L)
-    total = 0.0 + 0.0j
+    totals = []
     for slices, _ in _time_slices(n, phi_i, phi_f, tau, chunk=chunk):
         x = [vals[s] for s in slices]
         action = 0.0
         for nu in range(tau):
             kinetic = np.sum((x[nu + 1] - x[nu]) ** 2, axis=0) / (2.0 * kappa)
             action = action + kinetic - 0.5 * kappa * (potential(x[nu]) + potential(x[nu + 1]))
-        total += phase_sum(action)
-    return complex(measure * total)
+        totals.append(phase_sum(action))
+    return complex(measure * fsum_complex(totals))
 
 
 @settings(max_examples=12, deadline=None)
@@ -638,11 +641,16 @@ def test_action_form_phases_from_cos_sin_equal_exp_phases(shape, a, kappa, m, la
         8 * np.finfo(float).eps * terms * measure)
 
 
-def blocks_of(chunk, module=statevector):
-    """``module``'s brute-force sums enumerated in blocks of at most ``chunk`` terms."""
+def blocks_of(chunk, module=statevector, reverse=False):
+    """``module``'s brute-force sums enumerated in blocks of at most ``chunk`` terms, the
+    blocks in reverse order if ``reverse``."""
     blocks = statevector._path_blocks
-    return mock.patch.object(module, "_path_blocks",
-                             lambda *args, **kwargs: blocks(*args, **{**kwargs, "chunk": chunk}))
+
+    def patched(*args, **kwargs):
+        found = blocks(*args, **{**kwargs, "chunk": chunk})
+        return reversed(list(found)) if reverse else found
+
+    return mock.patch.object(module, "_path_blocks", patched)
 
 
 def divisor_chunks(n, powers):
@@ -679,13 +687,13 @@ def test_path_blocks_visit_every_term_once_in_c_order(n, sites, tau, n_extra, ch
 def path_sum_reference(lat, kind, lam, phi_i, phi_f, tau):
     """amplitude_path_sum on digit-table chunks, and the sum of its terms' moduli."""
     step = CircuitStep(lat, kind, lam)
-    total, moduli = 0.0 + 0.0j, 0.0
+    totals, moduli = [], 0.0
     for slices, _ in _time_slices(lat.grid.n_points, phi_i, phi_f, tau):
         steps = (step.element(y, x) for x, y in zip(slices, slices[1:]))
         terms = functools.reduce(operator.mul, steps)
-        total += np.sum(terms)
+        totals.append(np.sum(terms))
         moduli += float(np.sum(np.abs(terms)))
-    return complex(total), moduli
+    return fsum_complex(totals), moduli
 
 
 @st.composite
@@ -886,3 +894,31 @@ def test_action_form_in_blocks_equals_digit_table_chunks(n, shape, a, kappa, m, 
     expected = action_form_reference(lat, lam, phi_i, phi_f, tau, chunk)
     with blocks_of(chunk):
         assert amplitude_action_form(lat, lam, phi_i, phi_f, tau) == expected
+
+
+def bits(z):
+    """A complex value's two doubles, signed zeros told apart."""
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from((8, 10, 12)), shape=st.sampled_from(((2, 2), (2, 3), (3, 2))),
+       a=st.floats(0.2, 1.0), kappa=st.floats(0.5, 1.5), m=st.floats(0.1, 2.0),
+       lam=st.floats(0.0, 1.0), dual=st.booleans(), kind=st.sampled_from(KINDS), data=st.data())
+def test_brute_force_sums_independent_of_block_order(n, shape, a, kappa, m, lam, dual, kind,
+                                                      data):
+    # the block totals are added by fsum, correctly rounded whatever their order
+    L, tau = shape
+    grid = FieldGrid.dual(n) if dual else FieldGrid.for_mass(m, n)
+    lat = TruncatedLattice(L, grid, LatticeParams(a=a, dt=kappa * a, m=m, lam=lam))
+    ends = st.tuples(*[st.integers(0, n - 1)] * L)
+    phi_i, phi_f = data.draw(ends), data.draw(ends)
+    terms = n ** (L * (tau - 1))
+    chunk = data.draw(st.sampled_from([c for c in divisor_chunks(n, powers=(1, 2, 3))
+                                       if 2 <= terms // c <= 256]))
+    for brute_force_sum in (lambda: amplitude_path_sum(lat, kind, lam, phi_i, phi_f, tau),
+                            lambda: amplitude_action_form(lat, lam, phi_i, phi_f, tau)):
+        with blocks_of(chunk):
+            forward = brute_force_sum()
+        with blocks_of(chunk, reverse=True):
+            assert bits(brute_force_sum()) == bits(forward)
