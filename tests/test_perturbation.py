@@ -223,17 +223,29 @@ def test_tree_diagram():
     # smeared vertex reduces to the plain one at zero momenta exactly
     zero = DiagramSpec("Tree2to2", incoming=((0.0, 0.0), (0.0, 0.0)), smeared=True)
     assert evaluate_diagram(zero, P1) == -1j * P1.lam
+
+
+def test_vertex_factor():
+    """The Tree2to2 vertex is -i lambda times one form factor per leg (1 unsmeared)."""
+    def vertex(incoming, smeared, params=P1):
+        return evaluate_diagram(DiagramSpec("Tree2to2", incoming=incoming, smeared=smeared),
+                                params)
+
+    zero = ((0.0, 0.0), (0.0, 0.0))
+    assert vertex(zero, smeared=False) == -1j * P1.lam
+    assert vertex(zero, smeared=True) == -1j * P1.lam  # form factors = 1
     # a generic smeared vertex keeps the phase -i and has modulus below lambda
-    generic = evaluate_diagram(DiagramSpec("Tree2to2", incoming=((0.1, 0.4), (0.2, 0.9)),
-                                           smeared=True), P1)
+    generic = vertex(((0.1, 0.4), (0.2, 0.9)), smeared=True)
     assert abs(generic) < P1.lam
     assert generic / (-1j * P1.lam) == pytest.approx(abs(generic) / P1.lam, rel=1e-13)
     # at lambda = 0 both vertices are -i 0 times their form factors: +0.0 + 0.0j (a plain
     # -1j * 0.0 has imaginary part -0.0)
     free = LatticeParams(a=0.1, m=1.0, lam=0.0)
-    for vertex in (DiagramSpec("Tree2to2", incoming=((0.0, 0.0), (0.0, 0.0))), zero):
-        value = evaluate_diagram(vertex, free)
+    for smeared in (False, True):
+        value = vertex(zero, smeared, free)
         assert (value.real.hex(), value.imag.hex()) == ((0.0).hex(), (0.0).hex())
+    with pytest.raises(ValueError, match="Tree2to2 takes 2 incoming"):
+        vertex(zero[:1], smeared=True)
 
 
 def tree_vertex_reference(params, incoming, smeared):
