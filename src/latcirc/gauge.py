@@ -21,9 +21,9 @@ eigenvalues are Fourier coefficients of exp(-i beta cos), which have unit
 modulus only for N = 1; ``unitarity_report`` measures this instead of
 assuming it, and the equivalence identity does not depend on it.
 
-A gauge transform D(Omega) rolls the link index tensor along each shifted link
-axis. The Gauss projector only ever meets one basis ket |u>, so it is that ket's
-orbit average P_G|u> = N^-sites sum_Omega D(Omega)|u>: a histogram of N^sites images.
+A gauge transform D(Omega) is a layer of single-link cyclic shifts, u_{x,e} -> u_{x,e} +
+omega_x - omega_{x+e}. The Gauss projector only ever meets one basis ket |u>, so it is that
+ket's orbit average P_G|u> = N^-sites sum_Omega D(Omega)|u>: a histogram of N^sites images.
 
 The configuration space shares the state-vector cap ``errors.STATE_CAP``, and a
 Wilson sum over PATH_TERM_CAP terms is refused before the left side is built.
@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, _require_int, _require_power,
                      _require_real, require)
 from .quadrature import fsum_complex
-from .statevector import _apply_site_kernel, _circulant, _config_index, _path_blocks
+from .statevector import _apply_site_kernels, _circulant, _config_index, _path_blocks
 
 __all__ = [
     "GaugeGroupZN",
@@ -131,27 +131,19 @@ def config_index(lat: GaugeLattice, group: GaugeGroupZN, config) -> int:
 
 @dataclass
 class GaugeOperator:
-    """Operator on the link configuration space in one of three shapes:
-
-    diagonal phases (W_mag), an index permutation (D(Omega)), or a product of
-    one per-link factor (W_el). ``apply`` works matrix-free in all three shapes;
-    ``dense()`` applies it to each basis ket of a small operator.
+    """Operator on the link configuration space: diagonal phases (W_mag), or a product of
+    one N x N factor per link, W_el's circulant or D(Omega)'s cyclic shift. ``apply`` works
+    matrix-free in both shapes; ``dense()`` applies it to each basis ket of a small operator.
     """
 
     dim: int
     diag: np.ndarray | None = None
-    perm: np.ndarray | None = None
-    link_matrix: np.ndarray | None = None  # per-link factor of a product operator
-    lat: GaugeLattice | None = None
+    link_matrices: list[np.ndarray] | None = None  # factor l acts on link axis l
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if self.diag is not None:
             return self.diag * vec
-        if self.perm is not None:
-            out = np.empty_like(vec)
-            out[self.perm] = vec
-            return out
-        return _apply_site_kernel(self.link_matrix, vec, self.lat.n_links)
+        return _apply_site_kernels(self.link_matrices, vec)
 
     def dense(self) -> np.ndarray:
         """The matrix of ``apply``: row i of one identity becomes the image of basis ket i."""
@@ -224,7 +216,7 @@ def build_wel(
     lat: GaugeLattice, group: GaugeGroupZN, g: float, kappa: float = 1.0
 ) -> GaugeOperator:
     link_matrix = wel_link_matrix(group, g, kappa)
-    return GaugeOperator(_state_dim(lat, group), link_matrix=link_matrix, lat=lat)
+    return GaugeOperator(_state_dim(lat, group), link_matrices=[link_matrix] * lat.n_links)
 
 
 def apply_transfer(
@@ -242,27 +234,15 @@ def plaquette_coloring(lat: GaugeLattice) -> tuple[list[int], list[int]]:
                  for color in (0, 1))
 
 
-def _roll_links(lat: GaugeLattice, tensor: np.ndarray, omega, n: int) -> np.ndarray:
-    """``tensor`` (one axis per link) rolled by omega_{x+e} - omega_x along each link axis."""
-    shifts = omega[lat.endpoints[:, 1]] - omega[lat.endpoints[:, 0]]
-    # one axis per roll: a multi-axis np.roll copies 2^(shifted axes) separate blocks
-    for axis in np.flatnonzero(shifts % n):
-        tensor = np.roll(tensor, shifts[axis], axis=axis)
-    return tensor
-
-
 def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOperator:
-    """Permutation operator D(Omega): u_{x,e} -> omega_x + u_{x,e} - omega_{x+e}.
-
-    ``perm[i]`` is the index of configuration i's image: the index tensor rolled by
-    omega_{x+e} - omega_x on each link axis.
-    """
+    """D(Omega): u_{x,e} -> omega_x + u_{x,e} - omega_{x+e}, as one N x N cyclic shift
+    |u> -> |u + omega_x - omega_{x+e} mod N> per link (x, e)."""
     if np.shape(omega) != (lat.n_sites,):
         raise ValueError(f"omega must assign one group element per site ({lat.n_sites})")
     omega = np.array([_require_int(v, -math.inf, "omega") % group.N for v in omega])
-    dim = _state_dim(lat, group)
-    index = np.arange(dim).reshape((group.N,) * lat.n_links)
-    return GaugeOperator(dim, perm=_roll_links(lat, index, omega, group.N).ravel())
+    dim, eye = _state_dim(lat, group), np.eye(group.N, dtype=complex)
+    shifts = omega[lat.endpoints[:, 0]] - omega[lat.endpoints[:, 1]]
+    return GaugeOperator(dim, link_matrices=[np.roll(eye, s, axis=0) for s in shifts])
 
 
 def _gauss_orbit_average(lat: GaugeLattice, group: GaugeGroupZN, config) -> np.ndarray:

@@ -223,18 +223,17 @@ def _momentum_kernel(grid: FieldGrid, kind: str, kappa: float) -> np.ndarray:
     return kernel
 
 
-def _apply_site_kernel(kernel: np.ndarray, vec: np.ndarray, sites: int) -> np.ndarray:
-    """Apply ``kernel`` to every one of ``sites`` tensor axes of a flat vector.
+def _apply_site_kernels(kernels: list[np.ndarray], vec: np.ndarray) -> np.ndarray:
+    """Apply the n x n ``kernels[s]`` to tensor axis s of a flat vector, one axis per kernel.
 
     Each pass is one GEMM that contracts the trailing axis and returns it as the leading
-    one, so after ``sites`` passes the axes are back in order. The transposed operand is
-    a strided view that BLAS reads in place; the other orientation,
-    ``vec.reshape(n, -1).T @ kernel.T``, costs a second BLAS thread a packing buffer
-    (about 8 MiB of RSS at n=16, sites=5).
+    one, so the last kernel goes first and after one pass per kernel the axes are back in
+    order. The transposed operand is a strided view that BLAS reads in place; the other
+    orientation, ``vec.reshape(n, -1).T @ kernel.T``, costs a second BLAS thread a packing
+    buffer (about 8 MiB of RSS at n=16, sites=5).
     """
-    n = kernel.shape[0]
-    for _ in range(sites):
-        vec = kernel @ vec.reshape(-1, n).T
+    for kernel in reversed(kernels):
+        vec = kernel @ vec.reshape(-1, len(kernel)).T
     return vec.ravel()
 
 
@@ -255,7 +254,7 @@ class CircuitStep:
         return _layer_at(self.angle, np.ix_(*[np.arange(n)] * L)).ravel()
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = _apply_site_kernel(self.kernel, self.layer * psi, self.lat.L)
+        out = _apply_site_kernels([self.kernel] * self.lat.L, self.layer * psi)
         return out if self.kind == "Trotter" else self.layer * out
 
     def element(self, y, x) -> np.ndarray:

@@ -495,6 +495,23 @@ def test_renorm_problem_checked(tmp_path, capsys, key, value):
     assert not (tmp_path / "bad.json").exists()
 
 
+@pytest.mark.parametrize("argv, problem, line", [
+    (["oneloop", "--a-series", ","], None,
+     "error: a-series must contain at least one lattice spacing"),
+    (["renorm"], None, "error: renorm needs --problem pointing to a JSON problem file"),
+    (["renorm"], {**SMALL_PROBLEM, "observables": [{"kind": "bogus", "p": 0.3}]},
+     "error: unknown observable kind 'bogus'"),
+], ids=["oneloop-empty-a-series", "renorm-no-problem", "renorm-unknown-kind"])
+def test_input_refusals_exit_1_with_one_line(tmp_path, capsys, argv, problem, line):
+    out = tmp_path / "out"
+    if problem is not None:
+        (tmp_path / "problem.json").write_text(json.dumps(problem))
+        argv = [*argv, "--problem", str(tmp_path / "problem.json")]
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("observables", [1]), ("observables", [{"kind": "omega"}]), ("targets", [[0.03]]),
 ])

@@ -20,7 +20,6 @@ from latcirc.gauge import (
     _couplings,
     _gauss_orbit_average,
     _plaquette_action,
-    _roll_links,
     _wmag_diag,
     amplitude_equiv_check,
     apply_transfer,
@@ -136,10 +135,10 @@ def test_wel_commutes_with_gauge_transforms():
 
 def test_gauge_transform_properties():
     identity = gauge_transform(LAT, Z2, np.zeros(4, dtype=int))
-    assert np.array_equal(identity.perm, np.arange(256))
+    assert np.array_equal(perm_of(identity), np.arange(256))
     # constant Omega acts trivially for an abelian group
     const = gauge_transform(LAT, Z2, np.ones(4, dtype=int))
-    assert np.array_equal(const.perm, np.arange(256))
+    assert np.array_equal(perm_of(const), np.arange(256))
     # composition law (abelian addition of site assignments)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -150,9 +149,9 @@ def test_gauge_transform_properties():
         assert np.max(np.abs(composed - product)) < 1e-14
     # D(Omega) depends on omega mod N: negative and huge integers (2**70 overflowed) are valid
     z3 = GaugeGroupZN(3)
-    expected = gauge_transform(LAT, z3, [2, 0, 1, 0]).perm
+    expected = perm_of(gauge_transform(LAT, z3, [2, 0, 1, 0]))
     for omega in ([-1, 0, 1, 0], [2 + 3 * 2**70, 0, 1, 3], np.array([5, -3, 4, 0])):
-        assert np.array_equal(gauge_transform(LAT, z3, omega).perm, expected)
+        assert np.array_equal(perm_of(gauge_transform(LAT, z3, omega)), expected)
 
 
 @pytest.mark.parametrize("omega", [[0.7, 0, 0, 0], [1.0, 0, 0, 0], [True, 0, 0, 0],
@@ -163,18 +162,23 @@ def test_gauge_transform_refuses_a_non_integer_site_element(omega):
         gauge_transform(LAT, Z2, omega)
 
 
+def perm_of(op):
+    """D(Omega)'s image index: ``apply`` moves entry i of the index vector to its image."""
+    return np.argsort(op.apply(np.arange(op.dim, dtype=float)).real)
+
+
 def perm_reference(op):
-    """D(Omega) as the permutation matrix ``GaugeOperator.dense`` once built by hand."""
+    """D(Omega) as the permutation matrix of its image index, built by hand."""
     mat = np.zeros((op.dim, op.dim), dtype=complex)
-    mat[op.perm, np.arange(op.dim)] = 1.0
+    mat[perm_of(op), np.arange(op.dim)] = 1.0
     return mat
 
 
 def kron_reference(op):
-    """W_el as the n_links-fold Kronecker product ``GaugeOperator.dense`` once built."""
+    """A product operator as the Kronecker product of its per-link factors."""
     out = np.array([[1.0 + 0.0j]])
-    for _ in range(op.lat.n_links):
-        out = np.kron(out, op.link_matrix)
+    for link_matrix in op.link_matrices:
+        out = np.kron(out, link_matrix)
     return out
 
 
@@ -466,7 +470,7 @@ def test_rolled_perm_equals_digit_table(case):
     lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
     omega = np.random.default_rng(seed).integers(0, n, lat.n_sites)
     (expected,) = digit_table_perms(lat, group, [omega])
-    assert np.array_equal(gauge_transform(lat, group, omega).perm, expected)
+    assert np.array_equal(perm_of(gauge_transform(lat, group, omega)), expected)
 
 
 @settings(max_examples=10, deadline=None)
@@ -503,6 +507,15 @@ def test_couplings_rejected(g, kappa):
             build()
 
 
+def _roll_links(lat, tensor, omega, n):
+    """``tensor`` (one axis per link) rolled by omega_{x+e} - omega_x along each link axis."""
+    shifts = omega[lat.endpoints[:, 1]] - omega[lat.endpoints[:, 0]]
+    # one axis per roll: a multi-axis np.roll copies 2^(shifted axes) separate blocks
+    for axis in np.flatnonzero(shifts % n):
+        tensor = np.roll(tensor, shifts[axis], axis=axis)
+    return tensor
+
+
 def roll_projector_reference(lat, group, vec):
     """P_G vec as the product over sites of P_x = (1/N) sum_k D(e_x)^k, each term a roll."""
     for site in np.eye(lat.n_sites, dtype=int):
@@ -514,7 +527,7 @@ def roll_projector_reference(lat, group, vec):
 
 
 def perm_projector_reference(lat, group, vec):
-    """The Gauss projector through each site generator's permutation array."""
+    """The Gauss projector through each site generator's ``apply``."""
     for site in np.eye(lat.n_sites, dtype=int):
         generator = gauge_transform(lat, group, site)
         term, total = vec, vec
@@ -540,6 +553,39 @@ def test_rolled_generators_equal_perm_reference(shape, seed):
     vec = rng.normal(size=n**lat.n_links) + 1j * rng.normal(size=n**lat.n_links)
     assert np.array_equal(roll_projector_reference(lat, group, vec),
                           perm_projector_reference(lat, group, vec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.one_of(st.sampled_from(roll_shapes),
+                       gauge_cases.map(lambda case: (case[0], *case[1]))),
+       seed=st.integers(0, 2**32 - 1))
+def test_gauge_transform_apply_equals_digit_table_scatter(shape, seed):
+    # each shift's GEMM adds exact zeros to the one moved entry, so every entry equals the
+    # scattered one; a planted -0.0 may come back as +0.0, which == does not tell apart
+    n, lx, ly = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    omega = rng.integers(0, n, lat.n_sites)
+    vec = rng.normal(size=n**lat.n_links) + 1j * rng.normal(size=n**lat.n_links)
+    vec.real[rng.random(vec.size) < 0.1] = -0.0
+    vec.imag[rng.random(vec.size) < 0.1] = -0.0
+    (perm,) = digit_table_perms(lat, group, [omega])
+    expected = np.empty_like(vec)
+    expected[perm] = vec
+    assert np.array_equal(gauge_transform(lat, group, omega).apply(vec), expected)
+
+
+def test_gauge_transform_at_the_state_cap_holds_no_state_sized_table():
+    # D(Omega) on 1 x 11 at Z_2 is 22 shifts of 2 x 2; a 2^22-entry index table is 32 MiB
+    lat = GaugeLattice(1, 11)
+    tracemalloc.start()
+    try:
+        op = gauge_transform(lat, Z2, np.arange(lat.n_sites) % 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.dim == 2**22
+    assert peak < 2**20
 
 
 @settings(max_examples=40, deadline=None)

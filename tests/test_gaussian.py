@@ -94,6 +94,11 @@ def test_blocks_in_two_dimensions():
         realspace_map(params, 8, "Shift")  # real-space maps are d=1 only
 
 
+def test_block_phase_refuses_a_block_without_elliptic_phase():
+    with pytest.raises(ValueError, match=r"no elliptic eigenphase in \(0, pi\)"):
+        block_phase(np.eye(2))  # both eigenphases are 0
+
+
 def test_bogoliubov_modes():
     # c = 0 (theta dt = pi/2): alpha = sqrt(1/(2 dt)), beta = i sqrt(dt/2)
     alpha, beta = bogoliubov_modes(P1, math.pi / (2 * P1.a))

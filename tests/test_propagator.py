@@ -149,6 +149,11 @@ def test_equal_time_requires_mass():
         equal_time(LatticeParams(a=0.1, m=0.0), 0, 64)
 
 
+def test_equal_time_refuses_an_offset_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match=r"offset must have 1 component\(s\)"):
+        equal_time(P1, (2, 0), 64)
+
+
 def test_equal_time_two_dimensional():
     # the doubling mirror p -> pi/a - p makes every odd offset vanish, so the convergence
     # check sits at (2, 0), where 128 -> 256 nodes moves the value by about 7e-13 relative

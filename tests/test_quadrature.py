@@ -91,6 +91,14 @@ def test_fsum_real_all_zero_sign(size, zero):
     assert outcome(fsum_real, x) == outcome(reference, x)
 
 
+def test_fsum_real_bins_cancelling_to_zero():
+    # 3.0 and -2.0 share an exponent bin and -1.0 has its own: the bins are nonzero and
+    # their total is 0, so the sign of zero is math.fsum's
+    x = np.repeat([3.0, -1.0, -2.0], 1000)
+    assert x.size >= quadrature._CROSSOVER
+    assert outcome(fsum_real, x) == outcome(reference, x) == (0.0).hex()
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6), size=sizes,
        seed=seeds)

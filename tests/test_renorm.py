@@ -66,6 +66,13 @@ def test_gradient_selfcheck_within_one_percent():
     assert gradient_selfcheck([1.3], prob) < 0.01
 
 
+def test_gradient_selfcheck_at_an_exactly_zero_gradient():
+    # theta does not depend on lambda: both FD gradients and their extrapolation are 0
+    prob = RenormProblem(BASE, THETA_OBS[:1], [0.03], {"lam": 0.5})
+    assert np.all(fd_gradient([0.5], prob) == 0.0)
+    assert gradient_selfcheck([0.5], prob) == 0.0
+
+
 def test_mass_round_trip():
     prob = RenormProblem(
         BASE,

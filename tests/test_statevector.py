@@ -90,6 +90,16 @@ def test_lattice_validation():
         TruncatedLattice(1, FieldGrid.for_mass(1.0, 16), PARAMS)
     with pytest.raises(CapExceeded, match="state-vector dimension"):
         TruncatedLattice(6, FieldGrid.for_mass(1.0, 16), PARAMS)  # 16^6 > 2^20
+    with pytest.raises(ValueError, match="d=1 only"):
+        TruncatedLattice(2, FieldGrid.for_mass(1.0, 16), LatticeParams(a=0.5, m=1.0, d=2))
+
+
+def test_unknown_circuit_kind_refused():
+    lat = small_lattice()
+    with pytest.raises(ValueError, match="unknown circuit kind 'Bogus'"):
+        amplitude_circuit(lat, "Bogus", 0.1, (8, 8), (8, 8), 1)
+    with pytest.raises(ValueError, match="unknown circuit kind 'Bogus'"):
+        statevector.quartic_interaction_phase(lat, "Bogus", 0.1)
 
 
 def test_steps_are_unitary():
@@ -489,7 +499,7 @@ def test_apply_site_kernel_equals_tensordot_reference(shape, seed):
     kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     vec = rng.standard_normal(n**sites) + 1j * rng.standard_normal(n**sites)
     ref = tensordot_site_kernel(kernel, vec, sites)
-    out = statevector._apply_site_kernel(kernel, vec, sites)
+    out = statevector._apply_site_kernels([kernel] * sites, vec)
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -501,7 +511,7 @@ def test_apply_site_kernel_holds_at_most_two_state_vectors(n, sites):
     vec = rng.standard_normal(n**sites) + 1j * rng.standard_normal(n**sites)
     tracemalloc.start()
     try:
-        out = statevector._apply_site_kernel(kernel, vec, sites)
+        out = statevector._apply_site_kernels([kernel] * sites, vec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -763,7 +773,7 @@ def path_moduli(lat, kind, phi_i, phi_f, tau):
     vec = np.zeros(lat.dim)
     vec[lat.config_index(phi_i)] = 1.0
     for _ in range(tau):
-        vec = statevector._apply_site_kernel(kernel, vec, lat.L)
+        vec = statevector._apply_site_kernels([kernel] * lat.L, vec)
     return float(vec[lat.config_index(phi_f)])
 
 
