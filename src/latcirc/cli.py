@@ -275,9 +275,8 @@ def _run_gauge_check(cfg: dict, out: str) -> None:
     g, kappa, tau = cfg["g"], cfg["kappa"], _require_int(cfg["tau"], 1, "tau")
     n_pairs = _require_int(cfg["pairs"], 1, "pairs")
     rng = np.random.default_rng(_require_int(cfg["seed"], 0, "seed"))
-    # caps first: W_mag's build (cached for the pairs) refuses g, kappa and a lattice past the
-    # axis or state cap before any link array exists; then all pairs' Wilson terms
-    gauge_mod.build_wmag(lat, group, g, kappa)
+    # refused by arithmetic, before any link array: g, kappa, axes, states, terms, all pairs
+    gauge_mod._couplings(g, kappa)
     gauge_mod._wilson_terms(lat, group, tau, n_pairs)
     identity = np.zeros(lat.n_links, dtype=int)
     lhs, rhs, worst = gauge_mod.amplitude_equiv_check(lat, group, g, kappa, identity, identity, tau)

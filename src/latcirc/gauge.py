@@ -174,11 +174,13 @@ def _couplings(g: float, kappa: float) -> tuple[float, float]:
 
 
 def _wilson_terms(lat: GaugeLattice, group: GaugeGroupZN, tau: int, pairs: int = 1) -> int:
-    """One Wilson sum's N^links terms: tau - 1 inner slices' links, a temporal one per site, step;
-    CapExceeded if ``pairs`` checks of max(terms, amplitudes, one block) pass PATH_TERM_CAP."""
+    """One Wilson sum's N^links terms: tau - 1 inner slices' links, a temporal one per site, step.
+    CapExceeded by arithmetic alone, in this order: the axis and state caps (``_state_dim``),
+    PATH_TERM_CAP terms, and ``pairs`` checks of max(terms, amplitudes, one block) past it."""
+    dim = _state_dim(lat, group)
     terms = _require_power(group.N, lat.n_links * (tau - 1) + lat.n_sites * tau, PATH_TERM_CAP,
                            "brute-force sum terms")
-    require(pairs * max(terms, _state_dim(lat, group), _BLOCK_TERMS), PATH_TERM_CAP,
+    require(pairs * max(terms, dim, _BLOCK_TERMS), PATH_TERM_CAP,
             f"terms or amplitudes of {pairs} pairs")
     return terms
 

@@ -190,9 +190,9 @@ def lightcone_radius(
 
     Evolves the Heisenberg functional of one site's field (``"phi"``, default),
     momentum (``"pi"``) or both, and returns the largest circular site offset
-    carrying any coefficient above the support threshold. Bounded by 2*tau for
-    both circuits: each step applies two range-1 X-layers and an on-site
-    P-layer.
+    carrying any coefficient above the support threshold: tau for ``"phi"``, tau + 1
+    for the others (Shift's sites decouple at M = 0). Each step's two range-1 X-layers
+    bound it by 2*tau, so 4*tau + 3 sites rule out wrap-around.
     """
     tau = _require_int(tau, 0, "tau")
     _check_chain(params, L, kind)  # before the wrap-around check: L = 0 is no chain at all

@@ -161,20 +161,15 @@ def _config_index(config, n: int, length: int, what: str) -> int:
     return functools.reduce(lambda index, v: index * n + v, digits, 0)
 
 
-def quartic_interaction_phase(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
-    """Phase angle theta of the diagonal interaction factor U_int = e^{i theta}.
+def quartic_interaction_phase(lat: TruncatedLattice, lam: float) -> np.ndarray:
+    """Kind-free angle theta = (lambda a^2/24) sum_n x_n^4 per configuration (flattened, sites
+    added in site order); U_int = e^{i w theta}, w = 2 for Shift, -kappa for Strang and Trotter.
 
     Returned as a real array so half steps can be taken by halving the angle
     (the principal square root would pick the wrong branch for |theta| > pi).
     """
     lam_eff = lam * (lat.params.a * lat.params.a)  # a product: a**2 raises OverflowError
-    # sum_n x_n^4 over configs (flattened), added in site order
-    quart = lam_eff / 24.0 * functools.reduce(np.add.outer, [lat.grid.values**4] * lat.L).ravel()
-    if kind in ("Strang", "Trotter"):
-        return -lat.params.kappa * quart
-    if kind == "Shift":
-        return 2.0 * quart
-    raise ValueError(f"unknown circuit kind {kind!r}")
+    return lam_eff / 24.0 * functools.reduce(np.add.outer, [lat.grid.values**4] * lat.L).ravel()
 
 
 def _bond_angle(lat: TruncatedLattice, kind: str, lam: float):
@@ -459,7 +454,7 @@ def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
     """
     tau = _require_int(tau, 1, "tau")
     step, free = build_step(lat, kind, lam), build_step(lat, kind, 0.0)
-    phase = quartic_interaction_phase(lat, kind, lam)
+    phase = (2.0 if kind == "Shift" else -lat.params.kappa) * quartic_interaction_phase(lat, lam)
     s = 0.0 if kind == "Trotter" else 0.5
     lead, full, trail = (np.exp(1j * power * phase) for power in (s, 1.0, 1.0 - s))
     free_k, step_k, middle = free, step, np.eye(lat.dim, dtype=complex)

@@ -624,7 +624,7 @@ def test_gauge_check_builds_wmag_once(tmp_path):
     argv = ["gauge-check", "--g", "1.0", "--kappa", "1.0", "--pairs", "4"]
     assert cli.run([*argv, "--out", str(tmp_path / "g.json")]) == 0
     info = _wmag_diag.cache_info()
-    assert (info.misses, info.hits) == (1, 4)  # the caps check, then four pairs
+    assert (info.misses, info.hits) == (1, 3)  # built by the first pair, read by three more
     diag = build_wmag(LAT, Z2, 1.0, 1.0).diag
     assert _wmag_diag.cache_info().misses == 1
     with pytest.raises(ValueError, match="read-only"):
@@ -687,6 +687,28 @@ def test_gauge_check_caps_before_any_link_array(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 3 and "link tensor axes: 4000000000" in capsys.readouterr().err
+    assert peak < 2**20 and not out.exists()
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--pairs", "24"], "terms or amplitudes of 24 pairs: 100663296 exceeds the cap 100000000"),
+    (["--tau", "2"], "brute-force sum terms: 17592186044416 exceeds the cap 100000000"),
+])
+def test_gauge_check_caps_terms_and_pairs_before_wmag(tmp_path, monkeypatch, capsys, flags, line):
+    # a 2^22-state lattice refused by its Wilson terms or its pairs: W_mag would be 64 MiB
+    def no_wmag(*args):
+        raise AssertionError("W_mag was built before the caps")
+
+    _wmag_diag.cache_clear()  # a W_mag cached by an earlier test would hide a build from the peak
+    monkeypatch.setattr(gauge_mod, "_wmag_diag", no_wmag)
+    out = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        code = cli.run(["gauge-check", "--lx", "1", "--ly", "11", *flags, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and capsys.readouterr().err == f"resource cap exceeded: {line}\n"
     assert peak < 2**20 and not out.exists()
 
 

@@ -218,6 +218,17 @@ def test_continuum_limit_order_two():
         assert order >= 1.9, f"{builder.__name__}: observed order {order}"
 
 
+@pytest.mark.parametrize("params", [P1, MASSLESS, LatticeParams(a=1.0, m=0.0),
+                                    LatticeParams(a=0.5, dt=0.25, m=1.0),
+                                    LatticeParams(a=1.5, dt=0.9, m=0.3)])
+def test_free_lightcone_radius_is_exact(params):
+    # a field perturbation reaches tau sites, a momentum one a site further: tighter than 2*tau
+    for kind in ("Shift", "Strang"):
+        for tau in range(1, 7):
+            radii = [lightcone_radius(params, 40, kind, tau, obs) for obs in ("phi", "pi", "both")]
+            assert radii == [tau, tau + 1, tau + 1], (kind, tau)
+
+
 def test_mover_shift_exact():
     assert mover_shift_check(MASSLESS, 8) < 1e-12
     assert mover_shift_check(MASSLESS, 2) < 1e-12  # cyclic wrap-around

@@ -98,8 +98,6 @@ def test_unknown_circuit_kind_refused():
     lat = small_lattice()
     with pytest.raises(ValueError, match="unknown circuit kind 'Bogus'"):
         amplitude_circuit(lat, "Bogus", 0.1, (8, 8), (8, 8), 1)
-    with pytest.raises(ValueError, match="unknown circuit kind 'Bogus'"):
-        statevector.quartic_interaction_phase(lat, "Bogus", 0.1)
 
 
 def test_steps_are_unitary():
@@ -326,8 +324,8 @@ def quartic_sum_reference(lat):
 @pytest.mark.parametrize("L, n", [(2, 16), (3, 8), (5, 16)])
 def test_quartic_sum_equals_site_loop_reference(L, n):
     lat, lam, a = TruncatedLattice(L, FieldGrid.for_mass(0.7, n), PARAMS), 0.7, PARAMS.a
-    phase = statevector.quartic_interaction_phase(lat, "Shift", lam)
-    expected = 2.0 * (lam * (a * a) / 24.0 * quartic_sum_reference(lat))
+    phase = statevector.quartic_interaction_phase(lat, lam)
+    expected = lam * (a * a) / 24.0 * quartic_sum_reference(lat)
     assert phase.tobytes() == expected.tobytes()
 
 
@@ -335,7 +333,8 @@ def interaction_picture_reference(lat, kind, lam, tau):
     """The identity with one branch per ordering and matrix powers for every U_I(nu)."""
     step = build_step(lat, kind, lam)
     free = build_step(lat, kind, 0.0)
-    int_phase = statevector.quartic_interaction_phase(lat, kind, lam)
+    weight = {"Strang": -lat.params.kappa, "Trotter": -lat.params.kappa, "Shift": 2.0}[kind]
+    int_phase = weight * statevector.quartic_interaction_phase(lat, lam)
     free_dag = free.conj().T
 
     def int_picture(nu, half):
@@ -932,3 +931,59 @@ def test_brute_force_sums_independent_of_block_order(n, shape, a, kappa, m, lam,
             forward = brute_force_sum()
         with blocks_of(chunk, reverse=True):
             assert bits(brute_force_sum()) == bits(forward)
+
+
+QCA_TAU = {"Strang": 1, "Shift": 1, "Trotter": 2}  # steps per kind
+
+
+def qca_radius(kind):
+    """The cone of U^tau: each X layer spreads a site change by one site, and U^tau has
+    tau + 1 of them for Strang and Shift (two meet between steps as one), tau for Trotter."""
+    return QCA_TAU[kind] + (kind != "Trotter")
+
+
+def reduced_state(psi, n, L, site):
+    """Tr over every other site of |psi><psi|: the n x n state of one site."""
+    others = [s for s in range(L) if s != site]
+    psi = psi.reshape((n,) * L)
+    return np.tensordot(psi, psi.conj(), axes=(others, others))
+
+
+def site_moves(kind, a, kappa, m, lam, site, seed, L=6, n=8):
+    """The largest change of a single-site reduced state per circular distance from ``site``,
+    after QCA_TAU[kind] steps of a random state that a Haar-random unitary on ``site`` kicked,
+    against the same steps of the state unkicked."""
+    lat = TruncatedLattice(L, FieldGrid.for_mass(m, n), LatticeParams(a=a, dt=kappa * a, m=m))
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=lat.dim) + 1j * rng.normal(size=lat.dim)
+    psi /= np.linalg.norm(psi)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed (Mezzadri's phase fix)
+    kicked = np.moveaxis(np.tensordot(haar, psi.reshape((n,) * L), axes=(1, site)), 0, site)
+    kicked = kicked.ravel()
+    step = CircuitStep(lat, kind, lam)
+    for _ in range(QCA_TAU[kind]):
+        psi, kicked = step.apply(psi), step.apply(kicked)
+    moves = {}
+    for s in range(L):
+        dist = min(abs(s - site), L - abs(s - site))
+        diff = np.max(np.abs(reduced_state(psi, n, L, s) - reduced_state(kicked, n, L, s)))
+        moves[dist] = max(moves.get(dist, 0.0), float(diff))
+    return moves
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(KINDS), a=st.floats(0.2, 1.5), kappa=st.floats(0.2, 1.5),
+       m=st.floats(0.1, 2.0), lam=st.floats(0.0, 3.0), site=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_interacting_circuits_are_qca(kind, a, kappa, m, lam, site, seed):
+    # the paper's circuits are quantum cellular automata: no site beyond the cone feels the kick
+    moves = site_moves(kind, a, kappa, m, lam, site, seed)
+    assert all(move <= 1e-13 for dist, move in moves.items() if dist > qca_radius(kind)), moves
+
+
+@pytest.mark.parametrize("kind, seed", [("Strang", 1), ("Shift", 2), ("Trotter", 3)])
+def test_qca_radius_is_sharp(kind, seed):
+    # the sites at the radius do feel the kick, so the cone is no wider than it needs to be
+    moves = site_moves(kind, 0.7, 0.9, 1.0, 0.8, 2, seed)
+    assert moves[qca_radius(kind)] > 1e-6 and moves[3] <= 1e-13, moves
