@@ -20,8 +20,8 @@ layer's ``dim`` values are built only when a whole state is stepped. The step's
 elements layer[y] prod_s K[y_s, x_s] layer[x], each layer from the bond factors at
 its own indices, give the dense step on the open index grid and each brute-force
 path-sum term as a product over time slices. Circuit amplitudes work from their
-basis-ket ends: U|x> is a product state of kernel columns times the layer, <y|U|psi>
-one shrinking contraction per site with the kernel rows, and one step one element.
+basis-ket ends through the same GEMM: U|x> from the one-column kernel slices K[:, [x_s]],
+<y|U|psi> from the one-row slices K[[y_s]], and one step is one element.
 
 The brute-force sums (the path sum, the action form and the gauge Wilson sum)
 take their terms from ``_path_blocks``: blocks of consecutive terms whose
@@ -150,13 +150,14 @@ class TruncatedLattice:
 
 def _config_index(config, n: int, length: int, what: str) -> int:
     """Row-major index of ``length`` integers in [0, n): a Horner sum in Python ints, any
-    length. A wrong length, a non-integer or a value out of range is a ValueError naming
-    ``what``, never a wrapped or truncated index."""
+    length. A wrong length, a non-integer (a bool too) or a value out of range is a
+    ValueError naming ``what``, never a wrapped or truncated index."""
     try:
         digits = [operator.index(v) for v in config]
     except TypeError:  # a non-integer value, or no sequence at all
         digits = None
-    if digits is None or len(digits) != length or not all(0 <= v < n for v in digits):
+    if (digits is None or len(digits) != length or any(isinstance(v, bool) for v in config)
+            or not all(0 <= v < n for v in digits)):
         raise ValueError(f"configuration {config!r} is not {what} in [0, {n})")
     return functools.reduce(lambda index, v: index * n + v, digits, 0)
 
@@ -219,7 +220,9 @@ def _momentum_kernel(grid: FieldGrid, kind: str, kappa: float) -> np.ndarray:
 
 
 def _apply_site_kernels(kernels: list[np.ndarray], vec: np.ndarray) -> np.ndarray:
-    """Apply the n x n ``kernels[s]`` to tensor axis s of a flat vector, one axis per kernel.
+    """Apply the r x n ``kernels[s]`` to tensor axis s of a flat vector, one axis per kernel:
+    the axis of length n becomes one of length r, so a one-column slice K[:, [x]] expands a
+    unit axis into a site axis and a one-row slice K[[y]] contracts a site axis to a unit one.
 
     Each pass is one GEMM that contracts the trailing axis and returns it as the leading
     one, so the last kernel goes first and after one pass per kernel the axes are back in
@@ -228,7 +231,7 @@ def _apply_site_kernels(kernels: list[np.ndarray], vec: np.ndarray) -> np.ndarra
     buffer (about 8 MiB of RSS at n=16, sites=5).
     """
     for kernel in reversed(kernels):
-        vec = kernel @ vec.reshape(-1, len(kernel)).T
+        vec = kernel @ vec.reshape(-1, kernel.shape[1]).T
     return vec.ravel()
 
 
@@ -259,25 +262,6 @@ class CircuitStep:
             out = _layer_at(self.angle, y) * out
         return out * _layer_at(self.angle, x)
 
-    def from_ket(self, x) -> np.ndarray:
-        """U|x> for one configuration x: the kernel columns K[:, x_s] as one product state,
-        times the layer at x and, but for Trotter, the full layer."""
-        columns = [self.kernel[:, xs] for xs in x]
-        columns[0] = columns[0] * _layer_at(self.angle, x)
-        out = functools.reduce(np.multiply.outer, columns).ravel()
-        if self.kind != "Trotter":
-            out *= self.layer
-        return out
-
-    def to_bra(self, y, psi: np.ndarray) -> complex:
-        """<y|U|psi> for one configuration y: the layer on psi (in place, so psi is
-        overwritten), then one shrinking contraction per site with the kernel row K[y_s, :],
-        then, but for Trotter, the layer at y."""
-        psi *= self.layer
-        for ys in y:
-            psi = self.kernel[ys] @ psi.reshape(len(self.kernel), -1)
-        return complex(psi[0] if self.kind == "Trotter" else _layer_at(self.angle, y) * psi[0])
-
 
 def apply_step(lat: TruncatedLattice, kind: str, lam: float, psi: np.ndarray) -> np.ndarray:
     """Apply one circuit step to a state vector without storing the operator."""
@@ -294,7 +278,8 @@ def build_step(lat: TruncatedLattice, kind: str, lam: float) -> np.ndarray:
 
 def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:
     """<phi_f | U^tau | phi_i> from its basis-ket ends: a Kronecker delta at tau = 0, one
-    step element (O(L)) at tau = 1, else ``from_ket``, tau - 2 full steps and ``to_bra``."""
+    step element (O(L)) at tau = 1, else U|phi_i> from the kernel columns K[:, [x_s]], tau - 2
+    full steps and <phi_f|U from the rows K[[y_s]], both ends by ``_apply_site_kernels``."""
     start, end = lat.config_index(phi_i), lat.config_index(phi_f)  # a bad end is refused
     tau = _require_int(tau, 0, "tau")
     step = CircuitStep(lat, kind, lam)  # refuses a bad kind or lambda at tau = 0 too
@@ -302,10 +287,15 @@ def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> com
         return complex(start == end)
     if tau == 1:
         return complex(step.element(phi_f, phi_i))
-    psi = step.from_ket(phi_i)
+    at_x = np.atleast_1d(_layer_at(step.angle, phi_i))
+    psi = _apply_site_kernels([step.kernel[:, [xs]] for xs in phi_i], at_x)
+    if kind != "Trotter":
+        psi *= step.layer
     for _ in range(tau - 2):
         psi = step.apply(psi)
-    return step.to_bra(phi_f, psi)
+    psi *= step.layer
+    out = _apply_site_kernels([step.kernel[[ys]] for ys in phi_f], psi)[0]
+    return complex(out if kind == "Trotter" else _layer_at(step.angle, phi_f) * out)
 
 
 def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> complex:

@@ -389,14 +389,16 @@ def test_config_index_roundtrip():
     back = np.unravel_index(idx, (2,) * 8)
     assert list(back) == cfg
     for bad in ([1, 0, 2, 1, 0, 0, 1, 0], [1, 0, -1, 1, 0, 0, 1, 0], cfg[:7], cfg + [0],
-                [1, 0, 1.5, 1, 0, 0, 1, 0], [1, 0, "1", 1, 0, 0, 1, 0]):
+                [1, 0, 1.5, 1, 0, 0, 1, 0], [1, 0, "1", 1, 0, 0, 1, 0],
+                [1, 0, True, 1, 0, 0, 1, 0]):
         with pytest.raises(ValueError, match="8 link values in"):
             config_index(LAT, Z2, bad)
 
 
 @pytest.mark.parametrize("bad", [[0, 1, 2, 1.5], [0.7, 1, 2, 1], [0, 1, 2, "1"], [0, 1, 2, -1],
-                                 [0, 1, 2, 3], [0, 1, 2, 5], [0, 1, 2]],
-                         ids=["half", "fraction", "string", "negative", "N", "past_N", "length"])
+                                 [0, 1, 2, 3], [0, 1, 2, 5], [0, 1, 2], [0, 1, 2, True]],
+                         ids=["half", "fraction", "string", "negative", "N", "past_N", "length",
+                              "bool"])
 def test_equiv_check_refuses_bad_ends_before_any_work(monkeypatch, bad):
     # a bad end was truncated ([0.7, 1, 2, 1] ran as [0, 1, 2, 1]) or wrapped mod N
     # ([0, 1, 2, 5] as [0, 1, 2, 2]); now either end is refused before any state or sum

@@ -179,8 +179,8 @@ AMPLITUDE_ROUTES = {
 
 
 @pytest.mark.parametrize("route", AMPLITUDE_ROUTES)
-@pytest.mark.parametrize("bad", [(3,), (-1, 3), (8, 3), (1.5, 3), ("1", 3)],
-                         ids=["length", "negative", "past_n", "non_integer", "string"])
+@pytest.mark.parametrize("bad", [(3,), (-1, 3), (8, 3), (1.5, 3), ("1", 3), (True, 3)],
+                         ids=["length", "negative", "past_n", "non_integer", "string", "bool"])
 def test_amplitude_ends_are_refused_not_wrapped(route, bad):
     # (-1, 3) would wrap to (7, 3) in an index gather and 1.5 truncate to 1; every route
     # refuses them first, at either end and at tau = 0 too
@@ -502,6 +502,23 @@ def test_apply_site_kernel_equals_tensordot_reference(shape, seed):
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+@example(shapes=[(1, 3), (3, 3), (4, 1), (2, 3)], seed=0)  # a row, a square, a column, neither
+def test_apply_site_kernels_takes_rectangular_factors(shapes, seed):
+    # an r x n factor maps a site axis of n values to one of r: a one-row slice K[[y]]
+    # contracts the axis away, a one-column slice K[:, [x]] expands a unit axis into it
+    rng = np.random.default_rng(seed)
+    kernels = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
+    size = math.prod(n for _, n in shapes)
+    vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    ref = functools.reduce(np.kron, kernels) @ vec
+    out = statevector._apply_site_kernels(kernels, vec)
+    assert out.shape == ref.shape
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("n, sites", [(16, 4), (2, 16), (256, 2)])
 def test_apply_site_kernel_holds_at_most_two_state_vectors(n, sites):
     # each pass holds its operand and its output; a copy of the transposed operand is a third
@@ -804,6 +821,22 @@ def test_circuit_builds_no_full_layer_up_to_one_step(kind, monkeypatch):
     assert abs(amplitude_circuit(lat, kind, 0.3, *ends, 1) - expected[1]) <= bound
     with pytest.raises(AssertionError, match="full X layer"):
         amplitude_circuit(lat, kind, 0.3, *ends, 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_circuit_ends_add_no_state_vector(kind):
+    # tau = 3 holds the layer, psi, the step's layer * psi and the GEMM's output at once,
+    # about 4 dim-sized arrays; an end that built its own state would add a fifth
+    lat = TruncatedLattice(4, FieldGrid.for_mass(1.0, 16), PARAMS)
+    ends = (8, 8, 8, 8), (9, 7, 8, 6)
+    amplitude_circuit(lat, kind, 0.3, *ends, 3)  # the kernel's cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        amplitude_circuit(lat, kind, 0.3, *ends, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * lat.dim * np.dtype(complex).itemsize
 
 
 def bond_table_reference(lat, kind, lam):
