@@ -12,9 +12,10 @@ where L(v)|u> = |u - v mod N> and h is the plaquette holonomy. W_mag is built
 from its local factors: one cos(2 pi h_p/N) per plaquette, read from an N-entry
 table and summed on the open link grid, with no configuration table; the
 Wilson sum adds the same factors on blocks of the open grid of its summed
-variables, each factor on its own few axes, and takes each block's phases
-e^{-iS} as the sums of cos S and sin S (numpy's real cos and sin run on SIMD
-loops, its complex exp does not). For finite N
+variables, each time slice's action on that slice's own few axes, so only the
+sum over slices runs at block size. A Z_N block's actions take few distinct
+values, so its phases e^{-iS} are tallied: cos S and sin S once per value,
+times the value's count. For finite N
 the path-integral equality is an exact algebraic identity and is checked here
 by brute force. Note that W_el is *not* unitary in general: its per-link
 eigenvalues are Fourier coefficients of exp(-i beta cos), which have unit
@@ -154,12 +155,12 @@ class GaugeOperator:
         return mat.T
 
 
-def _plaquette_action(lat: GaugeLattice, group: GaugeGroupZN, links) -> np.ndarray:
-    """sum_p cos(2 pi h_p/N) for per-link indexable ``links`` (broadcastable index arrays)."""
-    retrace = group.retrace(np.arange(group.N))
+def _plaquette_action(lat: GaugeLattice, retrace: np.ndarray, links) -> np.ndarray:
+    """sum_p cos(2 pi h_p/N), read from the N-entry table ``retrace``, for per-link indexable
+    ``links`` (broadcastable index arrays)."""
     total = 0.0
     for l0, l1, l2, l3 in lat.plaquettes():
-        total = total + retrace[(links[l0] + links[l1] - links[l2] - links[l3]) % group.N]
+        total = total + retrace[(links[l0] + links[l1] - links[l2] - links[l3]) % len(retrace)]
     return total
 
 
@@ -197,7 +198,8 @@ def build_wmag(
 @functools.lru_cache(maxsize=1)
 def _wmag_diag(lat: GaugeLattice, group: GaugeGroupZN, coeff_s: float) -> np.ndarray:
     """W_mag's diagonal, read-only and cached on its only inputs: one build per run."""
-    action = _plaquette_action(lat, group, np.ix_(*[np.arange(group.N)] * lat.n_links))
+    grid = np.ix_(*[np.arange(group.N)] * lat.n_links)
+    action = _plaquette_action(lat, group.retrace(np.arange(group.N)), grid)
     diag = np.exp(-1j * coeff_s * action).ravel()
     diag.setflags(write=False)
     return diag
@@ -301,16 +303,20 @@ def amplitude_equiv_check(
     lhs = complex(psi[end]) * n**lat.n_links
 
     # right side: chunked enumeration of all summed link variables
-    retrace = group.retrace(np.arange(n))
+    retrace, endpoints = group.retrace(np.arange(n)), lat.endpoints.tolist()
     chunks = []
     for slices, temporal in blocks:
         action = 0.0
         for nu in range(tau):
-            action = action + coeff_s * _plaquette_action(lat, group, slices[nu])
             t_now = temporal[nu * lat.n_sites : (nu + 1) * lat.n_sites]
-            for link, (frm, to) in enumerate(lat.endpoints.tolist()):
+            electric = 0.0
+            for link, (frm, to) in enumerate(endpoints):
                 h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
-                action = action + coeff_t * retrace[h]
-        chunks.append(complex(np.sum(np.cos(action)), -np.sum(np.sin(action))))
+                electric = electric + retrace[h]
+            # slice nu's action on its own axes: only the sum over slices is block-sized
+            action = action + (coeff_s * _plaquette_action(lat, retrace, slices[nu])
+                               + coeff_t * electric)
+        values, counts = np.unique(action, return_counts=True)  # cos, sin once per value
+        chunks.append(complex(np.sum(counts * np.cos(values)), -np.sum(counts * np.sin(values))))
     rhs = complex(fsum_complex(chunks)) / _wilson_terms(lat, group, tau)
     return lhs, rhs, abs(lhs - rhs)

@@ -669,6 +669,27 @@ def test_reference_artifacts_independent_of_blas_threads(tmp_path):
     assert written["1"] == written["default"]
 
 
+def test_multi_block_wilson_sums_independent_of_blas_threads(tmp_path):
+    # the references above sum one block of Wilson terms per pair; here each pair's 2^20
+    # terms run in 16 blocks, each tallied by distinct action, and one BLAS thread and the
+    # default must still write the same bytes
+    argv = ["gauge-check", "--lx", "1", "--ly", "2", "--tau", "4", "--pairs", "2"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    written = {}
+    for threads in ("1", "default"):
+        extra = {"OPENBLAS_NUM_THREADS": threads} if threads != "default" else {}
+        child = subprocess.run(
+            [sys.executable, "-c", ARTIFACTS_CHILD, json.dumps({threads: argv}), str(tmp_path)],
+            capture_output=True, text=True, env={**env, **extra, "PYTHONPATH": path},
+            timeout=300)
+        assert child.returncode == 0, child.stderr[-500:]
+        written[threads] = (tmp_path / threads).read_bytes()
+    assert written["1"] == written["default"]
+
+
 # every option string of every subcommand, first copied from the hand-written parser that
 # declared them one add_argument at a time, less the settings no run computes with
 # (REMOVED_SETTINGS); the table-built parser must keep them all

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_statevector import (_time_slices, bits, blocks_of, cos_sin_sum, divisor_chunks,
-                             exp_sum)
+                             exp_sum, tally_sum)
 
 from latcirc import cli
 from latcirc import gauge as gauge_mod
@@ -736,8 +736,11 @@ def test_wilson_terms_count_each_pair_by_its_larger_side():
         gauge_mod._wilson_terms(LAT, Z2, 10**7)
 
 
-def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=cos_sin_sum):
-    """The right side of amplitude_equiv_check on digit-table chunks of ``chunk`` terms."""
+def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=tally_sum,
+                         in_order=False):
+    """The right side of amplitude_equiv_check on digit-table chunks of ``chunk`` terms: each
+    slice's action formed on its own and the slices added. With ``in_order`` each plaquette's
+    term is added to one running action instead, the order the per-slice sums replaced."""
     coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
     n_vars = lat.n_links * (tau - 1) + lat.n_sites * tau
@@ -748,18 +751,28 @@ def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=c
         temporal = temporal.reshape(tau, lat.n_sites, -1)
         action = 0.0
         for nu in range(tau):
-            action = action + coeff_s * _plaquette_action(lat, group, slices[nu])
-            t_now = temporal[nu]
-            for link, (frm, to) in enumerate(endpoints):
-                h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
-                action = action + coeff_t * retrace[h]
+            magnetic, t_now = coeff_s * _plaquette_action(lat, retrace, slices[nu]), temporal[nu]
+            electric = [retrace[(t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link])
+                                % n] for link, (frm, to) in enumerate(endpoints)]
+            if in_order:
+                action = action + magnetic
+                for term in electric:
+                    action = action + coeff_t * term
+            else:
+                total = 0.0
+                for term in electric:
+                    total = total + term
+                action = action + (magnetic + coeff_t * total)
         chunks.append(phase_sum(action, -1))
     return complex(fsum_complex(chunks)) / n**n_vars
 
 
-# (N, Lx, Ly, tau) with at most 2^15 terms in the Wilson sum
-wilson_shapes = [(n, lx, ly, tau) for n in (2, 3, 4, 5) for lx, ly in ((1, 1), (1, 2), (2, 1))
-                 for tau in (1, 2, 3) if n ** (2 * lx * ly * (tau - 1) + lx * ly * tau) <= 2**15]
+# (N, Lx, Ly, tau) with at most 2^15 terms in the Wilson sum. N = 7 and 11 fit only on one
+# site or at tau = 1; their cos(2 pi h/N) takes 4 and 6 values, so more of their terms' actions
+# are distinct than at N <= 5
+wilson_shapes = [(n, lx, ly, tau) for n in (2, 3, 4, 5, 7, 11)
+                 for lx, ly in ((1, 1), (1, 2), (2, 1)) for tau in (1, 2, 3)
+                 if n ** (2 * lx * ly * (tau - 1) + lx * ly * tau) <= 2**15]
 
 
 @settings(max_examples=40, deadline=None)
@@ -813,3 +826,23 @@ def test_wilson_phases_from_cos_sin_equal_exp_phases(shape, g, kappa, seed):
     expected = wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, 1 << 12, exp_sum)
     _, rhs, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
     assert abs(rhs - expected) <= 8 * np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(wilson_shapes), g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_wilson_sum_per_slice_within_rounding_of_the_in_order_sum(shape, g, kappa, seed):
+    # per-slice sums only reassociate each term's action S, a sum of one term per plaquette
+    # whose moduli add to at most max|S|: S moves by at most plaquettes * eps * max|S|, and
+    # e^{-iS}, and so the term average, by no more
+    n, lx, ly, tau = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    rng = np.random.default_rng(seed)
+    u_i, u_f = rng.integers(0, n, lat.n_links), rng.integers(0, n, lat.n_links)
+    coeff_s, coeff_t = _couplings(g, kappa)
+    plaquettes = (lat.n_sites + lat.n_links) * tau
+    max_action = (lat.n_sites * coeff_s + lat.n_links * coeff_t) * tau
+    expected = wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, 1 << 12, cos_sin_sum,
+                                    in_order=True)
+    _, rhs, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+    assert abs(rhs - expected) <= plaquettes * np.finfo(float).eps * max_action

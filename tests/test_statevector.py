@@ -606,6 +606,13 @@ def exp_sum(action, sign=1):
     return complex(np.sum(np.exp(sign * 1j * action)))
 
 
+def tally_sum(action, sign=1):
+    """sum_S e^{i sign S} with cos S and sin S once per distinct S, times its count: the
+    Wilson sum's phase rule, whose Z_N actions take few values."""
+    values, counts = np.unique(action, return_counts=True)
+    return complex(np.sum(counts * np.cos(values)), sign * np.sum(counts * np.sin(values)))
+
+
 def action_form_reference(lat, lam, phi_i, phi_f, tau, chunk=1 << 18, phase_sum=cos_sin_sum):
     """amplitude_action_form evaluating each interior slice's potential twice."""
     n, L = lat.grid.n_points, lat.L
