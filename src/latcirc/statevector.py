@@ -438,24 +438,22 @@ def interaction_picture_check(lat, kind: str, lam: float, tau: int) -> float:
 
     Every kind is U = D^s U_0 D^(1-s), with D = U_int the diagonal interaction factor
     and s = 1/2 (Strang, Shift) or 0 (Trotter). With U_I(nu) = U_0^-nu D U_0^nu,
-    U_0^-k U^k must equal U_I(k)^s U_I(k-1) ... U_I(1) D^(1-s); U_0^k, U^k and the
-    middle product are carried from step to step. Returns the max over k = 1..tau of the
-    defect's operator norm, taken from the spectrum of its Gram matrix (``_op_norm``).
+    U_0^-k U^k must equal U_I(k)^s U_I(k-1) ... U_I(1) D^(1-s). U_0^k times that product
+    is the circuit's own time order D^s (U_0 D)^(k-1) U_0 D^(1-s), and U_0 is unitary, so
+    U^k minus it has the defect's operator norm: only U^k and (U_0 D)^(k-1) U_0 are carried.
+    Returns the max over k = 1..tau of that norm, from its Gram matrix's spectrum (``_op_norm``).
     """
     tau = _require_int(tau, 1, "tau")
     step, free = build_step(lat, kind, lam), build_step(lat, kind, 0.0)
     phase = (2.0 if kind == "Shift" else -lat.params.kappa) * quartic_interaction_phase(lat, lam)
     s = 0.0 if kind == "Trotter" else 0.5
     lead, full, trail = (np.exp(1j * power * phase) for power in (s, 1.0, 1.0 - s))
-    free_k, step_k, middle = free, step, np.eye(lat.dim, dtype=complex)
+    step_k, ordered = step, free
     worst = 0.0
     for k in range(1, tau + 1):
-        free_dag = free_k.conj().T
-        rhs = free_dag @ (lead[:, None] * free_k) @ (middle * trail)
-        worst = max(worst, _op_norm(free_dag @ step_k - rhs))
-        if k < tau:  # U_I(k) joins the middle product
-            middle = free_dag @ (full[:, None] * free_k) @ middle
-            free_k, step_k = free @ free_k, step @ step_k
+        worst = max(worst, _op_norm(step_k - lead[:, None] * ordered * trail))
+        if k < tau:  # one more step: U on U^k, the kick D then U_0 on the ordered product
+            ordered, step_k = (free * full) @ ordered, step @ step_k
     return worst
 
 

@@ -360,10 +360,16 @@ def interaction_picture_reference(lat, kind, lam, tau):
 
 @settings(max_examples=15, deadline=None)
 @given(kind=st.sampled_from(KINDS), a=st.floats(0.2, 1.5), m=st.floats(0.1, 2.0),
-       lam=st.floats(0.0, 2.0), n=st.sampled_from((8, 10, 12)), tau=st.integers(1, 4))
-@example(kind="Strang", a=1.0, m=1.0, lam=2.2250738585e-313, n=8, tau=1)  # subnormal defect
-def test_interaction_picture_equals_two_branch_reference(kind, a, m, lam, n, tau):
-    lat = TruncatedLattice(2, FieldGrid.for_mass(m, n), LatticeParams(a=a, m=m))
+       lam=st.floats(0.0, 2.0), n=st.sampled_from((8, 10, 12, 16)), tau=st.integers(1, 4),
+       dual=st.booleans())
+@example(kind="Strang", a=1.0, m=1.0, lam=2.2250738585e-313, n=8, tau=1, dual=False)  # subnormal
+# the benchmark's three configurations: dual grids at its largest lambda
+@example(kind="Strang", a=0.5, m=1.0, lam=0.5, n=10, tau=3, dual=True)
+@example(kind="Shift", a=0.5, m=1.0, lam=0.5, n=12, tau=3, dual=True)
+@example(kind="Trotter", a=0.5, m=1.0, lam=0.5, n=16, tau=3, dual=True)
+def test_interaction_picture_equals_two_branch_reference(kind, a, m, lam, n, tau, dual):
+    grid = FieldGrid.dual(n) if dual else FieldGrid.for_mass(m, n)
+    lat = TruncatedLattice(2, grid, LatticeParams(a=a, m=m))
     defect = interaction_picture_check(lat, kind, lam, tau)
     assert defect < 1e-10  # criterion 7's bound on the identity itself
     assert abs(defect - interaction_picture_reference(lat, kind, lam, tau)) < 1e-13
@@ -405,6 +411,24 @@ def test_interaction_picture_identity():
         assert dev < 1e-10, kind
     # lambda = 0: both sides are the identity
     assert interaction_picture_check(lat, "Strang", 0.0, 2) < 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interaction_picture_check_holds_at_most_eight_dense_operators(kind):
+    """The check holds U, U_0, U^k, the ordered product, the defect and _op_norm's scaled
+    copy, its conjugate and their Gram matrix: 8 dim x dim complex arrays at its peak. At
+    DENSE_CAP that is 8 * 4096^2 * 16 B = BYTE_BUDGET, so DENSE_CAP alone keeps this check
+    near the byte budget. Carrying U_0^k, its conjugate transpose and the product of the
+    interaction-picture operators U_0^-k D U_0^k as well peaks at 11."""
+    lat = TruncatedLattice(2, FieldGrid.for_mass(1.0, 16), PARAMS)
+    interaction_picture_check(lat, kind, 0.3, 3)  # the kernel's cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        interaction_picture_check(lat, kind, 0.3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * lat.dim**2 * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("tau", [0, -1])
