@@ -23,11 +23,12 @@ modulus only for N = 1; ``unitarity_report`` measures this instead of
 assuming it, and the equivalence identity does not depend on it.
 
 A gauge transform D(Omega) is a layer of single-link cyclic shifts, u_{x,e} -> u_{x,e} +
-omega_x - omega_{x+e}. The Gauss projector only ever meets one basis ket |u>, so it is that
-ket's orbit average P_G|u> = N^-sites sum_Omega D(Omega)|u>: a histogram of N^sites images.
+omega_x - omega_{x+e}. T commutes with each, so the equivalence check reads the Gauss projector
+P_G = N^-sites sum_Omega D(Omega) at the bra, as a mean over the N^sites images of u_f, and
+starts from T|u_i>: W_mag at u_i times the product state of W_el's columns at u_i's links.
 
-The configuration space shares the state-vector cap ``errors.STATE_CAP``, and a
-Wilson sum over PATH_TERM_CAP terms is refused before the left side is built.
+The configuration space shares the state-vector cap ``errors.STATE_CAP``; it and the Wilson
+sum's PATH_TERM_CAP are checked before the left side is built.
 
 Amplitude convention: basis kets in the equivalence check are delta-normalized
 against the Haar measure (<v|u> = N delta_{uv} per link), the convention in
@@ -249,15 +250,6 @@ def gauge_transform(lat: GaugeLattice, group: GaugeGroupZN, omega) -> GaugeOpera
     return GaugeOperator(dim, link_matrices=[np.roll(eye, s, axis=0) for s in shifts])
 
 
-def _gauss_orbit_average(lat: GaugeLattice, group: GaugeGroupZN, config) -> np.ndarray:
-    """P_G|config> = N^-sites sum_Omega D(Omega)|config>, one image per site assignment."""
-    dim = _state_dim(lat, group)  # the cap before any image exists
-    omegas = np.indices((group.N,) * lat.n_sites).reshape(lat.n_sites, -1)
-    images = (config[:, None] + omegas[lat.endpoints[:, 0]] - omegas[lat.endpoints[:, 1]]) % group.N
-    index = group.N ** np.arange(lat.n_links - 1, -1, -1) @ images  # row-major ravel
-    return np.bincount(index, minlength=dim) / len(index)
-
-
 def unitarity_report(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> float:
     """Operator-norm deviation ||w^dagger w - 1|| of the per-link W_el factor.
 
@@ -292,20 +284,26 @@ def amplitude_equiv_check(
     coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
     config_index(lat, group, u_i)  # both ends refused before any work, never wrapped
-    end = config_index(lat, group, u_f)
+    config_index(lat, group, u_f)
+    u_i, u_f = [int(v) for v in u_i], [int(v) for v in u_f]  # holonomies never wrap a uint
+    terms = _wilson_terms(lat, group, tau)  # axes, states, terms: all before any state
 
-    blocks = _path_blocks(n, u_i, u_f, tau, lat.n_sites * tau, chunk=_BLOCK_TERMS)  # cap first
-
-    # left side: the projected ket, then T = W_el W_mag applied tau times
-    psi = _gauss_orbit_average(lat, group, np.asarray(u_i, dtype=int))
-    for _ in range(tau):
+    # left side: P_G commutes with T, so it is read at the bra, as the mean of T^tau|u_i> over
+    # the N^sites images of u_f; T|u_i> is W_mag at u_i times W_el's columns at u_i's links
+    retrace, wel = group.retrace(np.arange(n)), wel_link_matrix(group, g, kappa)
+    at_u = np.exp(-1j * coeff_s * _plaquette_action(lat, retrace, u_i))  # W_mag's diag at u_i
+    psi = _apply_site_kernels([wel[:, [u]] for u in u_i], np.atleast_1d(at_u))
+    for _ in range(tau - 1):
         psi = apply_transfer(lat, group, g, kappa, psi)
-    lhs = complex(psi[end]) * n**lat.n_links
+    omegas = np.indices((n,) * lat.n_sites).reshape(lat.n_sites, -1)  # one column per Omega
+    shifts = omegas[lat.endpoints[:, 0]] - omegas[lat.endpoints[:, 1]]
+    images = n ** np.arange(lat.n_links - 1, -1, -1) @ ((np.asarray(u_f)[:, None] + shifts) % n)
+    # N^links times the mean of the N^sites reads is N^(links - sites) times their sum
+    lhs = fsum_complex(psi[images]) * n ** (lat.n_links - lat.n_sites)
 
     # right side: chunked enumeration of all summed link variables
-    retrace, endpoints = group.retrace(np.arange(n)), lat.endpoints.tolist()
-    chunks = []
-    for slices, temporal in blocks:
+    endpoints, chunks = lat.endpoints.tolist(), []
+    for slices, temporal in _path_blocks(n, u_i, u_f, tau, lat.n_sites * tau, chunk=_BLOCK_TERMS):
         action = 0.0
         for nu in range(tau):
             t_now = temporal[nu * lat.n_sites : (nu + 1) * lat.n_sites]
@@ -318,5 +316,5 @@ def amplitude_equiv_check(
                                + coeff_t * electric)
         values, counts = np.unique(action, return_counts=True)  # cos, sin once per value
         chunks.append(complex(np.sum(counts * np.cos(values)), -np.sum(counts * np.sin(values))))
-    rhs = complex(fsum_complex(chunks)) / _wilson_terms(lat, group, tau)
+    rhs = complex(fsum_complex(chunks)) / terms
     return lhs, rhs, abs(lhs - rhs)

@@ -18,7 +18,6 @@ from latcirc.gauge import (
     GaugeGroupZN,
     GaugeLattice,
     _couplings,
-    _gauss_orbit_average,
     _plaquette_action,
     _wmag_diag,
     amplitude_equiv_check,
@@ -39,6 +38,14 @@ Z2 = GaugeGroupZN(2)
 
 def all_omegas(lat, group):
     return [np.array(o) for o in itertools.product(range(group.N), repeat=lat.n_sites)]
+
+
+def gauss_orbit_average(lat, group, config):
+    """P_G|config> = N^-sites sum_Omega D(Omega)|config>: a histogram of its N^sites images."""
+    omegas = np.indices((group.N,) * lat.n_sites).reshape(lat.n_sites, -1)
+    images = (config[:, None] + omegas[lat.endpoints[:, 0]] - omegas[lat.endpoints[:, 1]]) % group.N
+    index = group.N ** np.arange(lat.n_links - 1, -1, -1) @ images  # row-major ravel
+    return np.bincount(index, minlength=group.N**lat.n_links) / len(index)
 
 
 def test_lattice_counting():
@@ -234,7 +241,7 @@ def test_transfer_gauge_covariance_sampled_n34():
 
 def test_gauss_projector():
     configs = np.stack(np.unravel_index(np.arange(256), (2,) * 8), axis=1)
-    columns = [_gauss_orbit_average(LAT, Z2, config) for config in configs]
+    columns = [gauss_orbit_average(LAT, Z2, config) for config in configs]
     proj = np.column_stack(columns)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     assert np.max(np.abs(proj - proj.conj().T)) < 1e-12
@@ -362,7 +369,7 @@ def test_equiv_check_refuses_wilson_sum_before_left_side(monkeypatch):
 
     monkeypatch.setattr(gauge_mod, "build_wmag", no_state)
     monkeypatch.setattr(gauge_mod, "build_wel", no_state)
-    monkeypatch.setattr(gauge_mod, "_gauss_orbit_average", no_state)
+    monkeypatch.setattr(gauge_mod, "_apply_site_kernels", no_state)
     with pytest.raises(CapExceeded, match="brute-force sum terms"):
         amplitude_equiv_check(LAT, Z2, 1.0, 1.0, np.zeros(8, int), np.zeros(8, int), 3)
 
@@ -406,7 +413,7 @@ def test_equiv_check_refuses_bad_ends_before_any_work(monkeypatch, bad):
         raise AssertionError("work began before both ends were checked")
 
     monkeypatch.setattr(gauge_mod, "_path_blocks", no_work)
-    monkeypatch.setattr(gauge_mod, "_gauss_orbit_average", no_work)
+    monkeypatch.setattr(gauge_mod, "_apply_site_kernels", no_work)
     lat, group, good = GaugeLattice(1, 2), GaugeGroupZN(3), [0, 1, 2, 1]
     assert config_index(lat, group, good) == 16
     with pytest.raises(ValueError, match=r"4 link values in \[0, 3\)"):
@@ -414,6 +421,15 @@ def test_equiv_check_refuses_bad_ends_before_any_work(monkeypatch, bad):
     for ends in ((bad, good), (good, bad)):
         with pytest.raises(ValueError, match=r"4 link values in \[0, 3\)"):
             amplitude_equiv_check(lat, group, 1.0, 1.0, *ends, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+def test_equiv_check_reads_fixed_width_ends_as_ints(dtype):
+    # a holonomy u0 + u1 - u2 - u3 of uint8 ends would wrap past 0 (254 % 3 is not -2 % 3)
+    lat, group, u_i, u_f = GaugeLattice(1, 2), GaugeGroupZN(3), [0, 1, 2, 1], [2, 2, 0, 1]
+    expected = amplitude_equiv_check(lat, group, 1.0, 1.0, u_i, u_f, 2)
+    ends = np.array(u_i, dtype), np.array(u_f, dtype)
+    assert amplitude_equiv_check(lat, group, 1.0, 1.0, *ends, 2) == expected
 
 
 # digit-table references: every configuration spelled out as (dim, n_links) digits
@@ -600,7 +616,7 @@ def test_orbit_average_equals_projector_references(shape, seed):
     config = np.random.default_rng(seed).integers(0, n, lat.n_links)
     ket = np.zeros(n**lat.n_links, dtype=complex)
     ket[config_index(lat, group, config)] = 1.0
-    projected = _gauss_orbit_average(lat, group, config)
+    projected = gauss_orbit_average(lat, group, config)
     for reference in (roll_projector_reference, perm_projector_reference):
         expected = reference(lat, group, ket)
         if n <= 4:
@@ -609,28 +625,113 @@ def test_orbit_average_equals_projector_references(shape, seed):
             assert np.max(np.abs(projected - expected)) <= 1e-15
 
 
-def test_orbit_average_holds_about_one_state_vector():
+def test_equiv_check_left_side_holds_two_state_vectors():
+    # T|u_i> from its ends: the product state's last GEMM beside its half-size input is 1.5
+    # state vectors at tau = 1, with no W_mag diagonal and no full transfer
     lat = GaugeLattice(2, 4)  # 16 links: dim 2^16
-    config = np.random.default_rng(8).integers(0, 2, lat.n_links)
+    u_i, u_f = np.random.default_rng(8).integers(0, 2, (2, lat.n_links))
+    _wmag_diag.cache_clear()
     tracemalloc.start()
     try:
-        _gauss_orbit_average(lat, Z2, config)
+        amplitude_equiv_check(lat, Z2, 1.0, 1.0, u_i, u_f, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 16 * 2**16  # complex state vectors
+    assert peak <= 2 * 16 * 2**16  # complex state vectors
 
 
 def test_gauge_check_builds_wmag_once(tmp_path):
+    # tau = 1 reads W_mag at u_i alone; at tau = 2 the one full transfer of each pair needs
+    # the diagonal, built by the first pair and read by three more
     _wmag_diag.cache_clear()
     argv = ["gauge-check", "--g", "1.0", "--kappa", "1.0", "--pairs", "4"]
     assert cli.run([*argv, "--out", str(tmp_path / "g.json")]) == 0
+    assert _wmag_diag.cache_info().misses == 0
+    assert cli.run([*argv, "--tau", "2", "--out", str(tmp_path / "g2.json")]) == 0
     info = _wmag_diag.cache_info()
-    assert (info.misses, info.hits) == (1, 3)  # built by the first pair, read by three more
+    assert (info.misses, info.hits) == (1, 3)
     diag = build_wmag(LAT, Z2, 1.0, 1.0).diag
     assert _wmag_diag.cache_info().misses == 1
     with pytest.raises(ValueError, match="read-only"):
         diag[0] = 0.0
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+def test_equiv_check_runs_tau_minus_one_full_transfers(monkeypatch, tau):
+    # the first factor of T^tau is T|u_i>, built from the ket's ends
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1].size)
+        return apply_transfer(*args)
+
+    monkeypatch.setattr(gauge_mod, "apply_transfer", counted)
+    lat, ends = GaugeLattice(1, 2), [0, 1, 1, 0]
+    amplitude_equiv_check(lat, Z2, 1.0, 1.0, ends, ends, tau)
+    assert calls == [2**lat.n_links] * (tau - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(wmag_shapes), g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_wmag_at_one_configuration_is_its_diagonal_entry(shape, g, kappa, seed):
+    # the left side's phase at u_i, read from one configuration as a list or an array, is
+    # bitwise the full diagonal's entry at that configuration's index
+    n, lx, ly = shape
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    config = np.random.default_rng(seed).integers(0, n, lat.n_links)
+    coeff_s, _ = _couplings(g, kappa)
+    entry = build_wmag(lat, group, g, kappa).diag[config_index(lat, group, config)]
+    for links in (config, config.tolist()):
+        at_u = np.exp(-1j * coeff_s * _plaquette_action(lat, group.retrace(np.arange(n)), links))
+        assert at_u.tobytes() == entry.tobytes()
+
+
+# every shape with dim <= 4096 at N = 2, 3, 4 and tau = 1, 2, 3 whose Wilson sum, computed
+# beside the left side, has at most 2^20 terms
+left_side_cases = [(n, lx, ly, tau) for n in (2, 3, 4)
+                   for lx, ly in ((1, 1), (1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (1, 6))
+                   for tau in (1, 2, 3)
+                   if n ** (2 * lx * ly) <= 4096 and n ** (lx * ly * (3 * tau - 2)) <= 2**20]
+
+
+def dense_left_side(lat, group, g, kappa, u_i, u_f, tau):
+    """N^links [(W_el W_mag)^tau P_G e_{u_i}] at u_f: W_el as the Kronecker product of its link
+    factors, not through the GEMM the left side runs, and W_mag's dense matrix as np.diag of
+    its diagonal (test_dense_is_apply_on_basis_kets). The 256 MiB W_el of a 4096-state shape
+    lives only in this frame, so a failing example's traceback does not keep it."""
+    wel = kron_reference(build_wel(lat, group, g, kappa))
+    wmag = build_wmag(lat, group, g, kappa).diag
+    psi = gauss_orbit_average(lat, group, np.array(u_i))
+    for _ in range(tau):
+        psi = wel @ (wmag * psi)
+    return group.N**lat.n_links * psi[config_index(lat, group, u_f)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(left_side_cases), g=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+       data=st.data())
+def test_equiv_check_left_side_equals_dense_transfer_on_projected_ket(case, g, kappa, data):
+    n, lx, ly, tau = case
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    ends = st.lists(st.integers(0, n - 1), min_size=lat.n_links, max_size=lat.n_links)
+    u_i, u_f = data.draw(ends), data.draw(ends)
+    lhs, _, _ = amplitude_equiv_check(lat, group, g, kappa, u_i, u_f, tau)
+    expected = dense_left_side(lat, group, g, kappa, u_i, u_f, tau)
+    # relative to 1: both sides equal the Wilson sum, a mean of unit phases
+    assert abs(lhs - expected) <= 1e-12
+
+
+def test_equiv_check_refuses_in_the_cli_order(tmp_path, capsys):
+    # states before terms, as gauge-check refuses them: 2 x 6 at Z_2 has 2^24 states and,
+    # at tau = 3, 2^84 Wilson terms; the link axes come first of all
+    for lx, ly, tau in ((2, 6, 3), (1, 40, 3), (2, 2, 3)):
+        lat, ends = GaugeLattice(lx, ly), np.zeros(2 * lx * ly, int)
+        with pytest.raises(CapExceeded) as refused:
+            amplitude_equiv_check(lat, Z2, 1.0, 1.0, ends, ends, tau)
+        argv = ["gauge-check", "--lx", str(lx), "--ly", str(ly), "--tau", str(tau)]
+        assert cli.run([*argv, "--out", str(tmp_path / "g.json")]) == 3
+        assert capsys.readouterr().err == f"resource cap exceeded: {refused.value}\n"
 
 
 @settings(max_examples=60, deadline=None)
