@@ -8,14 +8,13 @@ transfer operator is T = W_el W_mag with
     W_mag = diag exp(-i (2 kappa/g^2) sum_{spatial plaquettes} cos(2 pi h/N))
     W_el  = prod_links (1/N) sum_v exp(-i (2/(kappa g^2)) cos(2 pi v/N)) L(v)
 
-where L(v)|u> = |u - v mod N> and h is the plaquette holonomy. W_mag is built
-from its local factors: one cos(2 pi h_p/N) per plaquette, read from an N-entry
-table and summed on the open link grid, with no configuration table; the
-Wilson sum adds the same factors on blocks of the open grid of its summed
-variables, each time slice's action on that slice's own few axes, so only the
-sum over slices runs at block size. A Z_N block's actions take few distinct
-values, so its phases e^{-iS} are tallied: cos S and sin S once per value,
-times the value's count. For finite N
+where L(v)|u> = |u - v mod N> and h is the plaquette holonomy. Every holonomy,
+spatial or temporal, is formed by one rule (``_plaquette_action``) and its cos(2 pi h/N)
+read from an N-entry table: summed on the open link grid, W_mag's diagonal, built anew
+for each full transfer; on blocks of the open grid of the Wilson sum's summed variables,
+each time slice's action on that slice's own few axes, so only the sum over slices runs
+at block size. A Z_N block's actions take few distinct values, so its phases e^{-iS}
+are tallied: cos S and sin S once per value, times the value's count. For finite N
 the path-integral equality is an exact algebraic identity and is checked here
 by brute force. Note that W_el is *not* unitary in general: its per-link
 eigenvalues are Fourier coefficients of exp(-i beta cos), which have unit
@@ -24,8 +23,9 @@ assuming it, and the equivalence identity does not depend on it.
 
 A gauge transform D(Omega) is a layer of single-link cyclic shifts, u_{x,e} -> u_{x,e} +
 omega_x - omega_{x+e}. T commutes with each, so the equivalence check reads the Gauss projector
-P_G = N^-sites sum_Omega D(Omega) at the bra, as a mean over the N^sites images of u_f, and
-starts from T|u_i>: W_mag at u_i times the product state of W_el's columns at u_i's links.
+P_G = N^-sites sum_Omega D(Omega) at the bra, as a mean over the N^sites images of u_f. Each
+image's read at tau = 1 is one element of T, W_mag at u_i times one W_el entry per link; at
+tau >= 2 the check starts from T|u_i>, that phase times the product state of W_el's columns.
 
 The configuration space shares the state-vector cap ``errors.STATE_CAP``; it and the Wilson
 sum's PATH_TERM_CAP are checked before the left side is built.
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import (DENSE_CAP, PATH_TERM_CAP, STATE_CAP, _require_int, _require_power,
                      _require_real, require)
 from .quadrature import fsum_complex
-from .statevector import _apply_site_kernels, _circulant, _config_index, _path_blocks
+from .statevector import _apply_site_kernels, _circulant, _path_blocks, _read_config
 
 __all__ = [
     "GaugeGroupZN",
@@ -126,11 +126,6 @@ def _state_dim(lat: GaugeLattice, group: GaugeGroupZN) -> int:
     return require(group.N**lat.n_links, STATE_CAP, "link configuration space dimension")
 
 
-def config_index(lat: GaugeLattice, group: GaugeGroupZN, config) -> int:
-    """Row-major index of n_links link values in [0, N) (``statevector._config_index``)."""
-    return _config_index(config, group.N, lat.n_links, f"{lat.n_links} link values")
-
-
 @dataclass
 class GaugeOperator:
     """Operator on the link configuration space: diagonal phases (W_mag), or a product of
@@ -156,12 +151,13 @@ class GaugeOperator:
         return mat.T
 
 
-def _plaquette_action(lat: GaugeLattice, retrace: np.ndarray, links) -> np.ndarray:
-    """sum_p cos(2 pi h_p/N), read from the N-entry table ``retrace``, for per-link indexable
-    ``links`` (broadcastable index arrays)."""
+def _plaquette_action(plaquettes, retrace: np.ndarray, values) -> np.ndarray:
+    """sum_p cos(2 pi h_p/N) over index 4-tuples p of ``values`` (ints or broadcastable index
+    arrays), h_p = v0 + v1 - v2 - v3 read from the N-entry table ``retrace``: the spatial
+    plaquettes of ``lat.plaquettes()`` on link values, or the Wilson sum's temporal ones."""
     total = 0.0
-    for l0, l1, l2, l3 in lat.plaquettes():
-        total = total + retrace[(links[l0] + links[l1] - links[l2] - links[l3]) % len(retrace)]
+    for i0, i1, i2, i3 in plaquettes:
+        total = total + retrace[(values[i0] + values[i1] - values[i2] - values[i3]) % len(retrace)]
     return total
 
 
@@ -196,14 +192,11 @@ def build_wmag(
     return GaugeOperator(dim, diag=_wmag_diag(lat, group, coeff_s))
 
 
-@functools.lru_cache(maxsize=1)
 def _wmag_diag(lat: GaugeLattice, group: GaugeGroupZN, coeff_s: float) -> np.ndarray:
-    """W_mag's diagonal, read-only and cached on its only inputs: one build per run."""
+    """W_mag's diagonal: the plaquette action on the open link grid, built on each call."""
     grid = np.ix_(*[np.arange(group.N)] * lat.n_links)
-    action = _plaquette_action(lat, group.retrace(np.arange(group.N)), grid)
-    diag = np.exp(-1j * coeff_s * action).ravel()
-    diag.setflags(write=False)
-    return diag
+    action = _plaquette_action(lat.plaquettes(), group.retrace(np.arange(group.N)), grid)
+    return np.exp(-1j * coeff_s * action).ravel()
 
 
 def wel_link_matrix(group: GaugeGroupZN, g: float, kappa: float = 1.0) -> np.ndarray:
@@ -283,36 +276,40 @@ def amplitude_equiv_check(
     tau = _require_int(tau, 1, "tau")
     coeff_s, coeff_t = _couplings(g, kappa)
     n = group.N
-    config_index(lat, group, u_i)  # both ends refused before any work, never wrapped
-    config_index(lat, group, u_f)
-    u_i, u_f = [int(v) for v in u_i], [int(v) for v in u_f]  # holonomies never wrap a uint
+    u_i, u_f = (_read_config(end, n, lat.n_links, f"{lat.n_links} link values")
+                for end in (u_i, u_f))  # both refused before any work; ints, so no sum wraps
     terms = _wilson_terms(lat, group, tau)  # axes, states, terms: all before any state
 
     # left side: P_G commutes with T, so it is read at the bra, as the mean of T^tau|u_i> over
     # the N^sites images of u_f; T|u_i> is W_mag at u_i times W_el's columns at u_i's links
+    sites, links, plaquettes = lat.n_sites, lat.n_links, lat.plaquettes()
     retrace, wel = group.retrace(np.arange(n)), wel_link_matrix(group, g, kappa)
-    at_u = np.exp(-1j * coeff_s * _plaquette_action(lat, retrace, u_i))  # W_mag's diag at u_i
-    psi = _apply_site_kernels([wel[:, [u]] for u in u_i], np.atleast_1d(at_u))
-    for _ in range(tau - 1):
-        psi = apply_transfer(lat, group, g, kappa, psi)
-    omegas = np.indices((n,) * lat.n_sites).reshape(lat.n_sites, -1)  # one column per Omega
+    at_u = np.exp(-1j * coeff_s * _plaquette_action(plaquettes, retrace, u_i))  # W_mag at u_i
+    omegas = np.indices((n,) * sites).reshape(sites, -1)  # one column per Omega
     shifts = omegas[lat.endpoints[:, 0]] - omegas[lat.endpoints[:, 1]]
-    images = n ** np.arange(lat.n_links - 1, -1, -1) @ ((np.asarray(u_f)[:, None] + shifts) % n)
+    images = (np.array(u_f)[:, None] + shifts) % n  # link values, one column per image
+    if tau == 1:  # one element of T per image: W_mag at u_i times W_el's entries per link
+        reads = at_u * np.prod(wel[images, np.array(u_i)[:, None]], axis=0)
+    else:
+        psi = _apply_site_kernels([wel[:, [u]] for u in u_i], np.atleast_1d(at_u))
+        for _ in range(tau - 1):
+            psi = apply_transfer(lat, group, g, kappa, psi)
+        reads = psi[n ** np.arange(links - 1, -1, -1) @ images]
     # N^links times the mean of the N^sites reads is N^(links - sites) times their sum
-    lhs = fsum_complex(psi[images]) * n ** (lat.n_links - lat.n_sites)
+    lhs = fsum_complex(reads) * n ** (links - sites)
 
-    # right side: chunked enumeration of all summed link variables
-    endpoints, chunks = lat.endpoints.tolist(), []
-    for slices, temporal in _path_blocks(n, u_i, u_f, tau, lat.n_sites * tau, chunk=_BLOCK_TERMS):
+    # right side: chunked enumeration of all summed link variables; temporal plaquette
+    # (x, x + e) at slice nu reads t_nu[x] + u_nu[x, e] - t_nu[x + e] - u_nu+1[x, e]
+    temporal_plaquettes = [(frm, sites + link, to, sites + links + link)
+                           for link, (frm, to) in enumerate(lat.endpoints.tolist())]
+    chunks = []
+    for slices, temporal in _path_blocks(n, u_i, u_f, tau, sites * tau, chunk=_BLOCK_TERMS):
         action = 0.0
         for nu in range(tau):
-            t_now = temporal[nu * lat.n_sites : (nu + 1) * lat.n_sites]
-            electric = 0.0
-            for link, (frm, to) in enumerate(endpoints):
-                h = (t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link]) % n
-                electric = electric + retrace[h]
+            at_nu = [*temporal[nu * sites : (nu + 1) * sites], *slices[nu], *slices[nu + 1]]
+            electric = _plaquette_action(temporal_plaquettes, retrace, at_nu)
             # slice nu's action on its own axes: only the sum over slices is block-sized
-            action = action + (coeff_s * _plaquette_action(lat, retrace, slices[nu])
+            action = action + (coeff_s * _plaquette_action(plaquettes, retrace, slices[nu])
                                + coeff_t * electric)
         values, counts = np.unique(action, return_counts=True)  # cos, sin once per value
         chunks.append(complex(np.sum(counts * np.cos(values)), -np.sum(counts * np.sin(values))))

@@ -143,15 +143,10 @@ class TruncatedLattice:
         dim = _require_power(self.grid.n_points, self.L, STATE_CAP, "state-vector dimension")
         object.__setattr__(self, "dim", dim)
 
-    def config_index(self, config) -> int:
-        """Row-major index of L grid indices in [0, n_points) (``_config_index``)."""
-        return _config_index(config, self.grid.n_points, self.L, f"{self.L} grid indices")
 
-
-def _config_index(config, n: int, length: int, what: str) -> int:
-    """Row-major index of ``length`` integers in [0, n): a Horner sum in Python ints, any
-    length. A wrong length, a non-integer (a bool too) or a value out of range is a
-    ValueError naming ``what``, never a wrapped or truncated index."""
+def _read_config(config, n: int, length: int, what: str) -> list[int]:
+    """``length`` integers in [0, n) as Python ints, whose sums wrap no fixed width. A wrong
+    length, a non-integer (a bool too) or a value out of range is a ValueError naming ``what``."""
     try:
         digits = [operator.index(v) for v in config]
     except TypeError:  # a non-integer value, or no sequence at all
@@ -159,7 +154,7 @@ def _config_index(config, n: int, length: int, what: str) -> int:
     if (digits is None or len(digits) != length or any(isinstance(v, bool) for v in config)
             or not all(0 <= v < n for v in digits)):
         raise ValueError(f"configuration {config!r} is not {what} in [0, {n})")
-    return functools.reduce(lambda index, v: index * n + v, digits, 0)
+    return digits
 
 
 def quartic_interaction_phase(lat: TruncatedLattice, lam: float) -> np.ndarray:
@@ -280,11 +275,12 @@ def amplitude_circuit(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> com
     """<phi_f | U^tau | phi_i> from its basis-ket ends: a Kronecker delta at tau = 0, one
     step element (O(L)) at tau = 1, else U|phi_i> from the kernel columns K[:, [x_s]], tau - 2
     full steps and <phi_f|U from the rows K[[y_s]], both ends by ``_apply_site_kernels``."""
-    start, end = lat.config_index(phi_i), lat.config_index(phi_f)  # a bad end is refused
+    phi_i, phi_f = (_read_config(end, lat.grid.n_points, lat.L, f"{lat.L} grid indices")
+                    for end in (phi_i, phi_f))  # both refused before any work, never wrapped
     tau = _require_int(tau, 0, "tau")
     step = CircuitStep(lat, kind, lam)  # refuses a bad kind or lambda at tau = 0 too
     if tau == 0:
-        return complex(start == end)
+        return complex(phi_i == phi_f)
     if tau == 1:
         return complex(step.element(phi_f, phi_i))
     at_x = np.atleast_1d(_layer_at(step.angle, phi_i))
@@ -305,8 +301,8 @@ def amplitude_path_sum(lat, kind: str, lam: float, phi_i, phi_f, tau: int) -> co
     of its tau step elements, so this really is the brute-force
     insertion-of-identity sum, not a matrix-product shortcut.
     """
-    lat.config_index(phi_i)  # both ends are refused before any work, never wrapped
-    lat.config_index(phi_f)
+    phi_i, phi_f = (_read_config(end, lat.grid.n_points, lat.L, f"{lat.L} grid indices")
+                    for end in (phi_i, phi_f))  # both refused before any work, never wrapped
     tau = _require_int(tau, 1, "tau")
     blocks = _path_blocks(lat.grid.n_points, phi_i, phi_f, tau)
     step = CircuitStep(lat, kind, lam)
@@ -327,9 +323,8 @@ def _path_blocks(n: int, first, last, tau: int, n_extra: int = 0, chunk: int = 1
     runs over c values and the last j are the open axes of one reused index grid, so a
     factor of a few variables is computed on their axes only, and the block's terms,
     raveled in C order, are in term order. Each block holds the tau + 1 slices as per-site
-    index lists (the ends as ints) and the n_extra further summed variables.
+    index lists (the ends as the caller's int lists) and the n_extra further summed variables.
     """
-    first, last = [int(v) for v in first], [int(v) for v in last]
     inner = len(first) * (tau - 1)
     n_vars = inner + n_extra
     _require_power(n, n_vars, PATH_TERM_CAP, "brute-force sum terms")
@@ -370,8 +365,8 @@ def amplitude_action_form(lat, lam: float, phi_i, phi_f, tau: int) -> complex:
     two differ by wrap-around image interference that does not vanish at
     fixed extent (real-time kernels have distance-independent modulus).
     """
-    lat.config_index(phi_i)  # both ends are refused before any work, never wrapped
-    lat.config_index(phi_f)
+    phi_i, phi_f = (_read_config(end, lat.grid.n_points, lat.L, f"{lat.L} grid indices")
+                    for end in (phi_i, phi_f))  # both refused before any work, never wrapped
     tau = _require_int(tau, 1, "tau")
     _require_real(lam, "lambda", "nonnegative")
     L, kappa = lat.L, lat.params.kappa

@@ -5,11 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_statevector import (_time_slices, bits, blocks_of, cos_sin_sum, divisor_chunks,
-                             exp_sum, tally_sum)
+from test_statevector import (_time_slices, bits, blocks_of, config_index, cos_sin_sum,
+                             divisor_chunks, exp_sum, tally_sum)
 
 from latcirc import cli
 from latcirc import gauge as gauge_mod
@@ -24,13 +24,13 @@ from latcirc.gauge import (
     apply_transfer,
     build_wel,
     build_wmag,
-    config_index,
     gauge_transform,
     plaquette_coloring,
     unitarity_report,
     wel_link_matrix,
 )
 from latcirc.quadrature import fsum_complex
+from latcirc.statevector import _read_config
 
 LAT = GaugeLattice(2, 2)
 Z2 = GaugeGroupZN(2)
@@ -214,8 +214,6 @@ def test_transfer_commutes_with_all_gauge_transforms(monkeypatch):
 
     assert worst_commutator() < 1e-12
     # one phase of W_mag's diagonal turned by 1 rad breaks its gauge invariance
-    _wmag_diag.cache_clear()
-
     def broken(lat, group, coeff_s):
         diag = _wmag_diag(lat, group, coeff_s).copy()
         diag[1] *= np.exp(1j)
@@ -391,15 +389,17 @@ def test_equiv_check_caps():
 
 
 def test_config_index_roundtrip():
+    # the ends are read as Python ints, whatever their array type; the tests' row-major index
+    # of them unravels back to the configuration
     cfg = [1, 0, 1, 1, 0, 0, 1, 0]
-    idx = config_index(LAT, Z2, cfg)
-    back = np.unravel_index(idx, (2,) * 8)
-    assert list(back) == cfg
+    read = _read_config(np.array(cfg, dtype=np.uint8), 2, 8, "8 link values")
+    assert read == cfg and all(type(v) is int for v in read)
+    assert list(np.unravel_index(config_index(2, cfg), (2,) * 8)) == cfg
     for bad in ([1, 0, 2, 1, 0, 0, 1, 0], [1, 0, -1, 1, 0, 0, 1, 0], cfg[:7], cfg + [0],
                 [1, 0, 1.5, 1, 0, 0, 1, 0], [1, 0, "1", 1, 0, 0, 1, 0],
                 [1, 0, True, 1, 0, 0, 1, 0]):
-        with pytest.raises(ValueError, match="8 link values in"):
-            config_index(LAT, Z2, bad)
+        with pytest.raises(ValueError, match=r"8 link values in \[0, 2\)"):
+            amplitude_equiv_check(LAT, Z2, 1.0, 1.0, bad, cfg, 1)
 
 
 @pytest.mark.parametrize("bad", [[0, 1, 2, 1.5], [0.7, 1, 2, 1], [0, 1, 2, "1"], [0, 1, 2, -1],
@@ -412,12 +412,12 @@ def test_equiv_check_refuses_bad_ends_before_any_work(monkeypatch, bad):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before both ends were checked")
 
+    # tau = 1 reads one element of T per image: W_el's link matrix is its first work
     monkeypatch.setattr(gauge_mod, "_path_blocks", no_work)
-    monkeypatch.setattr(gauge_mod, "_apply_site_kernels", no_work)
+    monkeypatch.setattr(gauge_mod, "wel_link_matrix", no_work)
     lat, group, good = GaugeLattice(1, 2), GaugeGroupZN(3), [0, 1, 2, 1]
-    assert config_index(lat, group, good) == 16
-    with pytest.raises(ValueError, match=r"4 link values in \[0, 3\)"):
-        config_index(lat, group, bad)
+    with pytest.raises(AssertionError, match="work began"):  # the sentinel fires at tau = 1
+        amplitude_equiv_check(lat, group, 1.0, 1.0, good, good, 1)
     for ends in ((bad, good), (good, bad)):
         with pytest.raises(ValueError, match=r"4 link values in \[0, 3\)"):
             amplitude_equiv_check(lat, group, 1.0, 1.0, *ends, 1)
@@ -615,7 +615,7 @@ def test_orbit_average_equals_projector_references(shape, seed):
     lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
     config = np.random.default_rng(seed).integers(0, n, lat.n_links)
     ket = np.zeros(n**lat.n_links, dtype=complex)
-    ket[config_index(lat, group, config)] = 1.0
+    ket[config_index(n, config)] = 1.0
     projected = gauss_orbit_average(lat, group, config)
     for reference in (roll_projector_reference, perm_projector_reference):
         expected = reference(lat, group, ket)
@@ -625,35 +625,35 @@ def test_orbit_average_equals_projector_references(shape, seed):
             assert np.max(np.abs(projected - expected)) <= 1e-15
 
 
-def test_equiv_check_left_side_holds_two_state_vectors():
-    # T|u_i> from its ends: the product state's last GEMM beside its half-size input is 1.5
-    # state vectors at tau = 1, with no W_mag diagonal and no full transfer
+def test_equiv_check_left_side_at_tau_one_holds_a_quarter_state_vector():
+    # tau = 1 reads one element of T per gauge image of u_f: links x N^sites entries of W_el,
+    # with no product state, no W_mag diagonal and no full transfer
     lat = GaugeLattice(2, 4)  # 16 links: dim 2^16
     u_i, u_f = np.random.default_rng(8).integers(0, 2, (2, lat.n_links))
-    _wmag_diag.cache_clear()
     tracemalloc.start()
     try:
         amplitude_equiv_check(lat, Z2, 1.0, 1.0, u_i, u_f, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 16 * 2**16  # complex state vectors
+    assert peak <= 0.25 * 16 * 2**16  # complex state vectors
 
 
-def test_gauge_check_builds_wmag_once(tmp_path):
-    # tau = 1 reads W_mag at u_i alone; at tau = 2 the one full transfer of each pair needs
-    # the diagonal, built by the first pair and read by three more
-    _wmag_diag.cache_clear()
+def test_gauge_check_builds_wmag_once_per_transfer(tmp_path, monkeypatch):
+    # tau = 1 reads W_mag at u_i alone; at tau = 2 each pair runs one full transfer, which
+    # builds the diagonal anew: 4 builds for 4 pairs
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return _wmag_diag(*args)
+
+    monkeypatch.setattr(gauge_mod, "_wmag_diag", counted)
     argv = ["gauge-check", "--g", "1.0", "--kappa", "1.0", "--pairs", "4"]
     assert cli.run([*argv, "--out", str(tmp_path / "g.json")]) == 0
-    assert _wmag_diag.cache_info().misses == 0
+    assert len(builds) == 0
     assert cli.run([*argv, "--tau", "2", "--out", str(tmp_path / "g2.json")]) == 0
-    info = _wmag_diag.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    diag = build_wmag(LAT, Z2, 1.0, 1.0).diag
-    assert _wmag_diag.cache_info().misses == 1
-    with pytest.raises(ValueError, match="read-only"):
-        diag[0] = 0.0
+    assert len(builds) == 4
 
 
 @pytest.mark.parametrize("tau", [1, 2, 3])
@@ -681,9 +681,10 @@ def test_wmag_at_one_configuration_is_its_diagonal_entry(shape, g, kappa, seed):
     lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
     config = np.random.default_rng(seed).integers(0, n, lat.n_links)
     coeff_s, _ = _couplings(g, kappa)
-    entry = build_wmag(lat, group, g, kappa).diag[config_index(lat, group, config)]
+    entry = build_wmag(lat, group, g, kappa).diag[config_index(n, config)]
     for links in (config, config.tolist()):
-        at_u = np.exp(-1j * coeff_s * _plaquette_action(lat, group.retrace(np.arange(n)), links))
+        retrace = group.retrace(np.arange(n))
+        at_u = np.exp(-1j * coeff_s * _plaquette_action(lat.plaquettes(), retrace, links))
         assert at_u.tobytes() == entry.tobytes()
 
 
@@ -705,7 +706,7 @@ def dense_left_side(lat, group, g, kappa, u_i, u_f, tau):
     psi = gauss_orbit_average(lat, group, np.array(u_i))
     for _ in range(tau):
         psi = wel @ (wmag * psi)
-    return group.N**lat.n_links * psi[config_index(lat, group, u_f)]
+    return group.N**lat.n_links * psi[config_index(group.N, u_f)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -802,7 +803,6 @@ def test_gauge_check_caps_terms_and_pairs_before_wmag(tmp_path, monkeypatch, cap
     def no_wmag(*args):
         raise AssertionError("W_mag was built before the caps")
 
-    _wmag_diag.cache_clear()  # a W_mag cached by an earlier test would hide a build from the peak
     monkeypatch.setattr(gauge_mod, "_wmag_diag", no_wmag)
     out = tmp_path / "g.json"
     tracemalloc.start()
@@ -837,6 +837,20 @@ def test_wilson_terms_count_each_pair_by_its_larger_side():
         gauge_mod._wilson_terms(LAT, Z2, 10**7)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 7), lx=st.integers(1, 11), ly=st.integers(1, 11), tau=st.integers(2, 4))
+@example(n=3, lx=4, ly=1, tau=2)  # the largest link space admitted: 3^8 = 6561 states
+def test_wilson_terms_admit_no_tau_two_check_past_ten_thousand_states(n, lx, ly, tau):
+    # at tau >= 2 the Wilson sum has at least N^(links + 2 sites) = dim^2 terms, so
+    # PATH_TERM_CAP = 10^8 admits at most 10^4 link states: W_mag's diagonal is that small
+    lat, group = GaugeLattice(lx, ly), GaugeGroupZN(n)
+    try:
+        terms = gauge_mod._wilson_terms(lat, group, tau)
+    except CapExceeded:
+        return
+    assert n**lat.n_links <= 10**4 and terms >= n ** (2 * lat.n_links)
+
+
 def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=tally_sum,
                          in_order=False):
     """The right side of amplitude_equiv_check on digit-table chunks of ``chunk`` terms: each
@@ -852,7 +866,8 @@ def wilson_sum_reference(lat, group, g, kappa, u_i, u_f, tau, chunk, phase_sum=t
         temporal = temporal.reshape(tau, lat.n_sites, -1)
         action = 0.0
         for nu in range(tau):
-            magnetic, t_now = coeff_s * _plaquette_action(lat, retrace, slices[nu]), temporal[nu]
+            magnetic = coeff_s * _plaquette_action(lat.plaquettes(), retrace, slices[nu])
+            t_now = temporal[nu]
             electric = [retrace[(t_now[frm] + slices[nu][link] - t_now[to] - slices[nu + 1][link])
                                 % n] for link, (frm, to) in enumerate(endpoints)]
             if in_order:
